@@ -181,6 +181,15 @@ def control_entropy_rate(d, noise_std=0.1):
 # file formats
 # ---------------------------------------------------------------------------
 
+def read_exact(fh, size, what):
+    """Read exactly `size` bytes; a short read means the file was cut off."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated {what}: expected {size} more bytes at "
+                         f"offset {fh.tell() - len(data)}, got {len(data)}")
+    return data
+
+
 def save_fseq(path, batch):
     """FSEQ: magic, u32 version, u32 Q, T, d, d_action, then raw
     little-endian float64 observations and actions."""
@@ -199,13 +208,16 @@ def load_fseq(path):
         magic = fh.read(4)
         if magic != FSEQ_MAGIC:
             raise ValueError(f"not an FSEQ file: bad magic {magic!r}")
-        version, q, t, d, da = struct.unpack("<IIIII", fh.read(20))
+        version, q, t, d, da = struct.unpack(
+            "<IIIII", read_exact(fh, 20, "FSEQ file"))
         if version != FSEQ_VERSION:
             raise ValueError(f"unsupported FSEQ version {version}")
-        obs = np.frombuffer(fh.read(q * t * d * 8), dtype="<f8").reshape(q, t, d)
+        obs = np.frombuffer(read_exact(fh, q * t * d * 8, "FSEQ file"),
+                            dtype="<f8").reshape(q, t, d)
         actions = None
         if da:
-            actions = np.frombuffer(fh.read(q * t * da * 8), dtype="<f8")
+            actions = np.frombuffer(read_exact(fh, q * t * da * 8, "FSEQ file"),
+                                    dtype="<f8")
             actions = actions.reshape(q, t, da)
     return SequenceBatch(obs.copy(), None if actions is None else actions.copy())
 

@@ -165,19 +165,18 @@ def tanh(a):
     return DiffNode(out, (a,), "tanh", lambda g: (g * (1.0 - out * out),))
 
 
-def _sigmoid(x):
-    # piecewise form avoids overflow of exp on either tail
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x, out=None):
+    """0.5 * (1 + tanh(x / 2)): no exp to overflow on either tail and no
+    masks to allocate.  `out` may alias `x`."""
+    out = np.tanh(x * 0.5, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
 def sigmoid(a):
     a = _node(a)
-    out = _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape)
+    out = _sigmoid(a.value)
     return DiffNode(out, (a,), "sigmoid", lambda g: (g * out * (1.0 - out),))
 
 
@@ -186,7 +185,7 @@ def softplus(a):
     a = _node(a)
     av = a.value
     out = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
-    sig = _sigmoid(np.atleast_1d(av)).reshape(av.shape)
+    sig = _sigmoid(av)
     return DiffNode(out, (a,), "softplus", lambda g: (g * sig,))
 
 
@@ -308,6 +307,109 @@ def logabsdet(a):
         return (float(g) * np.linalg.inv(av).T,)
 
     return DiffNode(np.asarray(ld), (a,), "logabsdet", rule)
+
+
+# ---------------------------------------------------------------------------
+# fused recurrence
+# ---------------------------------------------------------------------------
+
+def lstm(x, w, b, h0, c0):
+    """Whole-sequence LSTM unroll with a hand-written BPTT backward
+    (Graves 2013, "Generating Sequences With Recurrent Neural Networks").
+
+    x is (T, q, n_in), or (q, n_in) for a single step; w is (n_in + H, 4H)
+    with gate columns ordered (input, forget, cell, output); b is (4H,);
+    h0 and c0 are (q, H).  Each step computes
+        i, f, g, o = sigmoid, sigmoid, tanh, sigmoid of
+                     x_t @ w[:n_in] + h_{t-1} @ w[n_in:] + b
+        c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t).
+
+    Returns (hs, h_T, c_T): hs holds the t-major rows (T*q, H) of h_1..h_T
+    and is h_T itself when T == 1.  The outputs read one forward cache, and
+    gradients arriving at any of them are folded into a single backward
+    sweep.
+    """
+    x, w, b, h0, c0 = (_node(n) for n in (x, w, b, h0, c0))
+    xv, wv, bv = x.value, w.value, b.value
+    seq = xv[None] if xv.ndim == 2 else xv
+    shapes = (xv.shape, wv.shape, bv.shape, h0.value.shape, c0.value.shape)
+    if seq.ndim != 3 or h0.value.ndim != 2:
+        raise ShapeMismatchError("lstm", *shapes)
+    steps, q, n_in = seq.shape
+    hid = h0.value.shape[1]
+    if (steps < 1 or wv.shape != (n_in + hid, 4 * hid)
+            or bv.shape != (4 * hid,) or h0.value.shape != (q, hid)
+            or c0.value.shape != (q, hid)):
+        raise ShapeMismatchError("lstm", *shapes)
+    w_x, w_h = wv[:n_in], wv[n_in:]
+    x_rows = seq.reshape(steps * q, n_in)
+    blocks = [np.s_[:, k * hid : (k + 1) * hid] for k in range(4)]
+    ifo = (np.s_[:, : 2 * hid], blocks[3])           # the sigmoid gates
+
+    # gates[t] holds the activated (i, f, g, o) of step t; hc stacks
+    # h_0..h_T then c_0..c_T, and is the value the three outputs slice
+    gates = (x_rows @ w_x + bv).reshape(steps, q, 4 * hid)
+    hc = np.empty((2 * (steps + 1), q, hid))
+    hs, cs = hc[: steps + 1], hc[steps + 1 :]
+    hs[0], cs[0] = h0.value, c0.value
+    tanh_c = np.empty((steps, q, hid))
+    for t in range(steps):
+        a = gates[t]
+        a += hs[t] @ w_h
+        for sl in ifo:
+            _sigmoid(a[sl], out=a[sl])
+        np.tanh(a[blocks[2]], out=a[blocks[2]])
+        i, f, g, o = (a[sl] for sl in blocks)
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += i * g
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=hs[t + 1])
+
+    def rule(ghc):
+        dh = ghc[steps]                  # at h_T, from the hs rows and h_T
+        dc = ghc[-1]                     # at c_T
+        # activation slopes of every step at once: s(1 - s) for the
+        # sigmoid gates, 1 - g^2 for the cell input and 1 - tanh(c)^2
+        slope = gates * (1.0 - gates)
+        g_all = gates[..., 2 * hid : 3 * hid]
+        slope[..., 2 * hid : 3 * hid] = 1.0 - g_all * g_all
+        slope_c = 1.0 - tanh_c * tanh_c
+        dgates = np.empty_like(gates)
+        for t in range(steps - 1, -1, -1):
+            i, f, g, o = (gates[t][sl] for sl in blocks)
+            di, df, dg, do = (dgates[t][sl] for sl in blocks)
+            dc = dc + dh * o * slope_c[t]
+            np.multiply(dc, g, out=di)
+            np.multiply(dc, cs[t], out=df)
+            np.multiply(dc, i, out=dg)
+            np.multiply(dh, tanh_c[t], out=do)
+            dgates[t] *= slope[t]
+            dc = dc * f
+            dh = dgates[t] @ w_h.T
+            if t:
+                dh += ghc[t]
+        da_rows = dgates.reshape(steps * q, 4 * hid)
+        dw = np.empty_like(wv)
+        dw[:n_in] = x_rows.T @ da_rows
+        dw[n_in:] = hs[:steps].reshape(steps * q, hid).T @ da_rows
+        dx = (da_rows @ w_x.T).reshape(xv.shape) if x.requires_grad else None
+        return dx, dw, da_rows.sum(axis=0), dh, dc
+
+    core = DiffNode(hc, (x, w, b, h0, c0), "lstm", rule)
+    rows = _lstm_output(core, np.s_[1 : steps + 1], (steps * q, hid))
+    h_last = rows if steps == 1 else _lstm_output(core, steps, (q, hid))
+    return rows, h_last, _lstm_output(core, -1, (q, hid))
+
+
+def _lstm_output(core, index, shape):
+    """A view of the fused cell's stacked states; its gradient is scattered
+    back into the stack for the one backward sweep."""
+    def rule(g):
+        z = np.zeros_like(core.value)
+        z[index] = g.reshape(z[index].shape)
+        return (z,)
+
+    return DiffNode(core.value[index].reshape(shape), (core,), "lstm_out", rule)
 
 
 _OPS = {

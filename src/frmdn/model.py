@@ -23,7 +23,7 @@ from . import diffcore as dc
 from . import flow as fl
 from . import mixtures as mx
 from . import recurrent as rc
-from .datasets import SequenceBatch, slice_windows
+from .datasets import SequenceBatch, read_exact, slice_windows
 
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
@@ -194,15 +194,11 @@ def _nll_graph(model, obs, actions):
     if cfg.action_dim and (actions is None or actions.shape[2] != cfg.action_dim):
         raise ValueError("batch is missing the action stream the model expects")
 
-    state = rc.initial_state(q, cfg.hidden)
-    hs = []
-    for step in range(t - 1):
-        x = obs[:, step, :]
-        if cfg.action_dim:
-            x = np.concatenate([x, actions[:, step, :]], axis=1)
-        h, state = rc.lstm_step(dc.constant(x), state, model.lstm)
-        hs.append(h)
-    h_all = dc.concat(hs, axis=0) if len(hs) > 1 else hs[0]      # t-major rows
+    x = obs[:, :-1, :]
+    if cfg.action_dim:
+        x = np.concatenate([x, actions[:, :-1, :]], axis=2)
+    h_all, _ = rc.lstm_step(dc.constant(x.transpose(1, 0, 2)),    # t-major rows
+                            rc.initial_state(q, cfg.hidden), model.lstm)
 
     targets = obs[:, 1:, :].transpose(1, 0, 2).reshape(-1, d)    # align t-major
     z = dc.constant(targets)
@@ -525,13 +521,17 @@ def _write_array(fh, name, arr):
 
 
 def _read_array(fh):
-    (name_len,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<B", fh.read(1))
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
+    (name_len,) = struct.unpack("<H", _read(fh, 2))
+    name = _read(fh, name_len).decode("utf-8")
+    (rank,) = struct.unpack("<B", _read(fh, 1))
+    shape = struct.unpack(f"<{rank}Q", _read(fh, 8 * rank))
     count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
+    arr = np.frombuffer(_read(fh, count * 8), dtype="<f8").reshape(shape)
     return name, arr.copy()
+
+
+def _read(fh, size):
+    return read_exact(fh, size, "FRMD checkpoint")
 
 
 def save_checkpoint(path, model, optimizer=None, extra=None):
@@ -560,12 +560,12 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         if fh.read(4) != FRMD_MAGIC:
             raise ValueError("not an FRMD checkpoint: bad magic")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4))
         if version != FRMD_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (config_len,) = struct.unpack("<I", fh.read(4))
-        config, extra = _parse_config_text(fh.read(config_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (config_len,) = struct.unpack("<I", _read(fh, 4))
+        config, extra = _parse_config_text(_read(fh, config_len).decode("utf-8"))
+        (count,) = struct.unpack("<I", _read(fh, 4))
         arrays = dict(_read_array(fh) for _ in range(count))
     model = build_model(config, seed=0)
     opt_arrays = {}

@@ -78,32 +78,28 @@ def initial_state(batch, hidden):
 
 
 def lstm_step(x, state, params):
-    """One cell update on a batch node (q, input_dim).
+    """Advance the cell from `state` over a batch node: (q, input_dim) for
+    one step, or (T, q, input_dim) for T steps in one fused op.
 
-    Returns (h, new_state); h is the same node stored in the state.
+    Returns (h, new_state).  For one step h is (q, hidden) and the same
+    node as new_state.h; for T steps it holds the t-major rows
+    (T*q, hidden) of every step's hidden output.  new_state holds the final
+    h and c, and gradients flow back through both.
     """
     x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
     H = params.hidden
-    if x.value.ndim != 2 or x.value.shape[1] != params.input_dim:
+    if x.value.ndim not in (2, 3) or x.value.shape[-1] != params.input_dim:
         raise ValueError(
             f"lstm_step: expected input (*, {params.input_dim}), "
             f"got {x.value.shape}"
         )
-    if state.h.value.shape != (x.value.shape[0], H):
+    if state.h.value.shape != (x.value.shape[-2], H):
         raise ValueError(
             f"lstm_step: state shape {state.h.value.shape} does not match "
-            f"batch {x.value.shape[0]} and hidden size {H}"
+            f"batch {x.value.shape[-2]} and hidden size {H}"
         )
-    xh = dc.concat([x, state.h], axis=1)
-    pre = dc.add(dc.matmul(xh, params.w), params.b)
-    idx = np.arange(4 * H)
-    i = dc.sigmoid(dc.slice_cols(pre, idx[:H]))
-    f = dc.sigmoid(dc.slice_cols(pre, idx[H : 2 * H]))
-    g = dc.tanh(dc.slice_cols(pre, idx[2 * H : 3 * H]))
-    o = dc.sigmoid(dc.slice_cols(pre, idx[3 * H :]))
-    c = dc.add(dc.mul(f, state.c), dc.mul(i, g))
-    h = dc.mul(o, dc.tanh(c))
-    return h, RecurrentState(h, c)
+    h_rows, h, c = dc.lstm(x, params.w, params.b, state.h, state.c)
+    return h_rows, RecurrentState(h, c)
 
 
 def head_logits(h, head):

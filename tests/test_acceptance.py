@@ -237,7 +237,7 @@ def test_acceptance_8_logistic_head(trained):
            "lower by ~0.07 nats; the width-1 bin smoothing regularizes "
            "while both heads overfit), so the asserted sign misses the "
            "0.05 slack by ~0.015 nats. The train split reproduces the "
-           "expected direction. See the decisions ledger.",
+           "expected direction.",
     strict=False,
 )
 def test_acceptance_8_logistic_not_better_strict(trained):
@@ -298,8 +298,7 @@ def test_acceptance_9_dream_improvement(dream_history):
            "population fitness diversity stays on the order of the "
            "per-generation progress, so the sampled mean fluctuates at the "
            "scale of its own trend (it fails even on the deterministic "
-           "sphere for many seeds). See the decisions ledger for the full "
-           "experimental record.",
+           "sphere for many seeds).",
     strict=False,
 )
 def test_acceptance_9_dream_strict_monotone_ma(dream_history):

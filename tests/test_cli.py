@@ -217,3 +217,22 @@ def test_dream_smoke_writes_log(tmp_path, capsys):
     rows = [l for l in log.read_text().splitlines()
             if not l.startswith("#") and not l.startswith("generation,")]
     assert len(rows) == 3
+
+
+def test_truncated_checkpoint_and_data_exit_2(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=1)) == 0
+    capsys.readouterr()
+    cut = tmp_path / "cut"
+    for flag, good in (("--ckpt", ckpt), ("--data", data)):
+        blob = good.read_bytes()
+        # inside the header, just past it, mid-body and one byte short
+        for size in (6, 23, 30, len(blob) // 2, len(blob) - 1):
+            cut.write_bytes(blob[:size])
+            argv = ["eval", "--ckpt", str(ckpt), "--data", str(data)]
+            argv[argv.index(flag) + 1] = str(cut)
+            code, _, err = run(argv, capsys)
+            assert code == 2, (flag, size)
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: truncated")

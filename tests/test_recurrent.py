@@ -173,3 +173,123 @@ def test_tied_head_carries_identity_shared_matrix():
     np.testing.assert_array_equal(head.u.value, np.eye(3))
     names = [n for n, _ in head.parameters()]
     assert "head.u" in names
+
+
+# ---------------------------------------------------------------------------
+# fused sequence op
+# ---------------------------------------------------------------------------
+
+def step_one_at_a_time(params, xs, state):
+    outs = []
+    for t in range(xs.shape[0]):
+        h, state = rc.lstm_step(dc.constant(xs[t]), state, params)
+        outs.append(h.value)
+    return np.stack(outs), state
+
+
+def test_sequence_call_matches_chained_single_steps():
+    rng = np.random.default_rng(12)
+    obs_dim, act_dim, hidden, steps, q = 3, 2, 7, 9, 4
+    params = rc.init_lstm(obs_dim + act_dim, hidden, rng)
+    obs = rng.normal(size=(steps, q, obs_dim))
+    acts = rng.normal(size=(steps, q, act_dim))
+    xs = np.concatenate([obs, acts], axis=2)
+
+    h_rows, state = rc.lstm_step(dc.constant(xs), rc.initial_state(q, hidden),
+                                 params)
+    stepped, ref_state = step_one_at_a_time(params, xs,
+                                            rc.initial_state(q, hidden))
+    assert h_rows.value.shape == (steps * q, hidden)
+    np.testing.assert_allclose(h_rows.value.reshape(steps, q, hidden),
+                               stepped, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(state.h.value, ref_state.h.value,
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(state.c.value, ref_state.c.value,
+                               rtol=0, atol=1e-13)
+
+
+def test_fused_op_gradients_match_central_differences():
+    rng = np.random.default_rng(13)
+    n_in, hidden, steps, q = 2, 4, 5, 3
+    w = rng.uniform(-0.8, 0.8, size=(n_in + hidden, 4 * hidden))
+    b = rng.normal(size=4 * hidden) * 0.5
+    x = rng.normal(size=(steps, q, n_in))
+    h0 = rng.normal(size=(q, hidden)) * 0.5
+    c0 = rng.normal(size=(q, hidden))
+    # fixed weights on all three outputs, so every gradient path is probed
+    r_rows = rng.normal(size=(steps * q, hidden))
+    r_h = rng.normal(size=(q, hidden))
+    r_c = rng.normal(size=(q, hidden))
+    arrays = [x, w, b, h0, c0]
+
+    def loss(nodes):
+        rows, h, c = dc.lstm(*nodes)
+        total = dc.reduce_sum(dc.mul(rows, dc.constant(r_rows)))
+        total = dc.add(total, dc.reduce_sum(dc.mul(h, dc.constant(r_h))))
+        return dc.add(total, dc.reduce_sum(dc.mul(c, dc.constant(r_c))))
+
+    leaves = [dc.parameter(a) for a in arrays]
+    grads = dc.backward(loss(leaves), params=leaves)
+    step = 1e-6
+    for k, (leaf, arr) in enumerate(zip(leaves, arrays)):
+        flat = arr.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = float(loss([dc.constant(a) for a in arrays]).value)
+            flat[i] = orig - step
+            lo = float(loss([dc.constant(a) for a in arrays]).value)
+            flat[i] = orig
+            numeric = (hi - lo) / (2 * step)
+            analytic = grads[leaf].ravel()[i]
+            rel = abs(analytic - numeric) / max(1.0, abs(analytic))
+            assert rel < 1e-6, f"input {k} coordinate {i}: {rel:.3e}"
+
+
+def test_sequence_state_continues_like_single_steps():
+    rng = np.random.default_rng(14)
+    n_in, hidden, q = 3, 5, 2
+    params = rc.init_lstm(n_in, hidden, rng)
+    head_xs = rng.normal(size=(6, q, n_in))
+    tail_xs = rng.normal(size=(4, q, n_in))
+
+    def continuation(fused):
+        state = rc.initial_state(q, hidden)
+        if fused:
+            _, state = rc.lstm_step(dc.constant(head_xs), state, params)
+        else:
+            _, state = step_one_at_a_time(params, head_xs, state)
+        total = dc.reduce_sum(dc.square(state.c))
+        outs = []
+        for t in range(tail_xs.shape[0]):
+            h, state = rc.lstm_step(dc.constant(tail_xs[t]), state, params)
+            outs.append(h.value)
+            total = dc.add(total, dc.reduce_sum(dc.square(h)))
+        grads = dc.backward(total, params=[params.w, params.b])
+        return np.stack(outs), grads[params.w], grads[params.b]
+
+    for fused, stepped in zip(continuation(True), continuation(False)):
+        np.testing.assert_allclose(fused, stepped, rtol=0, atol=1e-13)
+
+
+def test_single_step_matches_cell_formula():
+    rng = np.random.default_rng(15)
+    n_in, hidden, q = 3, 4, 5
+    params = rc.init_lstm(n_in, hidden, rng)
+    params.b.value = rng.normal(size=4 * hidden)
+    x = rng.normal(size=(q, n_in))
+    h_prev = rng.normal(size=(q, hidden)) * 0.5
+    c_prev = rng.normal(size=(q, hidden))
+    state = rc.RecurrentState(dc.constant(h_prev), dc.constant(c_prev))
+    h, new_state = rc.lstm_step(dc.constant(x), state, params)
+
+    pre = np.concatenate([x, h_prev], axis=1) @ params.w.value + params.b.value
+    H = hidden
+    i = 1 / (1 + np.exp(-pre[:, :H]))
+    f = 1 / (1 + np.exp(-pre[:, H:2 * H]))
+    g = np.tanh(pre[:, 2 * H:3 * H])
+    o = 1 / (1 + np.exp(-pre[:, 3 * H:]))
+    c = f * c_prev + i * g
+    np.testing.assert_allclose(new_state.c.value, c, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(h.value, o * np.tanh(c), rtol=0, atol=1e-14)
+    assert new_state.h is h
