@@ -76,7 +76,10 @@ TRAIN_DEFAULTS = {
 
 
 def _resolve_train_options(args):
-    """Flag > config file > default, per option."""
+    """Flag > config file > default, per option.
+
+    Returns the options and the set of keys a flag or the config file set.
+    """
     from_file = {}
     if args.config:
         with open(args.config) as fh:
@@ -90,17 +93,40 @@ def _resolve_train_options(args):
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
     opts = {}
+    given = set()
     for key, (default, cast) in TRAIN_DEFAULTS.items():
         flag = getattr(args, key)
         if flag is not None:
             opts[key] = flag
+            given.add(key)
         elif key in from_file:
             opts[key] = cast(from_file[key])
+            given.add(key)
         else:
             opts[key] = default
     if opts["flow"] not in ("on", "off"):
         raise CliError("--flow must be 'on' or 'off'")
-    return opts
+    return opts, given
+
+
+def _adopt_checkpoint_options(opts, given, config, extra):
+    """Take the architecture and optimizer of a resumed checkpoint into
+    `opts`, rejecting any value a flag or the config file set otherwise."""
+    stored = {
+        "structure": config.head_structure,
+        "flow": "on" if config.flow_enabled else "off",
+        "flow_depth": config.flow_depth,
+        "k": config.components,
+        "hidden": config.hidden,
+        "c_width": config.c_width,
+    }
+    if "optimizer" in extra:
+        stored["optimizer"] = extra["optimizer"]
+    for key, value in stored.items():
+        if key in given and opts[key] != value:
+            raise CliError(f"{key}={opts[key]} conflicts with the resumed "
+                           f"checkpoint's {key}={value}")
+        opts[key] = value
 
 
 def _write_metrics(path, args, rows):
@@ -113,7 +139,7 @@ def _write_metrics(path, args, rows):
 
 
 def cmd_train(args):
-    opts = _resolve_train_options(args)
+    opts, given = _resolve_train_options(args)
     train = ds.load_fseq(args.data)
     test = ds.load_fseq(args.test_data) if args.test_data else None
 
@@ -121,6 +147,7 @@ def cmd_train(args):
     optimizer = None
     if args.resume:
         model, extra, opt_arrays = md.load_checkpoint(args.resume)
+        _adopt_checkpoint_options(opts, given, model.config, extra)
         start_epoch = int(extra.get("epoch", 0))
         optimizer = md.make_optimizer(opts["optimizer"], opts["lr"])
         optimizer.load_state_arrays(opt_arrays)

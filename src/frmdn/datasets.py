@@ -219,6 +219,9 @@ def load_fseq(path):
             actions = np.frombuffer(read_exact(fh, q * t * da * 8, "FSEQ file"),
                                     dtype="<f8")
             actions = actions.reshape(q, t, da)
+    for name, arr in (("observations", obs), ("actions", actions)):
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite value in FSEQ file {path}: {name}")
     return SequenceBatch(obs.copy(), None if actions is None else actions.copy())
 
 

@@ -174,29 +174,6 @@ def _sigmoid(x, out=None):
     return out
 
 
-def sigmoid(a):
-    a = _node(a)
-    out = _sigmoid(a.value)
-    return DiffNode(out, (a,), "sigmoid", lambda g: (g * out * (1.0 - out),))
-
-
-def softplus(a):
-    """log(1 + exp(x)), stable on both tails."""
-    a = _node(a)
-    av = a.value
-    out = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
-    sig = _sigmoid(av)
-    return DiffNode(out, (a,), "softplus", lambda g: (g * sig,))
-
-
-def clamp(a, lo=-EXP_CLAMP, hi=EXP_CLAMP):
-    """Clip to [lo, hi]; gradient is zero outside the band."""
-    a = _node(a)
-    av = a.value
-    mask = ((av >= lo) & (av <= hi)).astype(np.float64)
-    return DiffNode(np.clip(av, lo, hi), (a,), "clamp", lambda g: (g * mask,))
-
-
 # ---------------------------------------------------------------------------
 # reductions, reshaping, stacking
 # ---------------------------------------------------------------------------
@@ -291,22 +268,6 @@ def slice_cols(a, cols):
         return (z,)
 
     return DiffNode(out, (a,), "slice", rule)
-
-
-def logabsdet(a):
-    """log |det A| of a square 2-D node; gradient is inv(A).T."""
-    a = _node(a)
-    av = a.value
-    if av.ndim != 2 or av.shape[0] != av.shape[1]:
-        raise ShapeMismatchError("logabsdet", av.shape)
-    sign, ld = np.linalg.slogdet(av)
-    if sign == 0.0:
-        raise np.linalg.LinAlgError("logabsdet: singular matrix")
-
-    def rule(g):
-        return (float(g) * np.linalg.inv(av).T,)
-
-    return DiffNode(np.asarray(ld), (a,), "logabsdet", rule)
 
 
 # ---------------------------------------------------------------------------
@@ -410,42 +371,6 @@ def _lstm_output(core, index, shape):
         return (z,)
 
     return DiffNode(core.value[index].reshape(shape), (core,), "lstm_out", rule)
-
-
-_OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "matmul": matmul,
-    "exp": exp,
-    "log": log,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "neg": neg,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "concat": lambda *nodes, axis=0: concat(list(nodes), axis=axis),
-    "slice": slice_cols,
-    "square": square,
-    "log_sum_exp": log_sum_exp,
-    "scale": scale,
-    "clamp": clamp,
-    "softplus": softplus,
-    "logabsdet": logabsdet,
-}
-
-
-def forward_op(kind, inputs, **attrs):
-    """Apply the operation named `kind` to a list of input nodes."""
-    try:
-        fn = _OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown operation tag {kind!r}") from None
-    return fn(*inputs, **attrs)
-
-
-def op_tags():
-    return tuple(_OPS)
 
 
 # ---------------------------------------------------------------------------

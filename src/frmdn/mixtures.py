@@ -6,6 +6,10 @@ one full matrix U shared across components and a positive diagonal D_k
 per component.  `d_diag` therefore stores standard deviations for the
 diagonal family, precision diagonals for the tied family, and scales for
 the logistic family.
+
+Each family's log density is written once, batched over rows and
+components in `component_log_densities`; the single-point densities and
+the loss-graph op `mixture_log_rows` both call it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import EXP_CLAMP
+from .diffcore import EXP_CLAMP, DiffNode, _sigmoid
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -131,6 +135,70 @@ def diag_scales_from_logits(z_sigma):
 # log densities
 # ---------------------------------------------------------------------------
 
+def component_log_densities(z, mu, log_s, structure, u=None, log_abs_det=0.0,
+                            c_width=1.0):
+    """Log density of each row of z under each component, batched.
+
+    z is (n, d); mu and log_s are (n, K, d), and exp(log_s) holds the
+    standard deviations (diagonal), the precision diagonals D_k (tied) or
+    the scales (logistic).  A tied family also takes its shared matrix `u`
+    and log|det U|.  The coefficients are not included.
+
+    Returns (comp, grads): comp is (n, K), and grads(w) maps the (n, K)
+    gradient of a loss with respect to comp to its gradients with respect
+    to (z, mu, log_s, u), with None for u outside the tied family.  The
+    gradient through log|det U| is left to the caller that supplied it.
+    """
+    d = z.shape[1]
+    diff = z[:, None, :] - mu
+    if structure == "diagonal":
+        inv = np.exp(-log_s)                       # 1 / sigma
+        e = diff * inv
+        comp = (-0.5 * d * LOG_2PI - log_s.sum(axis=2)
+                - 0.5 * (e * e).sum(axis=2))
+
+        def grads(w):
+            w = w[:, :, None]
+            g_diff = -w * e * inv
+            return g_diff.sum(axis=1), -g_diff, w * (e * e - 1.0), None
+    elif structure == "tied":
+        prec = np.exp(log_s)                       # D_k diagonals
+        v = (diff.reshape(-1, d) @ u).reshape(diff.shape)  # U^T (z - mu_k)
+        pv = prec * v
+        comp = (-0.5 * d * LOG_2PI + log_abs_det + 0.5 * log_s.sum(axis=2)
+                - 0.5 * (v * pv).sum(axis=2))
+
+        def grads(w):
+            w = w[:, :, None]
+            g_v = (-w * pv).reshape(-1, d)
+            g_diff = (g_v @ u.T).reshape(diff.shape)
+            g_u = diff.reshape(-1, d).T @ g_v
+            return g_diff.sum(axis=1), -g_diff, 0.5 * w * (1.0 - v * pv), g_u
+    elif structure == "logistic":
+        # log[sigmoid(hi) - sigmoid(-lo)] with hi - (-lo) = C/s, through
+        # sigmoid(a) - sigmoid(b) = sigmoid(a) * sigmoid(-b) * (1 - e^{b-a})
+        inv = np.exp(-log_s)                       # 1 / s
+        centre = diff * inv
+        half = (0.5 * c_width) * inv
+        hi = centre + half
+        lo = half - centre
+        comp = ((_log_sigmoid(hi) + _log_sigmoid(lo)
+                 + _log1mexp(c_width * inv)).sum(axis=2)
+                - d * math.log(c_width))
+
+        def grads(w):
+            w = w[:, :, None]
+            s_hi, s_lo = _sigmoid(-hi), _sigmoid(-lo)
+            g_diff = w * inv * (s_hi - s_lo)
+            gap = c_width * inv
+            tail = gap * np.exp(-gap) / -np.expm1(-gap)    # gap / (e^gap - 1)
+            g_log_s = -w * (s_hi * hi + s_lo * lo + tail)
+            return g_diff.sum(axis=1), -g_diff, g_log_s, None
+    else:
+        raise ValueError(f"unknown mixture structure {structure!r}")
+    return comp, grads
+
+
 def _check_point(y, params):
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != params.dim:
@@ -141,20 +209,18 @@ def _check_point(y, params):
     return y
 
 
+def _point_log_density(y, params, **family):
+    comp, _ = component_log_densities(y[None], params.mu[None],
+                                      np.log(params.d_diag)[None],
+                                      params.structure, **family)
+    return float(_lse_rows(np.log(params.alpha) + comp)[0])
+
+
 def diag_gmm_log_density(y, params):
     """log sum_k alpha_k N(y; mu_k, diag(sigma_k^2)), via log-sum-exp."""
     if params.structure != "diagonal":
         raise ValueError("diag_gmm_log_density needs structure='diagonal'")
-    y = _check_point(y, params)
-    sigma = params.d_diag
-    z = (y[None, :] - params.mu) / sigma
-    comp = (
-        np.log(params.alpha)
-        - 0.5 * params.dim * LOG_2PI
-        - np.log(sigma).sum(axis=1)
-        - 0.5 * (z * z).sum(axis=1)
-    )
-    return _lse(comp)
+    return _point_log_density(_check_point(y, params), params)
 
 
 def tied_gmm_log_density(y, params, shared):
@@ -165,16 +231,8 @@ def tied_gmm_log_density(y, params, shared):
     if params.structure != "tied":
         raise ValueError("tied_gmm_log_density needs structure='tied'")
     y = _check_point(y, params)
-    ld_u = shared.log_abs_det
-    v = (y[None, :] - params.mu) @ shared.u        # rows are (U^T (y - mu_k))^T
-    comp = (
-        np.log(params.alpha)
-        - 0.5 * params.dim * LOG_2PI
-        + ld_u
-        + 0.5 * np.log(params.d_diag).sum(axis=1)
-        - 0.5 * (v * v * params.d_diag).sum(axis=1)
-    )
-    return _lse(comp)
+    return _point_log_density(y, params, u=shared.u,
+                              log_abs_det=shared.log_abs_det)
 
 
 def logistic_mixture_log_density(y, params, c_width=1.0):
@@ -182,8 +240,7 @@ def logistic_mixture_log_density(y, params, c_width=1.0):
 
     Each dimension contributes (1/C) * (sigmoid((y-mu+C/2)/s)
     - sigmoid((y-mu-C/2)/s)); dimensions are independent within a
-    component.  Evaluated in log space through the identity
-    sigmoid(a) - sigmoid(b) = sigmoid(a) * sigmoid(-b) * (1 - e^{b-a}).
+    component.
     """
     if params.structure != "logistic":
         raise ValueError("logistic_mixture_log_density needs structure='logistic'")
@@ -192,22 +249,60 @@ def logistic_mixture_log_density(y, params, c_width=1.0):
     if np.any(params.d_diag <= 0.0):
         raise ValueError("logistic scales must be positive")
     y = _check_point(y, params)
-    s = params.d_diag
-    u = (y[None, :] - params.mu) / s
-    half = c_width / (2.0 * s)
-    per_dim = (
-        _log_sigmoid(u + half)
-        + _log_sigmoid(-(u - half))
-        + _log1mexp(c_width / s)
-        - math.log(c_width)
-    )
-    comp = np.log(params.alpha) + per_dim.sum(axis=1)
-    return _lse(comp)
+    return _point_log_density(y, params, c_width=c_width)
 
 
-def _lse(v):
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
+def mixture_log_rows(z, alpha_logits, mu, scale_logits, head, c_width=1.0):
+    """Graph op: the (n,) node LSE_k(log_softmax(alpha)_k + comp_k), where
+    comp holds the component log densities of the rows of z.
+
+    alpha_logits is (n, K); mu and scale_logits are (n, K*d), component-
+    major, as `head` emits them.  Scale logits are clipped to +-EXP_CLAMP
+    and get zero gradient outside that band.  Tied heads add head.u as a
+    parent, with log|det U| computed here.
+
+    The backward is closed-form (Bishop 1994, "Mixture Density Networks"):
+    with r the responsibilities, softmax over k of the summands, the
+    alpha logits receive r - softmax(alpha), and r weights the component
+    gradients.
+    """
+    k, d = head.k, head.dim
+    n = z.value.shape[0]
+    raw = scale_logits.value.reshape(n, k, d)
+    inside = np.abs(raw) <= EXP_CLAMP
+    parents = [z, alpha_logits, mu, scale_logits]
+    family = {"c_width": c_width}
+    if head.structure == "tied":
+        u = head.u.value
+        sign, log_abs_det = np.linalg.slogdet(u)
+        if sign == 0.0:
+            raise np.linalg.LinAlgError("mixture_log_rows: singular shared matrix")
+        parents.append(head.u)
+        family.update(u=u, log_abs_det=log_abs_det)
+    comp, comp_grads = component_log_densities(
+        z.value, mu.value.reshape(n, k, d),
+        np.clip(raw, -EXP_CLAMP, EXP_CLAMP), head.structure, **family)
+    a = alpha_logits.value
+    log_alpha = a - _lse_rows(a)[:, None]
+    joint = log_alpha + comp
+    rows = _lse_rows(joint)
+
+    def rule(g):
+        g = g[:, None]
+        w = g * np.exp(joint - rows[:, None])          # g * responsibilities
+        g_z, g_mu, g_log_s, g_u = comp_grads(w)
+        out = (g_z, w - g * np.exp(log_alpha), g_mu.reshape(n, k * d),
+               (g_log_s * inside).reshape(n, k * d))
+        if g_u is not None:
+            out += (g_u + g.sum() * np.linalg.inv(u).T,)
+        return out
+
+    return DiffNode(rows, parents, "mixture_log_rows", rule)
+
+
+def _lse_rows(v):
+    m = v.max(axis=1)
+    return m + np.log(np.exp(v - m[:, None]).sum(axis=1))
 
 
 def _log_sigmoid(x):

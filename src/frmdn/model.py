@@ -28,8 +28,6 @@ from .datasets import SequenceBatch, read_exact, slice_windows
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
 
-LOG_2PI = math.log(2.0 * math.pi)
-
 
 class NumericsError(RuntimeError):
     """Loss or gradients left the representable range."""
@@ -108,77 +106,6 @@ def build_model(config, seed=0):
 # loss graph
 # ---------------------------------------------------------------------------
 
-def _component_cols(k, d):
-    cols = np.arange(k * d).reshape(k, d)
-    return [cols[i] for i in range(k)]
-
-
-def _log_mix_rows(z, alpha_logits, mu, scale_logits, model):
-    """Per-row mixture log density (n,) node, up to a row-constant shift.
-
-    The shift (normalizer constants and, for tied heads, log|det U|) is the
-    same for every row and component, so it is returned separately and
-    added after the mean.  Uses the identity
-    LSE_k(log alpha_k + g_k) = LSE_k(z^alpha_k + g_k) - LSE_k(z^alpha_k).
-    """
-    cfg = model.config
-    k, d = cfg.components, cfg.dim
-    head = model.head
-    terms = []
-    shift_nodes = []
-    # Gaussian normalizer; the logistic per-dim terms normalize themselves
-    if cfg.head_structure == "logistic":
-        shift = -d * math.log(cfg.c_width)
-    else:
-        shift = -0.5 * d * LOG_2PI
-    for ki, cols in enumerate(_component_cols(k, d)):
-        a_k = dc.slice_cols(alpha_logits, np.array([ki]))        # (n, 1)
-        mu_k = dc.slice_cols(mu, cols)                           # (n, d)
-        zs_k = dc.clamp(dc.slice_cols(scale_logits, cols))       # (n, d)
-        diff = dc.sub(z, mu_k)
-        if cfg.head_structure == "diagonal":
-            inv = dc.exp(dc.neg(zs_k))                           # 1 / sigma
-            quad = dc.reduce_sum(dc.square(dc.mul(diff, inv)),
-                                 axis=1, keepdims=True)
-            logs = dc.reduce_sum(zs_k, axis=1, keepdims=True)    # sum log sigma
-            term = dc.add(a_k, dc.add(dc.neg(logs), dc.scale(quad, -0.5)))
-        elif cfg.head_structure == "tied":
-            prec = dc.exp(zs_k)                                  # D_k diagonal
-            v = dc.matmul(diff, head.u)                          # (U^T diff)^T rows
-            quad = dc.reduce_sum(dc.mul(dc.square(v), prec),
-                                 axis=1, keepdims=True)
-            half_logdet = dc.scale(
-                dc.reduce_sum(zs_k, axis=1, keepdims=True), 0.5
-            )
-            term = dc.add(a_k, dc.add(half_logdet, dc.scale(quad, -0.5)))
-        elif cfg.head_structure == "logistic":
-            inv = dc.exp(dc.neg(zs_k))                           # 1 / s
-            u_std = dc.mul(diff, inv)
-            half = dc.scale(inv, cfg.c_width / 2.0)
-            hi = dc.add(u_std, half)
-            lo = dc.sub(u_std, half)
-            # log[sigmoid(hi) - sigmoid(lo)]
-            #   = log sig(hi) + log sig(-lo) + log(1 - e^{lo - hi})
-            log_sig_hi = dc.neg(dc.softplus(dc.neg(hi)))
-            log_sig_nlo = dc.neg(dc.softplus(lo))
-            gap = dc.scale(inv, cfg.c_width)                     # hi - lo = C/s
-            tail = dc.log(dc.sub(dc.constant(np.ones(gap.value.shape)),
-                                 dc.exp(dc.neg(gap))))
-            per_dim = dc.add(dc.add(log_sig_hi, log_sig_nlo), tail)
-            term = dc.add(a_k, dc.reduce_sum(per_dim, axis=1, keepdims=True))
-        else:  # pragma: no cover - config.validate rejects this earlier
-            raise ValueError(cfg.head_structure)
-        terms.append(term)
-
-    if cfg.head_structure == "tied":
-        shift_nodes.append(dc.logabsdet(head.u))
-
-    stacked = dc.concat(terms, axis=1)                           # (n, K)
-    rows = dc.sub(dc.log_sum_exp(stacked, axis=1),
-                  dc.log_sum_exp(alpha_logits, axis=1))          # (n,)
-    return rows, shift, shift_nodes
-
-
 def _nll_graph(model, obs, actions):
     """Loss graph over a batch of equal-length windows.
 
@@ -209,12 +136,9 @@ def _nll_graph(model, obs, actions):
         logdet_term = dc.constant(np.zeros(()))
 
     alpha_logits, mu, scale_logits = rc.head_logits(h_all, model.head)
-    rows, shift, shift_nodes = _log_mix_rows(z, alpha_logits, mu,
-                                             scale_logits, model)
-    log_mix_mean = dc.add(dc.reduce_mean(rows), dc.constant(np.float64(shift)))
-    for node in shift_nodes:
-        log_mix_mean = dc.add(log_mix_mean, node)
-    mixture_term = dc.neg(log_mix_mean)
+    rows = mx.mixture_log_rows(z, alpha_logits, mu, scale_logits, model.head,
+                               cfg.c_width)
+    mixture_term = dc.neg(dc.reduce_mean(rows))
     root = dc.add(mixture_term, logdet_term)
     return root, mixture_term, logdet_term
 
@@ -423,9 +347,15 @@ def train_model(model, train_batch, settings, test_batch=None,
 def generate_step(model, x_t, state, rng):
     """Advance the backbone on the full input vector x_t (observation plus
     action when present), sample the emitted mixture, and map the draw back
-    through the inverse flow."""
+    through the inverse flow.
+
+    The new state comes back as constant nodes: generation never runs a
+    backward, so each step cuts the tape instead of chaining the next
+    step's op onto every earlier one."""
     x_t = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
     h, new_state = rc.lstm_step(dc.constant(x_t), state, model.lstm)
+    new_state = rc.RecurrentState(dc.constant(new_state.h.value),
+                                  dc.constant(new_state.c.value))
     params = rc.head_project(h.value[0], model.head)
     shared = model.shared_matrix() if model.config.head_structure == "tied" else None
     z = mx.mixture_sample(params, shared, rng)

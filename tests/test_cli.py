@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from frmdn import datasets as ds
@@ -236,3 +237,63 @@ def test_truncated_checkpoint_and_data_exit_2(tmp_path, capsys):
             assert code == 2, (flag, size)
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: truncated")
+
+
+def test_train_resume_rejects_architecture_change(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    half = tmp_path / "half.frmd"
+    assert main(train_args(data, half, epochs=1)) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("structure=tied\n")
+    for extra in (["--k", "7"], ["--hidden", "16"], ["--flow", "off"],
+                  ["--c-width", "2.0"], ["--config", str(cfg)]):
+        argv = train_args(data, tmp_path / "out.frmd", epochs=1)
+        argv += ["--resume", str(half)] + extra
+        code, _, err = run(argv, capsys)
+        assert code == 2, extra
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "resumed checkpoint" in lines[0], extra
+    assert not (tmp_path / "out.frmd").exists()
+
+
+def test_train_resume_keeps_stored_optimizer(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    log_full = tmp_path / "full.csv"
+    assert main(train_args(data, tmp_path / "full.frmd", log_full, epochs=4,
+                           optimizer="adam")) == 0
+    half = tmp_path / "half.frmd"
+    assert main(train_args(data, half, epochs=2, optimizer="adam")) == 0
+    capsys.readouterr()
+
+    argv = train_args(data, tmp_path / "bad.frmd", epochs=2)
+    code, _, err = run(argv + ["--resume", str(half), "--optimizer",
+                               "rmsprop"], capsys)
+    assert code == 2
+    assert "optimizer=adam" in err
+
+    log_b = tmp_path / "b.csv"
+    argv = train_args(data, tmp_path / "resumed.frmd", log_b, epochs=2)
+    assert main(argv + ["--resume", str(half)]) == 0
+    _, extra, _ = md.load_checkpoint(tmp_path / "resumed.frmd")
+    assert extra["optimizer"] == "adam"
+    assert read_metrics(log_b)[-1][2] == read_metrics(log_full)[-1][2]
+
+
+def test_non_finite_data_exit_2(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=1)) == 0
+    batch = ds.load_fseq(data)
+    for bad in (np.nan, np.inf):
+        obs = batch.observations.copy()
+        obs[3, 10, 1] = bad
+        poisoned = tmp_path / "bad.fseq"
+        ds.save_fseq(poisoned, ds.SequenceBatch(obs))
+        capsys.readouterr()
+        for argv in (train_args(poisoned, tmp_path / "x.frmd", epochs=1),
+                     ["eval", "--ckpt", str(ckpt), "--data", str(poisoned)]):
+            code, _, err = run(argv, capsys)
+            assert code == 2, argv[0]
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and "non-finite value in FSEQ file" in lines[0]

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from frmdn import diffcore as dc
 from frmdn import mixtures as mx
+from frmdn import recurrent as rc
 
 
 def random_params(rng, k, d, structure="diagonal", scale_lo=0.4, scale_hi=2.0):
@@ -298,6 +300,98 @@ def test_relabeling_symmetry():
         perm = rng.permutation(4)
         q = mx.MixtureParams(p.alpha[perm], p.mu[perm], p.d_diag[perm])
         assert mx.diag_gmm_log_density(y, q) == pytest.approx(base, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the loss-graph op
+# ---------------------------------------------------------------------------
+
+def op_inputs(structure, rng, n=4, k=3, d=3):
+    """A head of the given family and random (z, alpha logits, mu, scale
+    logits) arrays in the layout the head emits."""
+    head = rc.init_head(2, k, d, structure, rng)
+    if head.u is not None:
+        head.u.value = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+    arrays = [rng.normal(size=(n, d)), rng.normal(size=(n, k)),
+              rng.normal(size=(n, k * d)),
+              0.5 * rng.normal(size=(n, k * d))]
+    return head, arrays
+
+
+def weighted_rows(head, nodes, weights, c_width):
+    rows = mx.mixture_log_rows(*nodes, head, c_width)
+    return dc.reduce_sum(dc.mul(rows, dc.constant(weights)))
+
+
+@pytest.mark.parametrize("structure", mx.STRUCTURES)
+def test_mixture_log_rows_gradients_match_central_differences(structure):
+    rng = np.random.default_rng(17)
+    c_width = 0.7
+    head, arrays = op_inputs(structure, rng)
+    weights = rng.uniform(0.5, 1.5, size=arrays[0].shape[0])
+    leaves = [dc.parameter(a) for a in arrays]
+    root = weighted_rows(head, leaves, weights, c_width)
+    checked = list(zip(leaves, arrays))
+    if head.u is not None:
+        checked.append((head.u, head.u.value))
+    grads = dc.backward(root, params=[leaf for leaf, _ in checked])
+
+    def loss():
+        nodes = [dc.constant(a) for a in arrays]
+        return float(weighted_rows(head, nodes, weights, c_width).value)
+
+    step = 1e-5
+    for leaf, arr in checked:
+        numeric = np.zeros_like(arr)
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + step
+            hi = loss()
+            arr[i] = orig - step
+            lo = loss()
+            arr[i] = orig
+            numeric[i] = (hi - lo) / (2 * step)
+        rel = np.abs(grads[leaf] - numeric) / np.maximum(1.0, np.abs(grads[leaf]))
+        assert rel.max() < 1e-6
+
+
+@pytest.mark.parametrize("structure", mx.STRUCTURES)
+def test_scale_logits_outside_clamp_band_get_zero_gradient(structure):
+    rng = np.random.default_rng(19)
+    head, arrays = op_inputs(structure, rng)
+    scale = arrays[3]
+    outside = np.zeros(scale.shape, dtype=bool)
+    outside[0, 0] = outside[1, 4] = outside[2, 8] = outside[3, 1] = True
+    scale[outside] = [-100.0, 100.0, -61.0, 75.0]
+    leaves = [dc.parameter(a) for a in arrays]
+    root = dc.reduce_sum(mx.mixture_log_rows(*leaves, head, 1.0))
+    assert np.isfinite(root.value)
+    g = dc.backward(root, params=[leaves[3]])[leaves[3]]
+    assert np.all(np.isfinite(g))
+    assert np.all(g[outside] == 0.0)
+
+
+def test_logistic_rows_finite_at_extreme_width_to_scale_ratios():
+    # C/s = C * exp(-scale logit): ~1e-26 at the top of the clamp band,
+    # ~1e26 at the bottom, on either side of the log1mexp switch
+    rng = np.random.default_rng(20)
+    head, arrays = op_inputs("logistic", rng)
+    for c_width, logit in ((1.0, 60.0), (1.0, -60.0), (1e-3, 55.0),
+                           (1e3, -55.0)):
+        arrays[3][:] = logit
+        leaves = [dc.parameter(a) for a in arrays]
+        rows = mx.mixture_log_rows(*leaves, head, c_width)
+        assert np.all(np.isfinite(rows.value))
+        grads = dc.backward(dc.reduce_sum(rows), params=leaves)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def test_mixture_log_rows_rejects_singular_shared_matrix():
+    rng = np.random.default_rng(21)
+    head, arrays = op_inputs("tied", rng)
+    head.u.value = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        mx.mixture_log_rows(*[dc.constant(a) for a in arrays], head, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,30 @@ def test_untrained_model_rollout_stays_finite():
     assert np.all(np.isfinite(out.observations))
 
 
+def reachable_node_count(node):
+    seen, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(n.parents)
+    return len(seen)
+
+
+def test_generation_state_does_not_chain_the_tape():
+    from frmdn import recurrent as rc
+    model = md.build_model(tiny_config(), seed=12)
+    rng = np.random.default_rng(13)
+    state = rc.initial_state(1, model.config.hidden)
+    y = np.zeros(2)
+    counts = []
+    for _ in range(64):
+        y, state = md.generate_step(model, y, state, rng)
+        counts.append((reachable_node_count(state.h),
+                       reachable_node_count(state.c)))
+    assert counts[-1] == counts[0]
+
+
 def test_rollout_with_actions_records_them():
     model = md.build_model(tiny_config(action_dim=2), seed=10)
     rng = np.random.default_rng(11)
