@@ -240,7 +240,7 @@ def cmd_gradcheck(args):
     obs = rng.normal(size=(2, args.t, args.d))
     err = float(md.gradient_check_model(model, SequenceBatch(obs)))
     print(f"max_relative_error={err!r}")
-    if err > 1e-3:
+    if err > 1e-4:
         print("gradient check FAILED", file=sys.stderr)
         return 1
     return 0

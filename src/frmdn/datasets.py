@@ -190,6 +190,15 @@ def read_exact(fh, size, what):
     return data
 
 
+def read_float64(fh, shape, what, name):
+    """Read a little-endian float64 array of `shape` from `fh`; a short
+    read or a non-finite entry raises ValueError naming `name`."""
+    arr = np.frombuffer(read_exact(fh, math.prod(shape) * 8, what), dtype="<f8")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite value in {what}: {name}")
+    return arr.reshape(shape).copy()
+
+
 def save_fseq(path, batch):
     """FSEQ: magic, u32 version, u32 Q, T, d, d_action, then raw
     little-endian float64 observations and actions."""
@@ -204,25 +213,17 @@ def save_fseq(path, batch):
 
 
 def load_fseq(path):
+    what = f"FSEQ file {path}"
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FSEQ_MAGIC:
             raise ValueError(f"not an FSEQ file: bad magic {magic!r}")
-        version, q, t, d, da = struct.unpack(
-            "<IIIII", read_exact(fh, 20, "FSEQ file"))
+        version, q, t, d, da = struct.unpack("<IIIII", read_exact(fh, 20, what))
         if version != FSEQ_VERSION:
             raise ValueError(f"unsupported FSEQ version {version}")
-        obs = np.frombuffer(read_exact(fh, q * t * d * 8, "FSEQ file"),
-                            dtype="<f8").reshape(q, t, d)
-        actions = None
-        if da:
-            actions = np.frombuffer(read_exact(fh, q * t * da * 8, "FSEQ file"),
-                                    dtype="<f8")
-            actions = actions.reshape(q, t, da)
-    for name, arr in (("observations", obs), ("actions", actions)):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite value in FSEQ file {path}: {name}")
-    return SequenceBatch(obs.copy(), None if actions is None else actions.copy())
+        obs = read_float64(fh, (q, t, d), what, "observations")
+        actions = read_float64(fh, (q, t, da), what, "actions") if da else None
+    return SequenceBatch(obs, actions)
 
 
 def export_csv(batch, path_or_handle):

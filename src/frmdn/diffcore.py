@@ -5,17 +5,20 @@ forward value, references to its inputs, and a closure mapping the output
 gradient back to input gradients.  A graph is built per evaluation and
 discarded afterwards; leaves (parameters) persist across graphs.
 
-Elementwise operations require identical shapes.  The only broadcasts are
-row-wise bias addition ((n, m) + (m,)) and scalar-node addition.
+The model's work is done by fused ops with hand-written backwards: `lstm`
+here, the coupling layer in `flow` and the mixture rows in `mixtures`.  A
+fused op that has several outputs returns them as `output_view`s of one
+core node, so gradients reaching any of them meet in a single backward
+call.  The generic ops are only the glue the loss needs around them:
+`add` (equal shapes, a row-wise bias (n, m) + (m,), or a scalar node),
+`matmul`, `neg` and `reduce_mean`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Arguments of guarded exponentials are clamped to this band before
-# exponentiation (variance / scale heads only; log_sum_exp is stabilized
-# by max subtraction instead).
+# Scale logits are clamped to this band before exponentiation.
 EXP_CLAMP = 60.0
 
 
@@ -46,27 +49,6 @@ class DiffNode:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self):
         return f"DiffNode(op={self.op!r}, shape={self.value.shape})"
 
@@ -86,7 +68,7 @@ def _node(x):
 
 
 # ---------------------------------------------------------------------------
-# elementwise and linear-algebra operations
+# generic operations
 # ---------------------------------------------------------------------------
 
 def add(a, b):
@@ -106,21 +88,6 @@ def add(a, b):
     return DiffNode(av + bv, (a, b), "add", rule)
 
 
-def sub(a, b):
-    a, b = _node(a), _node(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatchError("sub", a.value.shape, b.value.shape)
-    return DiffNode(a.value - b.value, (a, b), "sub", lambda g: (g, -g))
-
-
-def mul(a, b):
-    a, b = _node(a), _node(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatchError("mul", a.value.shape, b.value.shape)
-    av, bv = a.value, b.value
-    return DiffNode(av * bv, (a, b), "mul", lambda g: (g * bv, g * av))
-
-
 def matmul(a, b):
     a, b = _node(a), _node(b)
     av, bv = a.value, b.value
@@ -134,37 +101,6 @@ def neg(a):
     return DiffNode(-a.value, (a,), "neg", lambda g: (-g,))
 
 
-def square(a):
-    a = _node(a)
-    av = a.value
-    return DiffNode(av * av, (a,), "square", lambda g: (2.0 * av * g,))
-
-
-def scale(a, factor):
-    """Multiply by a python scalar constant."""
-    a = _node(a)
-    c = float(factor)
-    return DiffNode(c * a.value, (a,), "scale", lambda g: (c * g,))
-
-
-def exp(a):
-    a = _node(a)
-    out = np.exp(a.value)
-    return DiffNode(out, (a,), "exp", lambda g: (g * out,))
-
-
-def log(a):
-    a = _node(a)
-    av = a.value
-    return DiffNode(np.log(av), (a,), "log", lambda g: (g / av,))
-
-
-def tanh(a):
-    a = _node(a)
-    out = np.tanh(a.value)
-    return DiffNode(out, (a,), "tanh", lambda g: (g * (1.0 - out * out),))
-
-
 def _sigmoid(x, out=None):
     """0.5 * (1 + tanh(x / 2)): no exp to overflow on either tail and no
     masks to allocate.  `out` may alias `x`."""
@@ -172,24 +108,6 @@ def _sigmoid(x, out=None):
     out += 1.0
     out *= 0.5
     return out
-
-
-# ---------------------------------------------------------------------------
-# reductions, reshaping, stacking
-# ---------------------------------------------------------------------------
-
-def reduce_sum(a, axis=None, keepdims=False):
-    a = _node(a)
-    av = a.value
-    out = av.sum(axis=axis, keepdims=keepdims)
-
-    def rule(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, av.shape).copy(),)
-
-    return DiffNode(out, (a,), "sum", rule)
 
 
 def reduce_mean(a, axis=None, keepdims=False):
@@ -205,69 +123,6 @@ def reduce_mean(a, axis=None, keepdims=False):
         return (np.broadcast_to(gg, av.shape).copy() / count,)
 
     return DiffNode(out, (a,), "mean", rule)
-
-
-def log_sum_exp(a, axis=None, keepdims=False):
-    """log-sum-exp stabilized by max subtraction."""
-    a = _node(a)
-    av = a.value
-    m = np.max(av, axis=axis, keepdims=True)
-    s = np.exp(av - m)
-    tot = s.sum(axis=axis, keepdims=True)
-    out = np.log(tot) + m
-    soft = s / tot
-    if axis is None:
-        out = out.reshape(())
-    elif not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def rule(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (soft * gg,)
-
-    return DiffNode(out, (a,), "log_sum_exp", rule)
-
-
-def concat(nodes, axis=0):
-    nodes = [_node(n) for n in nodes]
-    if not nodes:
-        raise ValueError("concat: empty input list")
-    base = nodes[0].value.shape
-    for n in nodes[1:]:
-        s = n.value.shape
-        if len(s) != len(base) or any(
-            s[i] != base[i] for i in range(len(base)) if i != axis
-        ):
-            raise ShapeMismatchError("concat", base, s)
-    out = np.concatenate([n.value for n in nodes], axis=axis)
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def rule(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return DiffNode(out, tuple(nodes), "concat", rule)
-
-
-def slice_cols(a, cols):
-    """Select columns of a 2-D node.  Column indices must be unique."""
-    a = _node(a)
-    av = a.value
-    if av.ndim != 2:
-        raise ShapeMismatchError("slice", av.shape)
-    idx = np.asarray(cols, dtype=np.intp)
-    if idx.ndim != 1 or len(np.unique(idx)) != idx.size:
-        raise ValueError("slice: column indices must be a unique 1-D set")
-    out = av[:, idx]
-
-    def rule(g):
-        z = np.zeros_like(av)
-        z[:, idx] = g
-        return (z,)
-
-    return DiffNode(out, (a,), "slice", rule)
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +212,21 @@ def lstm(x, w, b, h0, c0):
         return dx, dw, da_rows.sum(axis=0), dh, dc
 
     core = DiffNode(hc, (x, w, b, h0, c0), "lstm", rule)
-    rows = _lstm_output(core, np.s_[1 : steps + 1], (steps * q, hid))
-    h_last = rows if steps == 1 else _lstm_output(core, steps, (q, hid))
-    return rows, h_last, _lstm_output(core, -1, (q, hid))
+    rows = output_view(core, np.s_[1 : steps + 1], (steps * q, hid))
+    h_last = rows if steps == 1 else output_view(core, steps, (q, hid))
+    return rows, h_last, output_view(core, -1, (q, hid))
 
 
-def _lstm_output(core, index, shape):
-    """A view of the fused cell's stacked states; its gradient is scattered
-    back into the stack for the one backward sweep."""
+def output_view(core, index, shape):
+    """One output of a fused op: `core.value[index]` reshaped to `shape`.
+    Its gradient is scattered back into the core's layout, so the core's
+    rule runs once for all of its outputs."""
     def rule(g):
         z = np.zeros_like(core.value)
         z[index] = g.reshape(z[index].shape)
         return (z,)
 
-    return DiffNode(core.value[index].reshape(shape), (core,), "lstm_out", rule)
+    return DiffNode(core.value[index].reshape(shape), (core,), "view", rule)
 
 
 # ---------------------------------------------------------------------------

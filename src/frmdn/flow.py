@@ -1,4 +1,5 @@
-"""Invertible affine coupling stack.
+"""Invertible affine coupling stack (Dinh et al. 2017, "Density
+estimation using Real NVP").
 
 Each layer leaves a masked half of the coordinates untouched and maps the
 rest through x * exp(s_hat) + t, where s and t are one-hidden-layer
@@ -6,6 +7,10 @@ feed-forward networks of the untouched half and s_hat is bounded by
 s_clamp * tanh.  The log-determinant of the Jacobian is the sum of s_hat
 over transformed coordinates, and layers compose with log-determinants
 adding.
+
+The nets are evaluated in one place, `coupling_nets`.  The forward layer
+is one tape op with a hand-written backward that calls it; the numeric
+inverse calls it too.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ class CouplingLayer:
     s_clamp: float = DEFAULT_S_CLAMP
     pass_idx: np.ndarray = field(init=False)
     trans_idx: np.ndarray = field(init=False)
-    inv_perm: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask)
@@ -43,19 +47,10 @@ class CouplingLayer:
                              "transformed coordinates")
         self.pass_idx = np.where(self.mask == 1)[0]
         self.trans_idx = np.where(self.mask == 0)[0]
-        self.inv_perm = np.argsort(np.concatenate([self.pass_idx, self.trans_idx]))
 
     @property
     def dim(self):
         return self.mask.shape[0]
-
-    def _nets_value(self, x_pass):
-        """Numeric s_hat and t for a pass-through block (used by the inverse)."""
-        hs = np.tanh(x_pass @ self.w1s.value + self.b1s.value)
-        s_hat = self.s_clamp * np.tanh(hs @ self.w2s.value + self.b2s.value)
-        ht = np.tanh(x_pass @ self.w1t.value + self.b1t.value)
-        t = ht @ self.w2t.value + self.b2t.value
-        return s_hat, t
 
     def parameters(self):
         return [
@@ -126,30 +121,68 @@ def make_flow(dim, n_pairs, rng, hidden=DEFAULT_HIDDEN, s_clamp=DEFAULT_S_CLAMP)
 # forward (graph) and inverse (numeric)
 # ---------------------------------------------------------------------------
 
-def coupling_forward(x, layer):
-    """One coupling layer on a batch node (n, d).
+def coupling_nets(layer, x_pass):
+    """The layer's s and t nets on a pass-through block (n, d_pass).
 
-    Returns (y node, per-row log-determinant node of shape (n,)).
+    Returns (s_hat, t, hidden): s_hat and t are (n, d_trans), and hidden
+    holds the activations (tanh of the s hidden layer, tanh of the s
+    output, tanh of the t hidden layer) that the backward reuses.
+    """
+    hs = np.tanh(x_pass @ layer.w1s.value + layer.b1s.value)
+    ts = np.tanh(hs @ layer.w2s.value + layer.b2s.value)
+    ht = np.tanh(x_pass @ layer.w1t.value + layer.b1t.value)
+    t = ht @ layer.w2t.value + layer.b2t.value
+    return layer.s_clamp * ts, t, (hs, ts, ht)
+
+
+def coupling_forward(x, layer):
+    """One coupling layer on a batch node (n, d), as one tape op with
+    parents x and the layer's eight parameters.
+
+    Returns (y node, per-row log-determinant node of shape (n,)); both are
+    views of one core node holding [y | log-det] as (n, d + 1).
     """
     x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
-    xp = dc.slice_cols(x, layer.pass_idx)
-    xt = dc.slice_cols(x, layer.trans_idx)
-    hs = dc.tanh(dc.add(dc.matmul(xp, layer.w1s), layer.b1s))
-    s_hat = dc.scale(dc.tanh(dc.add(dc.matmul(hs, layer.w2s), layer.b2s)),
-                     layer.s_clamp)
-    ht = dc.tanh(dc.add(dc.matmul(xp, layer.w1t), layer.b1t))
-    t = dc.add(dc.matmul(ht, layer.w2t), layer.b2t)
-    yt = dc.add(dc.mul(xt, dc.exp(s_hat)), t)
-    y = dc.slice_cols(dc.concat([xp, yt], axis=1), layer.inv_perm)
-    log_det = dc.reduce_sum(s_hat, axis=1)
-    return y, log_det
+    xv = x.value
+    if xv.ndim != 2 or xv.shape[1] != layer.dim:
+        raise dc.ShapeMismatchError("coupling", xv.shape, (layer.dim,))
+    n, d = xv.shape
+    pas, trans = layer.pass_idx, layer.trans_idx
+    xp, xt = xv[:, pas], xv[:, trans]
+    s_hat, t, (hs, ts, ht) = coupling_nets(layer, xp)
+    scale = np.exp(s_hat)
+    out = np.empty((n, d + 1))
+    out[:, pas] = xp
+    out[:, trans] = xt * scale + t
+    out[:, d] = s_hat.sum(axis=1)
+    params = [node for _, node in layer.parameters()]
+    w1s, _, w2s, _, w1t, _, w2t, _ = (p.value for p in params)
+
+    def rule(g):
+        g_t = g[:, trans]
+        # through s_hat = s_clamp * ts, from y_trans and from the log-det
+        g_bs = (g_t * xt * scale + g[:, d:]) * (layer.s_clamp * (1.0 - ts * ts))
+        g_as = (g_bs @ w2s.T) * (1.0 - hs * hs)
+        g_at = (g_t @ w2t.T) * (1.0 - ht * ht)
+        g_x = None
+        if x.requires_grad:
+            g_x = np.empty_like(xv)
+            g_x[:, pas] = g[:, pas] + g_as @ w1s.T + g_at @ w1t.T
+            g_x[:, trans] = g_t * scale
+        return (g_x, xp.T @ g_as, g_as.sum(axis=0), hs.T @ g_bs,
+                g_bs.sum(axis=0), xp.T @ g_at, g_at.sum(axis=0), ht.T @ g_t,
+                g_t.sum(axis=0))
+
+    core = dc.DiffNode(out, [x] + params, "coupling", rule)
+    return (dc.output_view(core, np.s_[:, :d], (n, d)),
+            dc.output_view(core, np.s_[:, d], (n,)))
 
 
 def coupling_inverse(y, layer):
     """Numeric inverse of one layer on a batch array (n, d)."""
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     yp = y[:, layer.pass_idx]
-    s_hat, t = layer._nets_value(yp)
+    s_hat, t, _ = coupling_nets(layer, yp)
     x = np.empty_like(y)
     x[:, layer.pass_idx] = yp
     x[:, layer.trans_idx] = (y[:, layer.trans_idx] - t) * np.exp(-s_hat)

@@ -70,7 +70,6 @@ class SharedMatrix:
     """The full matrix shared by all components of a tied mixture."""
 
     u: np.ndarray
-    structure: str = "full"       # "identity" | "full"
     _log_abs_det: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -78,12 +77,7 @@ class SharedMatrix:
 
     @classmethod
     def identity(cls, dim):
-        return cls(np.eye(dim), structure="identity", _log_abs_det=0.0)
-
-    def update(self, u):
-        """Replace U and invalidate the cached determinant."""
-        self.u = np.asarray(u, dtype=np.float64)
-        self._log_abs_det = None
+        return cls(np.eye(dim), _log_abs_det=0.0)
 
     @property
     def log_abs_det(self):
@@ -115,8 +109,17 @@ class ParamCountReport:
 
 
 # ---------------------------------------------------------------------------
-# head activations
+# head layout and activations
 # ---------------------------------------------------------------------------
+
+def split_head(out, k, d):
+    """Views of the blocks of head output rows (n, K + 2*K*d): coefficient
+    logits (n, K), means (n, K, d) and scale logits (n, K, d), each block
+    component-major."""
+    n = out.shape[0]
+    return (out[:, :k], out[:, k : k + k * d].reshape(n, k, d),
+            out[:, k + k * d :].reshape(n, k, d))
+
 
 def coeffs_from_logits(z_alpha):
     """Softmax with max subtraction."""
@@ -252,14 +255,14 @@ def logistic_mixture_log_density(y, params, c_width=1.0):
     return _point_log_density(y, params, c_width=c_width)
 
 
-def mixture_log_rows(z, alpha_logits, mu, scale_logits, head, c_width=1.0):
+def mixture_log_rows(z, logits, head, c_width=1.0):
     """Graph op: the (n,) node LSE_k(log_softmax(alpha)_k + comp_k), where
     comp holds the component log densities of the rows of z.
 
-    alpha_logits is (n, K); mu and scale_logits are (n, K*d), component-
-    major, as `head` emits them.  Scale logits are clipped to +-EXP_CLAMP
-    and get zero gradient outside that band.  Tied heads add head.u as a
-    parent, with log|det U| computed here.
+    logits is the (n, K + 2*K*d) head output node; `split_head` reads its
+    coefficient logits, means and scale logits.  Scale logits are clipped
+    to +-EXP_CLAMP and get zero gradient outside that band.  Tied heads add
+    head.u as a parent, with log|det U| computed here.
 
     The backward is closed-form (Bishop 1994, "Mixture Density Networks"):
     with r the responsibilities, softmax over k of the summands, the
@@ -268,9 +271,9 @@ def mixture_log_rows(z, alpha_logits, mu, scale_logits, head, c_width=1.0):
     """
     k, d = head.k, head.dim
     n = z.value.shape[0]
-    raw = scale_logits.value.reshape(n, k, d)
+    a, mu, raw = split_head(logits.value, k, d)
     inside = np.abs(raw) <= EXP_CLAMP
-    parents = [z, alpha_logits, mu, scale_logits]
+    parents = [z, logits]
     family = {"c_width": c_width}
     if head.structure == "tied":
         u = head.u.value
@@ -280,9 +283,8 @@ def mixture_log_rows(z, alpha_logits, mu, scale_logits, head, c_width=1.0):
         parents.append(head.u)
         family.update(u=u, log_abs_det=log_abs_det)
     comp, comp_grads = component_log_densities(
-        z.value, mu.value.reshape(n, k, d),
-        np.clip(raw, -EXP_CLAMP, EXP_CLAMP), head.structure, **family)
-    a = alpha_logits.value
+        z.value, mu, np.clip(raw, -EXP_CLAMP, EXP_CLAMP), head.structure,
+        **family)
     log_alpha = a - _lse_rows(a)[:, None]
     joint = log_alpha + comp
     rows = _lse_rows(joint)
@@ -291,11 +293,12 @@ def mixture_log_rows(z, alpha_logits, mu, scale_logits, head, c_width=1.0):
         g = g[:, None]
         w = g * np.exp(joint - rows[:, None])          # g * responsibilities
         g_z, g_mu, g_log_s, g_u = comp_grads(w)
-        out = (g_z, w - g * np.exp(log_alpha), g_mu.reshape(n, k * d),
-               (g_log_s * inside).reshape(n, k * d))
-        if g_u is not None:
-            out += (g_u + g.sum() * np.linalg.inv(u).T,)
-        return out
+        g_logits = np.concatenate([w - g * np.exp(log_alpha),
+                                   g_mu.reshape(n, k * d),
+                                   (g_log_s * inside).reshape(n, k * d)], axis=1)
+        if g_u is None:
+            return g_z, g_logits
+        return g_z, g_logits, g_u + g.sum() * np.linalg.inv(u).T
 
     return DiffNode(rows, parents, "mixture_log_rows", rule)
 

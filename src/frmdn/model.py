@@ -23,7 +23,7 @@ from . import diffcore as dc
 from . import flow as fl
 from . import mixtures as mx
 from . import recurrent as rc
-from .datasets import SequenceBatch, read_exact, slice_windows
+from .datasets import SequenceBatch, read_exact, read_float64, slice_windows
 
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
@@ -135,9 +135,8 @@ def _nll_graph(model, obs, actions):
     else:
         logdet_term = dc.constant(np.zeros(()))
 
-    alpha_logits, mu, scale_logits = rc.head_logits(h_all, model.head)
-    rows = mx.mixture_log_rows(z, alpha_logits, mu, scale_logits, model.head,
-                               cfg.c_width)
+    rows = mx.mixture_log_rows(z, rc.head_logits(h_all, model.head),
+                               model.head, cfg.c_width)
     mixture_term = dc.neg(dc.reduce_mean(rows))
     root = dc.add(mixture_term, logdet_term)
     return root, mixture_term, logdet_term
@@ -455,9 +454,7 @@ def _read_array(fh):
     name = _read(fh, name_len).decode("utf-8")
     (rank,) = struct.unpack("<B", _read(fh, 1))
     shape = struct.unpack(f"<{rank}Q", _read(fh, 8 * rank))
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(_read(fh, count * 8), dtype="<f8").reshape(shape)
-    return name, arr.copy()
+    return name, read_float64(fh, shape, "FRMD checkpoint", f"array {name!r}")
 
 
 def _read(fh, size):

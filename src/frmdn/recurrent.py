@@ -1,8 +1,9 @@
 """LSTM backbone and the linear head that emits per-step mixture parameters.
 
-The head output of width K + K*d + K*d is split into coefficient logits,
-raw means, and scale logits; softmax and clamped exp keep the resulting
-mixture parameters inside their valid ranges for any hidden state.
+The head output of width K + K*d + K*d holds coefficient logits, raw
+means and scale logits in the layout `mixtures.split_head` reads; softmax
+and clamped exp keep the resulting mixture parameters inside their valid
+ranges for any hidden state.
 """
 
 from __future__ import annotations
@@ -103,17 +104,10 @@ def lstm_step(x, state, params):
 
 
 def head_logits(h, head):
-    """Split the linear head output into its three logit blocks (graph
-    nodes): coefficient logits (n, K), raw means (n, K*d), scale logits
-    (n, K*d)."""
+    """The linear head output rows (n, K + 2*K*d) as one graph node;
+    `mx.split_head` reads its layout."""
     h = h if isinstance(h, dc.DiffNode) else dc.constant(h)
-    out = dc.add(dc.matmul(h, head.w), head.b)
-    k, d = head.k, head.dim
-    cols = np.arange(k + 2 * k * d)
-    alpha = dc.slice_cols(out, cols[:k])
-    mu = dc.slice_cols(out, cols[k : k + k * d])
-    scale_logits = dc.slice_cols(out, cols[k + k * d :])
-    return alpha, mu, scale_logits
+    return dc.add(dc.matmul(h, head.w), head.b)
 
 
 def head_project(h_vec, head):
@@ -124,8 +118,7 @@ def head_project(h_vec, head):
     """
     h_vec = np.asarray(h_vec, dtype=np.float64).ravel()
     out = h_vec @ head.w.value + head.b.value
-    k, d = head.k, head.dim
-    alpha = mx.coeffs_from_logits(out[:k])
-    mu = out[k : k + k * d].reshape(k, d)
-    scales = mx.diag_scales_from_logits(out[k + k * d :].reshape(k, d))
-    return mx.MixtureParams(alpha, mu, scales, head.structure)
+    alpha, mu, scale_logits = mx.split_head(out[None], head.k, head.dim)
+    return mx.MixtureParams(mx.coeffs_from_logits(alpha[0]), mu[0],
+                            mx.diag_scales_from_logits(scale_logits[0]),
+                            head.structure)

@@ -201,6 +201,15 @@ def test_gradcheck_small_model_passes(tmp_path, capsys):
     assert err < 1e-4
 
 
+def test_gradcheck_fails_above_1e_4(monkeypatch, capsys):
+    monkeypatch.setattr(md, "gradient_check_model", lambda model, batch: 5e-4)
+    code, out, err = run(["gradcheck", "--d", "2", "--k", "1", "--h", "4",
+                          "--flow-hidden", "8", "--seed", "0"], capsys)
+    assert code == 1
+    assert "max_relative_error=0.0005" in out
+    assert "gradient check FAILED" in err
+
+
 def test_paramcount_table_row(capsys):
     code, out, _ = run(["paramcount", "--k", "5", "--d", "32",
                         "--structure", "diagonal"], capsys)
@@ -297,3 +306,21 @@ def test_non_finite_data_exit_2(tmp_path, capsys):
             assert code == 2, argv[0]
             lines = err.strip().splitlines()
             assert len(lines) == 1 and "non-finite value in FSEQ file" in lines[0]
+
+
+def test_non_finite_checkpoint_exit_2(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=1)) == 0
+    for name, bad in (("lstm.w", np.nan), ("head.b", np.inf)):
+        model, extra, _ = md.load_checkpoint(ckpt)
+        dict(model.parameters())[name].value.ravel()[3] = bad
+        poisoned = tmp_path / "bad.frmd"
+        md.save_checkpoint(poisoned, model, extra=extra)
+        capsys.readouterr()
+        code, _, err = run(["eval", "--ckpt", str(poisoned), "--data",
+                            str(data)], capsys)
+        assert code == 2, name
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert f"non-finite value in FRMD checkpoint: array '{name}'" in lines[0]

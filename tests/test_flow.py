@@ -159,8 +159,50 @@ def test_log_scale_bound():
     layer.w2s.value = rng.normal(size=layer.w2s.value.shape) * 100.0
     x = rng.normal(size=(500, 4)) * 5.0
     xp = x[:, layer.pass_idx]
-    s_hat, _ = layer._nets_value(xp)
+    s_hat, _, _ = fl.coupling_nets(layer, xp)
     assert np.abs(s_hat).max() <= 5.0
+
+
+def weighted_sum(node, weights):
+    """sum_i weights_i * node_i for a 1-D node, on tape ops."""
+    row = dc.output_view(node, np.s_[...], (1, weights.size))
+    return dc.reduce_mean(dc.matmul(row, dc.constant(weights[:, None])))
+
+
+def test_coupling_op_gradients_match_central_differences():
+    rng = np.random.default_rng(13)
+    n, dim = 4, 5                    # odd: three pass-through, two transformed
+    layer = fl.make_coupling_layer(dim, [1, 0, 1, 0, 1], rng, hidden=6)
+    randomize_flow(fl.FlowStack([layer]), rng, weight_scale=0.5)
+    x = rng.normal(size=(n, dim))
+    # fixed probes on both outputs, different for every entry of y and ld
+    left = rng.normal(size=(3, n))
+    right = rng.normal(size=(dim, 2))
+    ld_weights = rng.normal(size=n)
+    named = [("x", x)] + [(name, node.value) for name, node in layer.parameters()]
+
+    def loss(x_node):
+        y, ld = fl.coupling_forward(x_node, layer)
+        probe = dc.matmul(dc.matmul(dc.constant(left), y), dc.constant(right))
+        return dc.add(dc.reduce_mean(probe), weighted_sum(ld, ld_weights))
+
+    x_leaf = dc.parameter(x)
+    leaves = [x_leaf] + [node for _, node in layer.parameters()]
+    grads = dc.backward(loss(x_leaf), params=leaves)
+    step = 1e-6
+    for (name, arr), leaf in zip(named, leaves):
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = float(loss(dc.constant(x)).value)
+            flat[i] = orig - step
+            lo = float(loss(dc.constant(x)).value)
+            flat[i] = orig
+            numeric = (hi - lo) / (2 * step)
+            analytic = grads[leaf].reshape(-1)[i]
+            rel = abs(analytic - numeric) / max(1.0, abs(analytic))
+            assert rel < 1e-6, f"{name} coordinate {i}: {rel:.3e}"
 
 
 def test_change_of_variables_normalization_2d():

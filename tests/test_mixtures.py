@@ -307,20 +307,26 @@ def test_relabeling_symmetry():
 # ---------------------------------------------------------------------------
 
 def op_inputs(structure, rng, n=4, k=3, d=3):
-    """A head of the given family and random (z, alpha logits, mu, scale
-    logits) arrays in the layout the head emits."""
+    """A head of the given family and random (z, head logits) arrays; the
+    logits are (n, K + 2*K*d), in the layout the head emits."""
     head = rc.init_head(2, k, d, structure, rng)
     if head.u is not None:
         head.u.value = np.eye(d) + 0.3 * rng.normal(size=(d, d))
-    arrays = [rng.normal(size=(n, d)), rng.normal(size=(n, k)),
-              rng.normal(size=(n, k * d)),
-              0.5 * rng.normal(size=(n, k * d))]
-    return head, arrays
+    z = rng.normal(size=(n, d))
+    logits = np.concatenate([rng.normal(size=(n, k)),
+                             rng.normal(size=(n, k * d)),
+                             0.5 * rng.normal(size=(n, k * d))], axis=1)
+    return head, [z, logits]
+
+
+def weighted_sum(node, weights):
+    """sum_i weights_i * node_i for a 1-D node, on tape ops."""
+    row = dc.output_view(node, np.s_[...], (1, weights.size))
+    return dc.reduce_mean(dc.matmul(row, dc.constant(weights[:, None])))
 
 
 def weighted_rows(head, nodes, weights, c_width):
-    rows = mx.mixture_log_rows(*nodes, head, c_width)
-    return dc.reduce_sum(dc.mul(rows, dc.constant(weights)))
+    return weighted_sum(mx.mixture_log_rows(*nodes, head, c_width), weights)
 
 
 @pytest.mark.parametrize("structure", mx.STRUCTURES)
@@ -359,14 +365,16 @@ def test_mixture_log_rows_gradients_match_central_differences(structure):
 def test_scale_logits_outside_clamp_band_get_zero_gradient(structure):
     rng = np.random.default_rng(19)
     head, arrays = op_inputs(structure, rng)
-    scale = arrays[3]
-    outside = np.zeros(scale.shape, dtype=bool)
-    outside[0, 0] = outside[1, 4] = outside[2, 8] = outside[3, 1] = True
-    scale[outside] = [-100.0, 100.0, -61.0, 75.0]
+    logits = arrays[1]
+    outside = np.zeros(logits.shape, dtype=bool)
+    first = head.k + head.k * head.dim            # first scale-logit column
+    for row, col in ((0, 0), (1, 4), (2, 8), (3, 1)):
+        outside[row, first + col] = True
+    logits[outside] = [-100.0, 100.0, -61.0, 75.0]
     leaves = [dc.parameter(a) for a in arrays]
-    root = dc.reduce_sum(mx.mixture_log_rows(*leaves, head, 1.0))
+    root = dc.reduce_mean(mx.mixture_log_rows(*leaves, head, 1.0))
     assert np.isfinite(root.value)
-    g = dc.backward(root, params=[leaves[3]])[leaves[3]]
+    g = dc.backward(root, params=[leaves[1]])[leaves[1]]
     assert np.all(np.isfinite(g))
     assert np.all(g[outside] == 0.0)
 
@@ -376,13 +384,14 @@ def test_logistic_rows_finite_at_extreme_width_to_scale_ratios():
     # ~1e26 at the bottom, on either side of the log1mexp switch
     rng = np.random.default_rng(20)
     head, arrays = op_inputs("logistic", rng)
+    first = head.k + head.k * head.dim
     for c_width, logit in ((1.0, 60.0), (1.0, -60.0), (1e-3, 55.0),
                            (1e3, -55.0)):
-        arrays[3][:] = logit
+        arrays[1][:, first:] = logit
         leaves = [dc.parameter(a) for a in arrays]
         rows = mx.mixture_log_rows(*leaves, head, c_width)
         assert np.all(np.isfinite(rows.value))
-        grads = dc.backward(dc.reduce_sum(rows), params=leaves)
+        grads = dc.backward(dc.reduce_mean(rows), params=leaves)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 

@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 
 from frmdn import diffcore as dc
+from frmdn import mixtures as mx
 from frmdn import recurrent as rc
 
 
+def probe(node, seed=0):
+    """A fixed random linear functional of a 2-D node: the mean of
+    node @ R."""
+    r = np.random.default_rng(seed).normal(size=(node.value.shape[1], 3))
+    return dc.reduce_mean(dc.matmul(node, dc.constant(r)))
+
+
 def unroll_loss(params, xs, hidden):
-    """Sum of squared hidden outputs over an unrolled sequence."""
+    """A fixed linear probe of every hidden output of an unrolled
+    sequence, summed over steps."""
     state = rc.initial_state(xs.shape[1], hidden)
     total = None
     for t in range(xs.shape[0]):
         h, state = rc.lstm_step(dc.constant(xs[t]), state, params)
-        term = dc.reduce_sum(dc.square(h))
+        term = probe(h, seed=t)
         total = term if total is None else dc.add(total, term)
     return total
 
@@ -150,19 +159,19 @@ def test_head_logits_agree_with_head_project():
     rng = np.random.default_rng(10)
     head = rc.init_head(6, 3, 2, "diagonal", rng)
     h = rng.normal(size=(4, 6))
-    alpha_l, mu_l, scale_l = rc.head_logits(dc.constant(h), head)
+    logits = rc.head_logits(dc.constant(h), head).value
+    assert logits.shape == (4, 3 + 2 * 3 * 2)
+    # layout K | K*d | K*d, component-major
     for row in range(4):
         params = rc.head_project(h[row], head)
-        from frmdn import mixtures as mx
         np.testing.assert_allclose(
-            params.alpha, mx.coeffs_from_logits(alpha_l.value[row]), atol=1e-14
+            params.alpha, mx.coeffs_from_logits(logits[row, :3]), atol=1e-14
         )
-        np.testing.assert_allclose(
-            params.mu.ravel(), mu_l.value[row], atol=1e-14
-        )
+        np.testing.assert_allclose(params.mu.ravel(), logits[row, 3:9],
+                                   atol=1e-14)
         np.testing.assert_allclose(
             params.d_diag.ravel(),
-            mx.diag_scales_from_logits(scale_l.value[row]),
+            mx.diag_scales_from_logits(logits[row, 9:]),
             atol=1e-14,
         )
 
@@ -216,17 +225,17 @@ def test_fused_op_gradients_match_central_differences():
     x = rng.normal(size=(steps, q, n_in))
     h0 = rng.normal(size=(q, hidden)) * 0.5
     c0 = rng.normal(size=(q, hidden))
-    # fixed weights on all three outputs, so every gradient path is probed
-    r_rows = rng.normal(size=(steps * q, hidden))
-    r_h = rng.normal(size=(q, hidden))
-    r_c = rng.normal(size=(q, hidden))
+    # fixed probes on all three outputs, weighting every row differently,
+    # so every gradient path is probed
+    lefts = [rng.normal(size=(2, m)) for m in (steps * q, q, q)]
     arrays = [x, w, b, h0, c0]
 
     def loss(nodes):
-        rows, h, c = dc.lstm(*nodes)
-        total = dc.reduce_sum(dc.mul(rows, dc.constant(r_rows)))
-        total = dc.add(total, dc.reduce_sum(dc.mul(h, dc.constant(r_h))))
-        return dc.add(total, dc.reduce_sum(dc.mul(c, dc.constant(r_c))))
+        total = None
+        for k, (out, left) in enumerate(zip(dc.lstm(*nodes), lefts)):
+            term = probe(dc.matmul(dc.constant(left), out), seed=k)
+            total = term if total is None else dc.add(total, term)
+        return total
 
     leaves = [dc.parameter(a) for a in arrays]
     grads = dc.backward(loss(leaves), params=leaves)
@@ -259,12 +268,12 @@ def test_sequence_state_continues_like_single_steps():
             _, state = rc.lstm_step(dc.constant(head_xs), state, params)
         else:
             _, state = step_one_at_a_time(params, head_xs, state)
-        total = dc.reduce_sum(dc.square(state.c))
+        total = probe(state.c)
         outs = []
         for t in range(tail_xs.shape[0]):
             h, state = rc.lstm_step(dc.constant(tail_xs[t]), state, params)
             outs.append(h.value)
-            total = dc.add(total, dc.reduce_sum(dc.square(h)))
+            total = dc.add(total, probe(h, seed=t + 1))
         grads = dc.backward(total, params=[params.w, params.b])
         return np.stack(outs), grads[params.w], grads[params.b]
 
