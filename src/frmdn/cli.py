@@ -201,6 +201,8 @@ def cmd_eval(args):
 
 
 def cmd_sample(args):
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
     model, _, _ = md.load_checkpoint(args.ckpt)
     rng = np.random.default_rng(args.seed)
     cfg = model.config

@@ -186,6 +186,8 @@ def train_controller(task, generations, popsize=16, sigma0=0.5, seed=0,
     Returns (controller, history) where history rows carry the generation's
     mean and best population reward.
     """
+    if generations < 1:
+        raise ValueError(f"generations must be at least 1, got {generations}")
     state = cmaes_init(np.zeros(task.n_params), sigma0, lam=popsize)
     ask_rng = np.random.default_rng([seed, 1])
     episode_seeds = [int(s) for s in

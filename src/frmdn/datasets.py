@@ -7,6 +7,7 @@ which lower-bounds any model's achievable test NLL per step.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -182,12 +183,16 @@ def control_entropy_rate(d, noise_std=0.1):
 # ---------------------------------------------------------------------------
 
 def read_exact(fh, size, what):
-    """Read exactly `size` bytes; a short read means the file was cut off."""
-    data = fh.read(size)
-    if len(data) != size:
+    """Read exactly `size` bytes; fewer left in the file means it was cut
+    off.  The size is checked against the file before reading, so a
+    corrupt length field never asks for a huge buffer."""
+    offset = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - offset
+    fh.seek(offset)
+    if size > left:
         raise ValueError(f"truncated {what}: expected {size} more bytes at "
-                         f"offset {fh.tell() - len(data)}, got {len(data)}")
-    return data
+                         f"offset {offset}, got {left}")
+    return fh.read(size)
 
 
 def read_float64(fh, shape, what, name):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,10 @@ from .datasets import SequenceBatch, read_exact, read_float64, slice_windows
 
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
+
+# Target rows per loss graph in `evaluate`: large enough that the matmuls
+# stay efficient, small enough that one block's tape is a few tens of MB.
+EVAL_ROWS = 2048
 
 
 class NumericsError(RuntimeError):
@@ -158,11 +162,30 @@ def sequence_nll(model, batch):
 
 def evaluate(model, batch, window=None):
     """NLL on non-overlapping windows of a batch (whole sequences when
-    `window` is None)."""
+    `window` is None).
+
+    The windows go through `sequence_nll` in blocks of about EVAL_ROWS
+    target rows, and each block's graph is dropped before the next is
+    built, so memory is bounded by the block rather than the split.  Every
+    window has t - 1 rows, so weighting each block's means by its window
+    count gives the mean over all rows, up to rounding."""
     if window is None:
-        return sequence_nll(model, batch)
-    obs, acts = slice_windows(batch, window)
-    return sequence_nll(model, SequenceBatch(obs, acts))
+        obs, acts = batch.observations, batch.actions
+    else:
+        obs, acts = slice_windows(batch, window)
+    n, t = obs.shape[:2]
+    if n == 0:
+        raise ValueError("evaluate needs at least one sequence")
+    per_block = max(1, EVAL_ROWS // max(1, t - 1))
+    total = mixture = logdet = 0.0
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        rec = sequence_nll(model, SequenceBatch(
+            obs[lo:hi], None if acts is None else acts[lo:hi]))
+        total += rec.total * (hi - lo)
+        mixture += rec.mixture * (hi - lo)
+        logdet += rec.logdet * (hi - lo)
+    return LossRecord(total / n, mixture / n, logdet / n)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +284,23 @@ def train_step(model, batch, optimizer, clip_norm=10.0):
     grads = dc.backward(root, params=[node for _, node in named])
     sq_sum = sum(float((g * g).sum()) for g in grads.values())
     if not np.isfinite(sq_sum):
-        raise NumericsError("non-finite gradient")
+        raise _gradient_error(named, grads)
     norm = math.sqrt(sq_sum)
     if norm > clip_norm:
         factor = clip_norm / norm
         grads = {node: g * factor for node, g in grads.items()}
     optimizer.update(named, grads)
     return record
+
+
+def _gradient_error(named, grads):
+    """NumericsError naming the first parameter whose gradient is not
+    finite (or whose squared norm overflows)."""
+    for name, node in named:
+        g = grads[node]
+        if not np.isfinite(float((g * g).sum())):
+            return NumericsError(f"non-finite gradient in {name!r}")
+    return NumericsError("gradient norm overflows")
 
 
 def gradient_check_model(model, batch, step=1e-5):
@@ -303,6 +336,19 @@ class TrainSettings:
     seed: int = 0
     clip_norm: float = 10.0
 
+    def validate(self):
+        """Reject settings under which training would silently do nothing
+        or fail deep inside the loop.  A zero learning rate is allowed: it
+        evaluates a fixed model on the training schedule."""
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
+        if not self.clip_norm > 0.0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+
 
 def train_model(model, train_batch, settings, test_batch=None,
                 optimizer=None, start_epoch=0):
@@ -312,6 +358,7 @@ def train_model(model, train_batch, settings, test_batch=None,
     pre-training evaluation.  The shuffle for epoch e is seeded by
     (settings.seed, e), so a resumed run replays the identical schedule.
     """
+    settings.validate()
     obs, acts = slice_windows(train_batch, settings.window)
     n_windows = obs.shape[0]
     if optimizer is None:
@@ -424,6 +471,9 @@ def _parse_config_text(text):
             continue
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
+    missing = [f.name for f in fields(ModelConfig) if f.name not in entries]
+    if missing:
+        raise ValueError(f"FRMD checkpoint config is missing {missing[0]!r}")
     config = ModelConfig(
         dim=int(entries.pop("dim")),
         action_dim=int(entries.pop("action_dim")),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,66 @@ def test_non_finite_checkpoint_exit_2(tmp_path, capsys):
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert f"non-finite value in FRMD checkpoint: array '{name}'" in lines[0]
+
+
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def test_train_rejects_settings_that_do_nothing(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = tmp_path / "m.frmd"
+    for flag, value, name in (("batch", -4, "batch_size"),
+                              ("batch", 0, "batch_size"),
+                              ("epochs", -3, "epochs"),
+                              ("lr", -0.1, "lr")):
+        argv = train_args(data, out, **{flag: value})
+        code, _, err = run(argv, capsys)
+        assert code == 2, (flag, value)
+        assert name in one_error_line(err)
+    assert not out.exists()
+
+
+def test_sample_and_dream_reject_empty_runs(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=0)) == 0
+    capsys.readouterr()
+    out = tmp_path / "rollouts.csv"
+    code, _, err = run(["sample", "--ckpt", str(ckpt), "--n", "0",
+                        "--out", str(out)], capsys)
+    assert code == 2 and "--n" in one_error_line(err)
+    assert not out.exists()
+
+    code, _, err = run(["dream", "--generations", "0", "--hidden", "4",
+                        "--horizon", "4", "--train-epochs", "0"], capsys)
+    assert code == 2 and "generations" in one_error_line(err)
+
+
+def frmd_first_shape_offset(blob):
+    """Byte offset of the first shape field of the first FRMD array."""
+    (config_len,) = struct.unpack("<I", blob[8:12])
+    at = 12 + config_len + 4
+    (name_len,) = struct.unpack("<H", blob[at:at + 2])
+    return at + 2 + name_len + 1
+
+
+def test_corrupt_checkpoint_header_exit_2(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=0)) == 0
+    blob = ckpt.read_bytes()
+    bad = tmp_path / "bad.frmd"
+
+    bad.write_bytes(blob.replace(b"action_dim=", b"action_xxx=", 1))
+    code, _, err = run(["eval", "--ckpt", str(bad), "--data", str(data)],
+                       capsys)
+    assert code == 2 and "'action_dim'" in one_error_line(err)
+
+    at = frmd_first_shape_offset(blob)
+    bad.write_bytes(blob[:at] + struct.pack("<Q", 2**62) + blob[at + 8:])
+    code, _, err = run(["eval", "--ckpt", str(bad), "--data", str(data)],
+                       capsys)
+    assert code == 2 and "truncated" in one_error_line(err)

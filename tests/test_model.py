@@ -185,6 +185,65 @@ def test_sequence_nll_requires_actions_when_configured():
 
 
 # ---------------------------------------------------------------------------
+# blocked evaluation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, window, block_rows, action_dim", [
+    (7, 5, 16, 0),       # 21 windows in blocks of 4: a partial last block
+    (2, 5, 200, 0),      # 6 windows, fewer than one block of 50
+    (5, 6, 10, 2),       # 10 windows with actions joined, blocks of 2
+    (5, None, 30, 0),    # 5 whole sequences in blocks of 2
+])
+def test_evaluate_matches_one_graph_over_all_windows(monkeypatch, q, window,
+                                                     block_rows, action_dim):
+    rng = np.random.default_rng(30)
+    model = md.build_model(tiny_config(action_dim=action_dim), seed=31)
+    randomize_model_flow(model, rng)
+    obs = rng.normal(size=(q, 16, 2))
+    acts = rng.normal(size=(q, 16, action_dim)) if action_dim else None
+    batch = ds.SequenceBatch(obs, acts)
+    if window is None:
+        whole = batch
+    else:
+        whole = ds.SequenceBatch(*ds.slice_windows(batch, window))
+    one = md.sequence_nll(model, whole)
+
+    monkeypatch.setattr(md, "EVAL_ROWS", block_rows)
+    blocked = md.evaluate(model, batch, window)
+    for a, b in ((blocked.total, one.total), (blocked.mixture, one.mixture),
+                 (blocked.logdet, one.logdet)):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    assert blocked.logdet != 0.0
+
+
+def test_evaluate_memory_does_not_grow_with_the_split():
+    import tracemalloc
+
+    window = 32
+    model = md.build_model(tiny_config(dim=4, components=3, hidden=32), seed=32)
+    one_block = md.EVAL_ROWS // (window - 1)
+
+    def peak(n_windows):
+        batch = ds.gen_correlated_ar(n_windows, window, 4, rho=0.8, corr=0.5,
+                                     seed=33)
+        tracemalloc.start()
+        try:
+            md.evaluate(model, batch, window)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(one_block), peak(8 * one_block)
+    assert large < 2 * small, (small, large)
+
+
+def test_evaluate_rejects_an_empty_batch():
+    model = md.build_model(tiny_config(), seed=0)
+    with pytest.raises(ValueError, match="at least one"):
+        md.evaluate(model, ds.SequenceBatch(np.zeros((0, 8, 2))))
+
+
+# ---------------------------------------------------------------------------
 # gradients and training steps
 # ---------------------------------------------------------------------------
 
@@ -306,6 +365,45 @@ def test_train_step_error_leaves_model_unchanged():
         md.train_step(model, bad, md.make_optimizer("rmsprop", 1e-3))
     for (_, node), old in zip(model.parameters(), before):
         np.testing.assert_array_equal(node.value, old)
+
+
+def test_non_finite_gradient_names_the_parameter(monkeypatch):
+    batch = make_training_batch()
+    model = md.build_model(tiny_config(), seed=6)
+    before = [node.value.copy() for _, node in model.parameters()]
+    real_backward = dc.backward
+
+    def poisoned(root, params):
+        grads = real_backward(root, params=params)
+        head_w = dict(model.parameters())["head.w"]
+        grads[head_w] = grads[head_w].copy()
+        grads[head_w].ravel()[1] = np.nan
+        return grads
+
+    monkeypatch.setattr(dc, "backward", poisoned)
+    with pytest.raises(md.NumericsError,
+                       match="non-finite gradient in 'head.w'"):
+        md.train_step(model, batch, md.make_optimizer("rmsprop", 1e-3))
+    for (_, node), old in zip(model.parameters(), before):
+        np.testing.assert_array_equal(node.value, old)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("batch_size", 0, "batch_size"),
+    ("batch_size", -4, "batch_size"),
+    ("epochs", -3, "epochs"),
+    ("lr", -1e-3, "lr"),
+    ("lr", math.nan, "lr"),
+    ("lr", math.inf, "lr"),
+    ("clip_norm", 0.0, "clip_norm"),
+    ("clip_norm", math.nan, "clip_norm"),
+])
+def test_train_settings_reject_settings_that_do_nothing(field, value, match):
+    settings = md.TrainSettings(epochs=1, batch_size=4, window=16)
+    setattr(settings, field, value)
+    model = md.build_model(tiny_config(), seed=7)
+    with pytest.raises(ValueError, match=match):
+        md.train_model(model, make_training_batch(), settings)
 
 
 # ---------------------------------------------------------------------------
