@@ -179,12 +179,12 @@ def evaluate(model, batch, window=None):
     per_block = max(1, EVAL_ROWS // max(1, t - 1))
     total = mixture = logdet = 0.0
     for lo in range(0, n, per_block):
-        hi = min(lo + per_block, n)
-        rec = sequence_nll(model, SequenceBatch(
-            obs[lo:hi], None if acts is None else acts[lo:hi]))
-        total += rec.total * (hi - lo)
-        mixture += rec.mixture * (hi - lo)
-        logdet += rec.logdet * (hi - lo)
+        part = SequenceBatch(obs[lo:lo + per_block],
+                             None if acts is None else acts[lo:lo + per_block])
+        rec = sequence_nll(model, part)
+        total += rec.total * part.q
+        mixture += rec.mixture * part.q
+        logdet += rec.logdet * part.q
     return LossRecord(total / n, mixture / n, logdet / n)
 
 

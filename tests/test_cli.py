@@ -364,28 +364,33 @@ def test_sample_and_dream_reject_empty_runs(tmp_path, capsys):
     assert code == 2 and "generations" in one_error_line(err)
 
 
-def frmd_first_shape_offset(blob):
-    """Byte offset of the first shape field of the first FRMD array."""
-    (config_len,) = struct.unpack("<I", blob[8:12])
-    at = 12 + config_len + 4
-    (name_len,) = struct.unpack("<H", blob[at:at + 2])
-    return at + 2 + name_len + 1
-
-
-def test_corrupt_checkpoint_header_exit_2(tmp_path, capsys):
+def eval_untrained_checkpoint(tmp_path, capsys, corrupt):
+    """`frmdn eval` of an epoch-0 checkpoint whose bytes went through
+    `corrupt`; returns the exit code and the one error line."""
     data = gen_small(tmp_path)
     ckpt = tmp_path / "m.frmd"
     assert main(train_args(data, ckpt, epochs=0)) == 0
-    blob = ckpt.read_bytes()
     bad = tmp_path / "bad.frmd"
-
-    bad.write_bytes(blob.replace(b"action_dim=", b"action_xxx=", 1))
+    bad.write_bytes(corrupt(ckpt.read_bytes()))
     code, _, err = run(["eval", "--ckpt", str(bad), "--data", str(data)],
                        capsys)
-    assert code == 2 and "'action_dim'" in one_error_line(err)
+    return code, one_error_line(err)
 
-    at = frmd_first_shape_offset(blob)
-    bad.write_bytes(blob[:at] + struct.pack("<Q", 2**62) + blob[at + 8:])
-    code, _, err = run(["eval", "--ckpt", str(bad), "--data", str(data)],
-                       capsys)
-    assert code == 2 and "truncated" in one_error_line(err)
+
+def test_checkpoint_config_missing_key_exit_2(tmp_path, capsys):
+    code, err = eval_untrained_checkpoint(
+        tmp_path, capsys,
+        lambda blob: blob.replace(b"action_dim=", b"action_xxx=", 1))
+    assert code == 2 and "missing 'action_dim'" in err
+
+
+def test_checkpoint_shape_past_end_of_file_exit_2(tmp_path, capsys):
+    def huge_first_shape(blob):
+        (config_len,) = struct.unpack("<I", blob[8:12])
+        at = 12 + config_len + 4
+        (name_len,) = struct.unpack("<H", blob[at:at + 2])
+        at += 2 + name_len + 1
+        return blob[:at] + struct.pack("<Q", 2**62) + blob[at + 8:]
+
+    code, err = eval_untrained_checkpoint(tmp_path, capsys, huge_first_shape)
+    assert code == 2 and "truncated FRMD checkpoint" in err

@@ -132,9 +132,3 @@ def test_tracking_reward_cap_and_center():
     reward = ct.tracking_reward(np.array([1.0, 0.0]), radius=0.0, cap=4.0)
     assert reward(0, np.array([1.0, 0.0]), None) == pytest.approx(0.0)
     assert reward(0, np.array([100.0, 0.0]), None) == -4.0
-
-
-def test_train_controller_rejects_zero_generations():
-    task = ct.DreamTask(env=None, obs_dim=2, hidden=4, action_dim=2)
-    with pytest.raises(ValueError, match="generations"):
-        ct.train_controller(task, generations=0)

@@ -7,6 +7,7 @@ command exits 0, 1 or 2 and writes at most one line to stderr.
 
 import contextlib
 import io
+import math
 import struct
 
 import pytest
@@ -48,16 +49,25 @@ def run_eval(files, which, blob):
     return code, err.getvalue().splitlines()
 
 
-def header_length(which, blob):
-    """FSEQ: magic and the five u32 fields.  FRMD: the fixed fields, the
-    config block and the first array's name, rank and shape."""
+def header_offsets(which, blob):
+    """Offsets of every byte that is not float64 data.  FSEQ: magic and the
+    five u32 fields.  FRMD: the fixed fields, the config block, the array
+    count and each array's name, rank and shape."""
     if which == "data":
-        return 24
+        return list(range(24))
     (config_len,) = struct.unpack("<I", blob[8:12])
     at = 12 + config_len + 4
-    (name_len,) = struct.unpack("<H", blob[at:at + 2])
-    at += 2 + name_len
-    return at + 1 + 8 * blob[at]
+    offsets = list(range(at))
+    for _ in range(struct.unpack("<I", blob[at - 4:at])[0]):
+        (name_len,) = struct.unpack("<H", blob[at:at + 2])
+        rank = blob[at + 2 + name_len]
+        shape = struct.unpack(f"<{rank}Q", blob[at + 3 + name_len:
+                                                 at + 3 + name_len + 8 * rank])
+        end = at + 3 + name_len + 8 * rank
+        offsets.extend(range(at, end))
+        at = end + 8 * math.prod(shape)
+    assert at == len(blob)
+    return offsets
 
 
 def test_intact_files_evaluate(files):
@@ -81,9 +91,9 @@ def test_truncated_file_exits_2_with_one_error(files, which, cut):
                       min_size=1, max_size=3))
 def test_corrupt_header_never_escapes(files, which, edits):
     blob = bytearray(files[which].read_bytes())
-    size = header_length(which, blob)
+    offsets = header_offsets(which, blob)
     for where, byte in edits:
-        blob[int(where * size)] = byte
+        blob[offsets[int(where * len(offsets))]] = byte
     code, err = run_eval(files, which, bytes(blob))
     assert code in (0, 1, 2)
     assert len(err) <= 1, err
