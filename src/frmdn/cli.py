@@ -9,6 +9,7 @@ failure, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -260,7 +261,23 @@ def cmd_paramcount(args):
 # dream
 # ---------------------------------------------------------------------------
 
+def _check_dream_counts(args):
+    """Reject counts under which `frmdn dream` would fail, or do nothing,
+    only after training its world model."""
+    for flag, value, least in (("--generations", args.generations, 1),
+                               ("--popsize", args.popsize, 2),
+                               ("--episodes", args.episodes, 1),
+                               ("--horizon", args.horizon, 1),
+                               ("--hidden", args.hidden, 1),
+                               ("--train-epochs", args.train_epochs, 0)):
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
+    if not (math.isfinite(args.sigma) and args.sigma > 0.0):
+        raise CliError(f"--sigma must be positive and finite, got {args.sigma}")
+
+
 def cmd_dream(args):
+    _check_dream_counts(args)
     task = ct.build_dream_task(seed=args.seed, hidden=args.hidden,
                                horizon=args.horizon,
                                train_epochs=args.train_epochs)

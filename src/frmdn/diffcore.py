@@ -9,9 +9,10 @@ The model's work is done by fused ops with hand-written backwards: `lstm`
 here, the coupling layer in `flow` and the mixture rows in `mixtures`.  A
 fused op that has several outputs returns them as `output_view`s of one
 core node, so gradients reaching any of them meet in a single backward
-call.  The generic ops are only the glue the loss needs around them:
-`add` (equal shapes, a row-wise bias (n, m) + (m,), or a scalar node),
-`matmul`, `neg` and `reduce_mean`.
+call.  `lstm_cell`, the LSTM op's step body, also serves generation,
+which runs on plain arrays without a tape.  The generic ops are only the
+glue the loss needs around them: `add` (equal shapes, a row-wise bias
+(n, m) + (m,), or a scalar node), `matmul`, `neg` and `reduce_mean`.
 """
 
 from __future__ import annotations
@@ -160,7 +161,6 @@ def lstm(x, w, b, h0, c0):
     w_x, w_h = wv[:n_in], wv[n_in:]
     x_rows = seq.reshape(steps * q, n_in)
     blocks = [np.s_[:, k * hid : (k + 1) * hid] for k in range(4)]
-    ifo = (np.s_[:, : 2 * hid], blocks[3])           # the sigmoid gates
 
     # gates[t] holds the activated (i, f, g, o) of step t; hc stacks
     # h_0..h_T then c_0..c_T, and is the value the three outputs slice
@@ -172,14 +172,7 @@ def lstm(x, w, b, h0, c0):
     for t in range(steps):
         a = gates[t]
         a += hs[t] @ w_h
-        for sl in ifo:
-            _sigmoid(a[sl], out=a[sl])
-        np.tanh(a[blocks[2]], out=a[blocks[2]])
-        i, f, g, o = (a[sl] for sl in blocks)
-        np.multiply(f, cs[t], out=cs[t + 1])
-        cs[t + 1] += i * g
-        np.tanh(cs[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=hs[t + 1])
+        lstm_cell(a, cs[t], cs[t + 1], tanh_c[t], hs[t + 1])
 
     def rule(ghc):
         dh = ghc[steps]                  # at h_T, from the hs rows and h_T
@@ -215,6 +208,26 @@ def lstm(x, w, b, h0, c0):
     rows = output_view(core, np.s_[1 : steps + 1], (steps * q, hid))
     h_last = rows if steps == 1 else output_view(core, steps, (q, hid))
     return rows, h_last, output_view(core, -1, (q, hid))
+
+
+def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
+    """The body of one LSTM step, shared by `lstm` and tape-free generation.
+
+    a is the (q, 4H) pre-activation x_t @ w_x + b + h_{t-1} @ w_h, summed
+    in that order; its gate blocks are activated in place.  Writes c_t,
+    tanh(c_t) and h_t into `c`, `tanh_c` and `h` when given, else into new
+    arrays, and returns (h_t, c_t).
+    """
+    hid = a.shape[1] // 4
+    i_f, g, o = a[:, : 2 * hid], a[:, 2 * hid : 3 * hid], a[:, 3 * hid :]
+    _sigmoid(i_f, out=i_f)
+    np.tanh(g, out=g)
+    _sigmoid(o, out=o)
+    i, f = i_f[:, :hid], i_f[:, hid:]
+    c = np.multiply(f, c_prev, out=c)
+    c += i * g
+    tanh_c = np.tanh(c, out=tanh_c)
+    return np.multiply(o, tanh_c, out=h), c
 
 
 def output_view(core, index, shape):

@@ -8,8 +8,8 @@ diagonal family, precision diagonals for the tied family, and scales for
 the logistic family.
 
 Each family's log density is written once, batched over rows and
-components in `component_log_densities`; the single-point densities and
-the loss-graph op `mixture_log_rows` both call it.
+components in `component_log_densities`; the point densities (one point
+or a batch of rows) and the loss-graph op `mixture_log_rows` both call it.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ class MixtureParams:
     structure: str = "diagonal"
 
     def __post_init__(self):
+        # one C-level call each, which returns float64 arrays of the right
+        # rank (what head_project passes) as they are
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.mu = np.atleast_2d(np.asarray(self.mu, dtype=np.float64))
-        self.d_diag = np.atleast_2d(np.asarray(self.d_diag, dtype=np.float64))
+        self.mu = np.array(self.mu, dtype=np.float64, ndmin=2, copy=None)
+        self.d_diag = np.array(self.d_diag, dtype=np.float64, ndmin=2, copy=None)
 
     @property
     def k(self):
@@ -129,9 +131,11 @@ def coeffs_from_logits(z_alpha):
 
 
 def diag_scales_from_logits(z_sigma):
-    """Elementwise exp of the logits clamped to +-EXP_CLAMP."""
+    """Elementwise exp of the logits clamped to +-EXP_CLAMP.  The clamp is
+    `np.clip`'s arithmetic without its Python-level dispatch, which costs
+    more than the exp on a sampling step's few logits."""
     z = np.asarray(z_sigma, dtype=np.float64)
-    return np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP))
+    return np.exp(np.minimum(np.maximum(z, -EXP_CLAMP), EXP_CLAMP))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +146,8 @@ def component_log_densities(z, mu, log_s, structure, u=None, log_abs_det=0.0,
                             c_width=1.0):
     """Log density of each row of z under each component, batched.
 
-    z is (n, d); mu and log_s are (n, K, d), and exp(log_s) holds the
+    z is (n, d); mu and log_s are (n, K, d), or (1, K, d) when every row
+    shares them (the gradients then stay per row).  exp(log_s) holds the
     standard deviations (diagonal), the precision diagonals D_k (tied) or
     the scales (logistic).  A tied family also takes its shared matrix `u`
     and log|det U|.  The coefficients are not included.
@@ -202,38 +207,40 @@ def component_log_densities(z, mu, log_s, structure, u=None, log_abs_det=0.0,
     return comp, grads
 
 
-def _check_point(y, params):
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.shape[0] != params.dim:
+def _point_log_density(y, params, **family):
+    """Mixture log density of one (d,) point as a float, or of the rows of
+    an (n, d) array as an (n,) array."""
+    y = np.asarray(y, dtype=np.float64)
+    rows = y.reshape(1, -1) if y.ndim <= 1 else y
+    if rows.ndim != 2 or rows.shape[1] != params.dim:
         raise ValueError(
-            f"dimension mismatch: point has {y.shape[0]} entries, "
+            f"dimension mismatch: points of shape {y.shape}, "
             f"mixture is over R^{params.dim}"
         )
-    return y
-
-
-def _point_log_density(y, params, **family):
-    comp, _ = component_log_densities(y[None], params.mu[None],
+    comp, _ = component_log_densities(rows, params.mu[None],
                                       np.log(params.d_diag)[None],
                                       params.structure, **family)
-    return float(_lse_rows(np.log(params.alpha) + comp)[0])
+    out = _lse_rows(np.log(params.alpha) + comp)
+    return float(out[0]) if y.ndim <= 1 else out
 
 
 def diag_gmm_log_density(y, params):
-    """log sum_k alpha_k N(y; mu_k, diag(sigma_k^2)), via log-sum-exp."""
+    """log sum_k alpha_k N(y; mu_k, diag(sigma_k^2)), via log-sum-exp.
+
+    y is one (d,) point, giving a float, or (n, d) rows, giving (n,)."""
     if params.structure != "diagonal":
         raise ValueError("diag_gmm_log_density needs structure='diagonal'")
-    return _point_log_density(_check_point(y, params), params)
+    return _point_log_density(y, params)
 
 
 def tied_gmm_log_density(y, params, shared):
     """Tied-precision mixture: component precision U D_k U^T.
 
     `d_diag` holds the D_k diagonals (precisions, not standard deviations).
+    y is one (d,) point, giving a float, or (n, d) rows, giving (n,).
     """
     if params.structure != "tied":
         raise ValueError("tied_gmm_log_density needs structure='tied'")
-    y = _check_point(y, params)
     return _point_log_density(y, params, u=shared.u,
                               log_abs_det=shared.log_abs_det)
 
@@ -243,7 +250,8 @@ def logistic_mixture_log_density(y, params, c_width=1.0):
 
     Each dimension contributes (1/C) * (sigmoid((y-mu+C/2)/s)
     - sigmoid((y-mu-C/2)/s)); dimensions are independent within a
-    component.
+    component.  y is one (d,) point, giving a float, or (n, d) rows,
+    giving (n,).
     """
     if params.structure != "logistic":
         raise ValueError("logistic_mixture_log_density needs structure='logistic'")
@@ -251,7 +259,6 @@ def logistic_mixture_log_density(y, params, c_width=1.0):
         raise ValueError("c_width must be positive")
     if np.any(params.d_diag <= 0.0):
         raise ValueError("logistic scales must be positive")
-    y = _check_point(y, params)
     return _point_log_density(y, params, c_width=c_width)
 
 
@@ -328,9 +335,9 @@ def _log1mexp(r):
 
 def pick_component(alpha, rng):
     """Inverse-CDF draw from the coefficients; ties go to the lower index."""
-    cum = np.cumsum(alpha)
+    cum = alpha.cumsum()
     u = rng.uniform()
-    return int(np.searchsorted(cum, u, side="left").clip(0, alpha.shape[0] - 1))
+    return min(int(cum.searchsorted(u, side="left")), alpha.shape[0] - 1)
 
 
 def mixture_sample(params, shared, rng):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,6 +80,9 @@ class FrmdnModel:
     head: rc.HeadParams
     flow: fl.FlowStack
     config: ModelConfig
+    # (head.u array, its SharedMatrix snapshot) for shared_matrix
+    _shared: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def parameters(self):
         out = list(self.lstm.parameters()) + list(self.head.parameters())
@@ -87,9 +90,42 @@ class FrmdnModel:
         return out
 
     def shared_matrix(self):
+        """A snapshot of the tied head's shared matrix, or the identity.
+
+        The snapshot is reused for as long as head.u holds the same array;
+        optimizer updates and checkpoint loads assign a new array, never
+        write into the old one."""
         if self.head.u is None:
             return mx.SharedMatrix.identity(self.config.dim)
-        return mx.SharedMatrix(self.head.u.value.copy())
+        u = self.head.u.value
+        if self._shared is None or self._shared[0] is not u:
+            self._shared = (u, mx.SharedMatrix(u.copy()))
+        return self._shared[1]
+
+
+def parameter_shapes(config):
+    """(name, shape) of every parameter `build_model(config)` creates, in
+    `FrmdnModel.parameters` order, worked out without allocating any.
+    Coupling layers alternate even and odd pass-through masks."""
+    h, d, k = config.hidden, config.dim, config.components
+    width = k + 2 * k * d
+    yield "lstm.w", (config.input_dim + h, 4 * h)
+    yield "lstm.b", (4 * h,)
+    yield "head.w", (h, width)
+    yield "head.b", (width,)
+    if config.head_structure == "tied":
+        yield "head.u", (d, d)
+    if not config.flow_enabled:
+        return
+    f = config.flow_hidden
+    for i in range(2 * config.flow_depth):
+        d_pass = (d + 1) // 2 if i % 2 == 0 else d // 2
+        d_trans = d - d_pass
+        for net in ("s", "t"):
+            yield f"flow.{i}.w1{net}", (d_pass, f)
+            yield f"flow.{i}.b1{net}", (f,)
+            yield f"flow.{i}.w2{net}", (f, d_trans)
+            yield f"flow.{i}.b2{net}", (d_trans,)
 
 
 def build_model(config, seed=0):
@@ -395,21 +431,17 @@ def generate_step(model, x_t, state, rng):
     action when present), sample the emitted mixture, and map the draw back
     through the inverse flow.
 
-    The new state comes back as constant nodes: generation never runs a
-    backward, so each step cuts the tape instead of chaining the next
-    step's op onto every earlier one."""
-    x_t = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
-    h, new_state = rc.lstm_step(dc.constant(x_t), state, model.lstm)
-    new_state = rc.RecurrentState(dc.constant(new_state.h.value),
-                                  dc.constant(new_state.c.value))
-    params = rc.head_project(h.value[0], model.head)
+    state is the (h, c) pair of (1, hidden) arrays that `rc.generation_state`
+    starts and each step returns.  Generation never runs a backward, so it
+    works on plain arrays and builds no graph nodes.  Returns (y, state)."""
+    x = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
+    state = rc.cell_step(x, state, model.lstm)
+    params = rc.head_project(state[0][0], model.head)
     shared = model.shared_matrix() if model.config.head_structure == "tied" else None
-    z = mx.mixture_sample(params, shared, rng)
+    y = mx.mixture_sample(params, shared, rng)
     if model.config.flow_enabled and model.flow.depth > 0:
-        y = fl.flow_inverse(z.reshape(1, -1), model.flow)[0]
-    else:
-        y = z
-    return y, new_state
+        y = fl.flow_inverse(y[None], model.flow)[0]
+    return y, state
 
 
 def rollout(model, y_0, action_fn, steps, rng=None, seed=0):
@@ -425,7 +457,7 @@ def rollout(model, y_0, action_fn, steps, rng=None, seed=0):
     if rng is None:
         rng = np.random.default_rng(seed)
     y = np.asarray(y_0, dtype=np.float64).ravel()
-    state = rc.initial_state(1, cfg.hidden)
+    state = rc.generation_state(cfg.hidden)
     obs = np.empty((steps + 1, cfg.dim))
     obs[0] = y
     acts = np.zeros((steps + 1, cfg.action_dim)) if cfg.action_dim else None
@@ -531,6 +563,10 @@ def save_checkpoint(path, model, optimizer=None, extra=None):
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint.
 
+    Every stored array is checked against the shape the config implies
+    before anything sized by the config is allocated, so a corrupt size in
+    the config block fails as a ValueError instead of an allocation.
+
     Returns (model, extra_entries, optimizer_arrays); evaluation of the
     reloaded model is bit-identical to the saved one.
     """
@@ -544,16 +580,37 @@ def load_checkpoint(path):
         config, extra = _parse_config_text(_read(fh, config_len).decode("utf-8"))
         (count,) = struct.unpack("<I", _read(fh, 4))
         arrays = dict(_read_array(fh) for _ in range(count))
-    model = build_model(config, seed=0)
-    opt_arrays = {}
-    for name, arr in arrays.items():
-        if name.startswith("opt."):
-            opt_arrays[name] = arr
-    for name, node in model.parameters():
+    config.validate()
+    shapes = {}
+    for name, shape in parameter_shapes(config):
         if name not in arrays:
             raise ValueError(f"checkpoint is missing array {name!r}")
-        if arrays[name].shape != node.value.shape:
+        shapes[name] = shape
+    opt_arrays = {}
+    for name, arr in arrays.items():
+        want = shapes.get(name)
+        if want is None:
+            want = _optimizer_array_shape(name, shapes)
+            opt_arrays[name] = arr
+        if want is None:
+            raise ValueError(f"checkpoint has unexpected array {name!r}")
+        if arr.shape != want:
             raise ValueError(f"checkpoint array {name!r} has shape "
-                             f"{arrays[name].shape}, expected {node.value.shape}")
+                             f"{arr.shape}, expected {want}")
+    model = build_model(config, seed=0)
+    for name, node in model.parameters():
         node.value = arrays[name]
     return model, extra, opt_arrays
+
+
+def _optimizer_array_shape(name, shapes):
+    """The shape an optimizer state array must have: a scalar step count,
+    or the shape of the parameter its moment belongs to.  None for a name
+    no optimizer writes."""
+    if name == "opt.step":
+        return ()
+    head, _, param = name.partition(".")
+    kind, _, param = param.partition(".")
+    if head != "opt" or kind not in ("m", "v", "sq"):
+        return None
+    return shapes.get(param)

@@ -103,6 +103,33 @@ def lstm_step(x, state, params):
     return h_rows, RecurrentState(h, c)
 
 
+def generation_state(hidden):
+    """The zero (h, c) pair, each a (1, hidden) array, that tape-free
+    generation starts from."""
+    return np.zeros((1, hidden)), np.zeros((1, hidden))
+
+
+def cell_step(x, state, params):
+    """Advance the cell one step on plain arrays, building no graph nodes.
+
+    x is (1, input_dim) and state an (h, c) pair of (1, hidden) arrays.
+    The arithmetic is `dc.lstm`'s own loop body in the op's summation
+    order, so the new (h, c) pair equals a one-step `lstm_step` bit for bit.
+    """
+    h, c = state
+    if x.shape != (1, params.input_dim):
+        raise ValueError(f"cell_step: expected input (1, {params.input_dim}), "
+                         f"got {x.shape}")
+    if h.shape != (1, params.hidden) or c.shape != (1, params.hidden):
+        raise ValueError(f"cell_step: state shapes {h.shape} and {c.shape} "
+                         f"do not match hidden size {params.hidden}")
+    w = params.w.value
+    a = x @ w[: params.input_dim]
+    a += params.b.value
+    a += h @ w[params.input_dim :]
+    return dc.lstm_cell(a, c)
+
+
 def head_logits(h, head):
     """The linear head output rows (n, K + 2*K*d) as one graph node;
     `mx.split_head` reads its layout."""
@@ -111,12 +138,12 @@ def head_logits(h, head):
 
 
 def head_project(h_vec, head):
-    """Numeric mixture parameters for one hidden vector (sampling path).
+    """Numeric mixture parameters for one (hidden,) float64 vector
+    (sampling path).
 
     Coefficients go through the softmax, means stay raw, and scale logits go
     through the clamped exponential.
     """
-    h_vec = np.asarray(h_vec, dtype=np.float64).ravel()
     out = h_vec @ head.w.value + head.b.value
     alpha, mu, scale_logits = mx.split_head(out[None], head.k, head.dim)
     return mx.MixtureParams(mx.coeffs_from_logits(alpha[0]), mu[0],

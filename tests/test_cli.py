@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,3 +395,91 @@ def test_checkpoint_shape_past_end_of_file_exit_2(tmp_path, capsys):
 
     code, err = eval_untrained_checkpoint(tmp_path, capsys, huge_first_shape)
     assert code == 2 and "truncated FRMD checkpoint" in err
+
+
+def with_config_entry(blob, key, value):
+    """The FRMD bytes `blob` with `key=value` in the config block, whose
+    length prefix is rewritten to match."""
+    (config_len,) = struct.unpack("<I", blob[8:12])
+    lines = blob[12:12 + config_len].decode().splitlines()
+    block = "".join(f"{key}={value}\n" if line.startswith(f"{key}=")
+                    else f"{line}\n" for line in lines).encode()
+    return (blob[:8] + struct.pack("<I", len(block)) + block
+            + blob[12 + config_len:])
+
+
+@pytest.mark.parametrize("hidden", [1000000, 10000])
+def test_checkpoint_sizes_are_checked_before_allocating(tmp_path, capsys,
+                                                        hidden):
+    # the arrays hold a hidden=8 model; a config claiming more must fail on
+    # the first array shape, before the model is built at the claimed size
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=0)) == 0
+    bad = tmp_path / "bad.frmd"
+    bad.write_bytes(with_config_entry(ckpt.read_bytes(), "hidden", hidden))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code, _, err = run(["eval", "--ckpt", str(bad), "--data", str(data)],
+                           capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    line = one_error_line(err)
+    assert "'lstm.w' has shape (11, 32)" in line
+    assert f"expected ({hidden + 3}, {4 * hidden})" in line
+    assert peak < 8 * 2**20, peak
+
+
+class StoredOptimizer:
+    """Hands `save_checkpoint` a fixed set of optimizer arrays."""
+
+    name = "adam"
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+
+    def state_arrays(self):
+        return self.arrays
+
+
+def test_checkpoint_optimizer_arrays_are_checked(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=1, optimizer="adam")) == 0
+    model, extra, opt_arrays = md.load_checkpoint(ckpt)
+    assert "opt.m.lstm.w" in opt_arrays and "opt.v.head.b" in opt_arrays
+    bad = tmp_path / "bad.frmd"
+    for name, arr, msg in (
+            ("opt.m.lstm.w", np.zeros((3, 3)), "'opt.m.lstm.w' has shape (3, 3)"),
+            ("opt.step", np.zeros(2), "'opt.step' has shape (2,)"),
+            ("opt.m.lstm.x", np.zeros(3), "unexpected array 'opt.m.lstm.x'"),
+            ("stray", np.zeros(3), "unexpected array 'stray'")):
+        stored = StoredOptimizer(dict(opt_arrays, **{name: arr}))
+        md.save_checkpoint(bad, model, optimizer=stored, extra=extra)
+        capsys.readouterr()
+        argv = train_args(data, tmp_path / "out.frmd", epochs=1)
+        code, _, err = run(argv + ["--resume", str(bad)], capsys)
+        assert code == 2, name
+        assert msg in one_error_line(err), name
+    assert not (tmp_path / "out.frmd").exists()
+
+
+def test_dream_checks_its_counts_before_training(monkeypatch, capsys):
+    from frmdn import control as ct
+
+    def no_training(**kwargs):
+        raise AssertionError("build_dream_task called")
+
+    monkeypatch.setattr(ct, "build_dream_task", no_training)
+    base = ["dream", "--hidden", "4", "--horizon", "4", "--train-epochs", "0"]
+    for flag, value in (("--generations", "0"), ("--popsize", "1"),
+                        ("--episodes", "0"), ("--horizon", "0"),
+                        ("--hidden", "0"), ("--sigma", "0"),
+                        ("--sigma", "-0.5"), ("--sigma", "nan"),
+                        ("--sigma", "inf"), ("--train-epochs", "-1")):
+        code, _, err = run(base + [flag, value], capsys)
+        assert code == 2, (flag, value)
+        assert flag in one_error_line(err), (flag, value)

@@ -239,11 +239,34 @@ def test_logistic_integrates_to_one_1d():
     rng = np.random.default_rng(8)
     p = random_params(rng, 2, 1, "logistic")
     xs = np.linspace(-30.0, 30.0, 60001)
-    dens = np.array(
-        [math.exp(mx.logistic_mixture_log_density([x], p, 1.0)) for x in xs]
-    )
+    dens = np.exp(mx.logistic_mixture_log_density(xs[:, None], p, 1.0))
     integral = np.trapezoid(dens, xs)
     assert integral == pytest.approx(1.0, abs=1e-6)
+
+
+def test_point_densities_take_rows():
+    # an (n, d) batch gives (n,), each entry the density of its (d,) point
+    rng = np.random.default_rng(17)
+    shared = mx.SharedMatrix(np.eye(3) + 0.2 * rng.normal(size=(3, 3)))
+    diag = random_params(rng, 3, 3)
+    tied = random_params(rng, 3, 3, "tied")
+    logi = random_params(rng, 3, 3, "logistic")
+    cases = [
+        lambda y: mx.diag_gmm_log_density(y, diag),
+        lambda y: mx.tied_gmm_log_density(y, tied, shared),
+        lambda y: mx.logistic_mixture_log_density(y, logi, 0.7),
+    ]
+    ys = rng.normal(size=(7, 3)) * 2.0
+    for f in cases:
+        rows = f(ys)
+        assert rows.shape == (7,)
+        single = [f(y) for y in ys]
+        assert all(isinstance(v, float) for v in single)
+        np.testing.assert_allclose(rows, single, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f(ys[:, :2])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f(ys[None])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +275,7 @@ def test_logistic_integrates_to_one_1d():
 
 def quadrature_1d(log_density):
     xs = np.linspace(-30.0, 30.0, 40001)
-    dens = np.array([math.exp(log_density(np.array([x]))) for x in xs])
+    dens = np.exp(log_density(xs[:, None]))
     return np.trapezoid(dens, xs)
 
 
@@ -279,15 +302,15 @@ def test_normalization_2d_grid():
     shared = mx.SharedMatrix(np.eye(2) + 0.2 * rng.normal(size=(2, 2)))
     grid = np.linspace(-12.0, 12.0, 400)
     cell = (grid[1] - grid[0]) ** 2
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    points = points.reshape(-1, 2)                 # all 400 x 400 grid points
     cases = [
         lambda y: mx.diag_gmm_log_density(y, diag),
         lambda y: mx.tied_gmm_log_density(y, tied, shared),
         lambda y: mx.logistic_mixture_log_density(y, logi, 1.0),
     ]
     for f in cases:
-        total = 0.0
-        for x0 in grid:
-            total += sum(math.exp(f(np.array([x0, x1]))) for x1 in grid)
+        total = np.exp(f(points)).sum()
         assert total * cell == pytest.approx(1.0, abs=1e-3)
 
 

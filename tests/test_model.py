@@ -410,18 +410,55 @@ def test_train_settings_reject_settings_that_do_nothing(field, value, match):
 # generation
 # ---------------------------------------------------------------------------
 
-def test_generate_step_flow_disabled_is_raw_mixture_sample():
+def test_generate_step_equals_graph_replay():
+    # every family, flow on and off: the tape-free step equals the graph
+    # route (a one-step lstm_step, head_project, mixture_sample and
+    # flow_inverse) bit for bit, draw and state alike
+    from frmdn import flow as fl
     from frmdn import mixtures as mx
     from frmdn import recurrent as rc
-    model = md.build_model(tiny_config(flow_enabled=False), seed=6)
-    state = rc.initial_state(1, model.config.hidden)
-    x = np.zeros(2)
-    y, _ = md.generate_step(model, x, state, np.random.default_rng(9))
-    # replay: same state advance and a fresh generator give the same draw
-    h, _ = rc.lstm_step(dc.constant(x.reshape(1, -1)), state, model.lstm)
-    params = rc.head_project(h.value[0], model.head)
-    want = mx.mixture_sample(params, None, np.random.default_rng(9))
-    np.testing.assert_array_equal(y, want)
+    rng = np.random.default_rng(5)
+    for structure in mx.STRUCTURES:
+        for flow in (True, False):
+            case = (structure, flow)
+            model = md.build_model(tiny_config(dim=3, action_dim=1,
+                                               components=3,
+                                               head_structure=structure,
+                                               flow_enabled=flow), seed=6)
+            for _, node in model.parameters():
+                node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
+            h0, c0 = rng.normal(size=(2, 1, model.config.hidden))
+            x = rng.normal(size=4)
+            y, (h, c) = md.generate_step(model, x, (h0, c0),
+                                         np.random.default_rng(9))
+
+            h_node, state = rc.lstm_step(
+                dc.constant(x.reshape(1, -1)),
+                rc.RecurrentState(dc.constant(h0), dc.constant(c0)),
+                model.lstm)
+            params = rc.head_project(h_node.value[0], model.head)
+            shared = (mx.SharedMatrix(model.head.u.value)
+                      if structure == "tied" else None)
+            want = mx.mixture_sample(params, shared, np.random.default_rng(9))
+            if flow:
+                want = fl.flow_inverse(want.reshape(1, -1), model.flow)[0]
+            assert np.array_equal(y, want), case
+            assert np.array_equal(h, state.h.value), case
+            assert np.array_equal(c, state.c.value), case
+
+
+def test_generate_step_checks_input_and_state_shapes():
+    from frmdn import recurrent as rc
+    model = md.build_model(tiny_config(), seed=6)
+    state = rc.generation_state(model.config.hidden)
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="expected input"):
+        md.generate_step(model, np.zeros(3), state, rng)
+    short = (state[0][:, :-1], state[1])
+    with pytest.raises(ValueError, match="state shapes"):
+        md.generate_step(model, np.zeros(2), short, rng)
+    with pytest.raises(ValueError, match="state shapes"):
+        md.generate_step(model, np.zeros(2), (state[0], state[1][0]), rng)
 
 
 def test_generate_step_degenerate_component_hits_mean():
@@ -433,7 +470,7 @@ def test_generate_step_degenerate_component_hits_mean():
     model.head.b.value[2:4] = [1.5, -0.5]          # mu block, component 1
     model.head.b.value[6:8] = -100.0               # scale logits -> clamp floor
     from frmdn import recurrent as rc
-    state = rc.initial_state(1, model.config.hidden)
+    state = rc.generation_state(model.config.hidden)
     y, _ = md.generate_step(model, np.zeros(2), state, np.random.default_rng(10))
     np.testing.assert_allclose(y, [1.5, -0.5], atol=1e-4)
 
@@ -452,28 +489,27 @@ def test_untrained_model_rollout_stays_finite():
     assert np.all(np.isfinite(out.observations))
 
 
-def reachable_node_count(node):
-    seen, stack = set(), [node]
-    while stack:
-        n = stack.pop()
-        if id(n) not in seen:
-            seen.add(id(n))
-            stack.extend(n.parents)
-    return len(seen)
+def test_generation_builds_no_diffnodes(monkeypatch):
+    from frmdn import control as ct
+    model = md.build_model(tiny_config(action_dim=2, head_structure="tied"),
+                           seed=12)
+    env = ct.DreamEnv(model, lambda step, y, action: 0.0, horizon=64)
+    ctrl = ct.LinearController(np.full((2, 8), 0.1), np.zeros(2))
+    created = []
+    init = dc.DiffNode.__init__
 
+    def counting_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        created.append(node.op)
 
-def test_generation_state_does_not_chain_the_tape():
-    from frmdn import recurrent as rc
-    model = md.build_model(tiny_config(), seed=12)
-    rng = np.random.default_rng(13)
-    state = rc.initial_state(1, model.config.hidden)
-    y = np.zeros(2)
-    counts = []
-    for _ in range(64):
-        y, state = md.generate_step(model, y, state, rng)
-        counts.append((reachable_node_count(state.h),
-                       reachable_node_count(state.c)))
-    assert counts[-1] == counts[0]
+    monkeypatch.setattr(dc.DiffNode, "__init__", counting_init)
+    md.rollout(model, np.zeros(2), lambda t: np.ones(2), 64, seed=13)
+    ct.dream_rollout(env, ctrl, np.random.default_rng(13))
+    assert created == []
+    # the patched constructor sees the nodes a loss graph builds
+    md.sequence_nll(model, ds.SequenceBatch(np.zeros((1, 3, 2)),
+                                            np.zeros((1, 3, 2))))
+    assert "lstm" in created
 
 
 def test_rollout_with_actions_records_them():
@@ -536,6 +572,17 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert extra["note"] == "unit"
 
 
+def test_parameter_shapes_match_build_model():
+    for kw in (dict(), dict(dim=5, head_structure="tied", flow_depth=2),
+               dict(dim=3, action_dim=2, flow_enabled=False),
+               dict(dim=4, flow_depth=0),
+               dict(head_structure="logistic", components=4, hidden=3)):
+        config = tiny_config(**kw)
+        built = [(name, node.value.shape)
+                 for name, node in md.build_model(config).parameters()]
+        assert list(md.parameter_shapes(config)) == built, kw
+
+
 def test_checkpoint_carries_adam_state(tmp_path):
     batch = make_training_batch()
     model = md.build_model(tiny_config(hidden=8), seed=16)
@@ -554,10 +601,22 @@ def test_checkpoint_carries_adam_state(tmp_path):
         np.testing.assert_array_equal(restored.v[name], opt.v[name])
 
 
+def test_shared_matrix_snapshot_follows_head_u():
+    model = md.build_model(tiny_config(head_structure="tied"), seed=17)
+    first = model.shared_matrix()
+    assert model.shared_matrix() is first
+    np.testing.assert_array_equal(first.u, np.eye(2))
+    model.head.u.value = np.array([[2.0, 0.5], [0.0, 1.0]])
+    second = model.shared_matrix()
+    np.testing.assert_array_equal(second.u, model.head.u.value)
+    assert second.log_abs_det == pytest.approx(math.log(2.0))
+    np.testing.assert_array_equal(first.u, np.eye(2))
+
+
 def test_generate_step_supports_tied_head():
     from frmdn import recurrent as rc
     model = md.build_model(tiny_config(head_structure="tied"), seed=17)
-    state = rc.initial_state(1, model.config.hidden)
+    state = rc.generation_state(model.config.hidden)
     y, _ = md.generate_step(model, np.zeros(2), state,
                             np.random.default_rng(18))
     assert y.shape == (2,) and np.all(np.isfinite(y))

@@ -1,8 +1,11 @@
-"""Property tests for the FSEQ and FRMD readers, run through `frmdn eval`.
+"""Property tests for the FSEQ and FRMD readers, run through `frmdn eval`
+and, for a checkpoint that also carries Adam's optimizer arrays, through
+`frmdn train --resume`.
 
 A file cut at any length must fail with exit 2 and exactly one `error:`
 line.  Overwriting any header bytes must never escape as a traceback: the
-command exits 0, 1 or 2 and writes at most one line to stderr.
+command exits 0, 1 or 2, and a failing exit writes exactly one `error:` or
+`runtime error:` line to stderr.
 """
 
 import contextlib
@@ -35,17 +38,33 @@ def files(tmp_path_factory):
     md.save_checkpoint(ckpt, md.build_model(config, seed=2),
                        optimizer=md.make_optimizer("adam", 1e-3),
                        extra={"epoch": "0"})
-    return {"data": data, "ckpt": ckpt, "bad": root / "bad"}
+    # one Adam step, so the checkpoint holds a step count and both moments
+    resume = root / "resume.frmd"
+    model = md.build_model(config, seed=3)
+    opt = md.make_optimizer("adam", 1e-3)
+    md.train_step(model, ds.load_fseq(data), opt)
+    md.save_checkpoint(resume, model, optimizer=opt, extra={"epoch": "1"})
+    return {"data": data, "ckpt": ckpt, "resume": resume, "bad": root / "bad",
+            "out": root / "out.frmd"}
 
 
-def run_eval(files, which, blob):
-    """`frmdn eval` with the `which` file replaced by `blob`."""
+def run_cli(files, which, blob):
+    """The command that reads the `which` file, with that file replaced by
+    `blob`: `frmdn eval` for data and ckpt, one epoch of `frmdn train
+    --resume` for resume."""
     files["bad"].write_bytes(blob)
-    paths = {"ckpt": files["ckpt"], "data": files["data"], which: files["bad"]}
+    paths = {"ckpt": files["ckpt"], "data": files["data"],
+             "resume": files["resume"], which: files["bad"]}
+    if which == "resume":
+        argv = ["train", "--data", str(paths["data"]), "--out",
+                str(files["out"]), "--resume", str(paths["resume"]),
+                "--epochs", "1", "--batch", "4", "--window", "16"]
+    else:
+        argv = ["eval", "--ckpt", str(paths["ckpt"]),
+                "--data", str(paths["data"]), "--window", "16"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", "--ckpt", str(paths["ckpt"]),
-                     "--data", str(paths["data"]), "--window", "16"])
+        code = main(argv)
     return code, err.getvalue().splitlines()
 
 
@@ -71,20 +90,21 @@ def header_offsets(which, blob):
 
 
 def test_intact_files_evaluate(files):
-    assert run_eval(files, "data", files["data"].read_bytes()) == (0, [])
+    assert run_cli(files, "data", files["data"].read_bytes()) == (0, [])
+    assert run_cli(files, "resume", files["resume"].read_bytes()) == (0, [])
 
 
-@pytest.mark.parametrize("which", ["data", "ckpt"])
+@pytest.mark.parametrize("which", ["data", "ckpt", "resume"])
 @PROPERTY
 @given(cut=st.floats(0.0, 1.0, exclude_max=True))
 def test_truncated_file_exits_2_with_one_error(files, which, cut):
     blob = files[which].read_bytes()
-    code, err = run_eval(files, which, blob[:int(cut * len(blob))])
+    code, err = run_cli(files, which, blob[:int(cut * len(blob))])
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-@pytest.mark.parametrize("which", ["data", "ckpt"])
+@pytest.mark.parametrize("which", ["data", "ckpt", "resume"])
 @PROPERTY
 @given(edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                 st.integers(0, 255)),
@@ -94,6 +114,10 @@ def test_corrupt_header_never_escapes(files, which, edits):
     offsets = header_offsets(which, blob)
     for where, byte in edits:
         blob[offsets[int(where * len(offsets))]] = byte
-    code, err = run_eval(files, which, bytes(blob))
+    code, err = run_cli(files, which, bytes(blob))
     assert code in (0, 1, 2)
-    assert len(err) <= 1, err
+    if code:
+        assert len(err) == 1, err
+        assert err[0].startswith(("error: ", "runtime error: ")), err
+    else:
+        assert len(err) <= 1, err
