@@ -76,44 +76,60 @@ class FlowStack:
         return out
 
 
+def coupling_shapes(d_pass, d_trans, hidden):
+    """Shape of each coupling-layer parameter, by name, in
+    `CouplingLayer.parameters` order."""
+    shapes = {}
+    for net in ("s", "t"):
+        shapes[f"w1{net}"] = (d_pass, hidden)
+        shapes[f"b1{net}"] = (hidden,)
+        shapes[f"w2{net}"] = (hidden, d_trans)
+        shapes[f"b2{net}"] = (d_trans,)
+    return shapes
+
+
 def make_coupling_layer(dim, mask, rng, hidden=DEFAULT_HIDDEN,
                         s_clamp=DEFAULT_S_CLAMP):
-    """Hidden layers get scaled-uniform fan-in init; output layers start at
-    zero so a fresh layer is the identity map."""
+    """Hidden layers (w1s, w1t) get scaled-uniform fan-in init; output
+    layers start at zero so a fresh layer is the identity map."""
     mask = np.asarray(mask)
     d_pass = int(mask.sum())
-    d_trans = dim - d_pass
+    nodes = {}
+    for name, shape in coupling_shapes(d_pass, dim - d_pass, hidden).items():
+        if name.startswith("w1"):
+            bound = 1.0 / np.sqrt(shape[0])
+            nodes[name] = dc.parameter(rng.uniform(-bound, bound, size=shape))
+        else:
+            nodes[name] = dc.parameter(np.zeros(shape))
+    return CouplingLayer(mask=mask, s_clamp=s_clamp, **nodes)
 
-    def hidden_init(n_in, n_out):
-        bound = 1.0 / np.sqrt(n_in)
-        return dc.parameter(rng.uniform(-bound, bound, size=(n_in, n_out)))
 
-    return CouplingLayer(
-        mask=mask,
-        w1s=hidden_init(d_pass, hidden),
-        b1s=dc.parameter(np.zeros(hidden)),
-        w2s=dc.parameter(np.zeros((hidden, d_trans))),
-        b2s=dc.parameter(np.zeros(d_trans)),
-        w1t=hidden_init(d_pass, hidden),
-        b1t=dc.parameter(np.zeros(hidden)),
-        w2t=dc.parameter(np.zeros((hidden, d_trans))),
-        b2t=dc.parameter(np.zeros(d_trans)),
-        s_clamp=s_clamp,
-    )
+def _pass_through(i):
+    """Layer i of a stack passes the even coordinates through when i is
+    even and the odd ones when i is odd, so every coordinate is
+    transformed once per pair."""
+    return slice(i % 2, None, 2)
+
+
+def flow_shapes(dim, n_pairs, hidden=DEFAULT_HIDDEN):
+    """The `coupling_shapes` of each layer `make_flow` builds, worked out
+    without allocating anything."""
+    for i in range(2 * n_pairs):
+        d_pass = len(range(dim)[_pass_through(i)])
+        yield coupling_shapes(d_pass, dim - d_pass, hidden)
 
 
 def make_flow(dim, n_pairs, rng, hidden=DEFAULT_HIDDEN, s_clamp=DEFAULT_S_CLAMP):
-    """Stack of `n_pairs` coupling pairs with alternating even/odd masks, so
-    every coordinate is transformed once per pair."""
+    """Stack of `n_pairs` coupling pairs with alternating even/odd masks."""
     if n_pairs < 0:
         raise ValueError("n_pairs must be non-negative")
     if n_pairs > 0 and dim < 2:
         raise ValueError("coupling layers need dim >= 2")
-    even = (np.arange(dim) % 2 == 0).astype(np.int64)
     layers = []
-    for _ in range(n_pairs):
-        layers.append(make_coupling_layer(dim, even, rng, hidden, s_clamp))
-        layers.append(make_coupling_layer(dim, 1 - even, rng, hidden, s_clamp))
+    for i in range(2 * n_pairs):
+        mask = np.zeros(dim, dtype=np.int64)
+        mask[_pass_through(i)] = 1
+        layers.append(make_coupling_layer(dim, mask, rng, hidden, s_clamp))
     return FlowStack(layers)
 
 
@@ -204,7 +220,9 @@ def flow_forward(y, stack):
 def flow_inverse(z, stack):
     """Numeric inverse of the whole stack (layers applied in reverse) on
     rows z, (n, d) or one (d,) row."""
-    x = np.array(z, dtype=np.float64, ndmin=2, copy=None)
+    x = np.asarray(z, dtype=np.float64)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
     for layer in reversed(stack.layers):
         x = coupling_inverse(x, layer)
     return x

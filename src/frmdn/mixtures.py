@@ -30,6 +30,13 @@ class DegenerateMatrixError(ValueError):
     pass
 
 
+def _as_rows(a):
+    """a as a float64 array of rank at least 2; a (d,) vector becomes one
+    (1, d) row."""
+    a = np.asarray(a, dtype=np.float64)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
+
+
 @dataclass
 class MixtureParams:
     """Parameters of one K-component mixture over R^d."""
@@ -40,11 +47,11 @@ class MixtureParams:
     structure: str = "diagonal"
 
     def __post_init__(self):
-        # one C-level call each, which returns float64 arrays of the right
-        # rank (what head_project passes) as they are
+        # float64 arrays of the right rank (what head_project passes) are
+        # kept as they are, without a copy
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.mu = np.array(self.mu, dtype=np.float64, ndmin=2, copy=None)
-        self.d_diag = np.array(self.d_diag, dtype=np.float64, ndmin=2, copy=None)
+        self.mu = _as_rows(self.mu)
+        self.d_diag = _as_rows(self.d_diag)
 
     @property
     def k(self):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class FrmdnModel:
     head: rc.HeadParams
     flow: fl.FlowStack
     config: ModelConfig
-    # (head.u array, its SharedMatrix snapshot) for shared_matrix
-    _shared: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     def parameters(self):
         out = list(self.lstm.parameters()) + list(self.head.parameters())
@@ -90,42 +87,25 @@ class FrmdnModel:
         return out
 
     def shared_matrix(self):
-        """A snapshot of the tied head's shared matrix, or the identity.
-
-        The snapshot is reused for as long as head.u holds the same array;
-        optimizer updates and checkpoint loads assign a new array, never
-        write into the old one."""
         if self.head.u is None:
             return mx.SharedMatrix.identity(self.config.dim)
-        u = self.head.u.value
-        if self._shared is None or self._shared[0] is not u:
-            self._shared = (u, mx.SharedMatrix(u.copy()))
-        return self._shared[1]
+        return mx.SharedMatrix(self.head.u.value.copy())
 
 
 def parameter_shapes(config):
     """(name, shape) of every parameter `build_model(config)` creates, in
-    `FrmdnModel.parameters` order, worked out without allocating any.
-    Coupling layers alternate even and odd pass-through masks."""
-    h, d, k = config.hidden, config.dim, config.components
-    width = k + 2 * k * d
-    yield "lstm.w", (config.input_dim + h, 4 * h)
-    yield "lstm.b", (4 * h,)
-    yield "head.w", (h, width)
-    yield "head.b", (width,)
-    if config.head_structure == "tied":
-        yield "head.u", (d, d)
-    if not config.flow_enabled:
-        return
-    f = config.flow_hidden
-    for i in range(2 * config.flow_depth):
-        d_pass = (d + 1) // 2 if i % 2 == 0 else d // 2
-        d_trans = d - d_pass
-        for net in ("s", "t"):
-            yield f"flow.{i}.w1{net}", (d_pass, f)
-            yield f"flow.{i}.b1{net}", (f,)
-            yield f"flow.{i}.w2{net}", (f, d_trans)
-            yield f"flow.{i}.b2{net}", (d_trans,)
+    `FrmdnModel.parameters` order, from the shape helpers the init
+    functions allocate from, without allocating any."""
+    def named(prefix, shapes):
+        return ((f"{prefix}.{name}", shape) for name, shape in shapes.items())
+
+    yield from named("lstm", rc.lstm_shapes(config.input_dim, config.hidden))
+    yield from named("head", rc.head_shapes(config.hidden, config.components,
+                                            config.dim, config.head_structure))
+    if config.flow_enabled:
+        layers = fl.flow_shapes(config.dim, config.flow_depth, config.flow_hidden)
+        for i, shapes in enumerate(layers):
+            yield from named(f"flow.{i}", shapes)
 
 
 def build_model(config, seed=0):
@@ -228,8 +208,47 @@ def evaluate(model, batch, window=None):
 # optimizers and the training step
 # ---------------------------------------------------------------------------
 
-class RmsProp:
+class _OptimizerState:
+    """Checkpoint layout of an optimizer's state: each attribute named in
+    `moments` is a dict of per-parameter arrays, stored as
+    `opt.<moment>.<parameter>`; each attribute named in `counters` is an
+    int, stored as the scalar `opt.<counter>`."""
+
+    moments = ()
+    counters = ()
+
+    def state_arrays(self):
+        out = {f"opt.{c}": np.asarray(float(getattr(self, c)))
+               for c in self.counters}
+        for m in self.moments:
+            out.update({f"opt.{m}.{n}": a for n, a in getattr(self, m).items()})
+        return out
+
+    def load_state_arrays(self, arrays):
+        for c in self.counters:
+            setattr(self, c, int(arrays.get(f"opt.{c}", np.zeros(()))))
+        for m in self.moments:
+            prefix = f"opt.{m}."
+            setattr(self, m, {n[len(prefix):]: a for n, a in arrays.items()
+                              if n.startswith(prefix)})
+
+    @classmethod
+    def state_array_shape(cls, name, param_shapes):
+        """The shape array `name` must have if this optimizer stores it: a
+        scalar for a counter, its parameter's shape for a moment.  None
+        for a name it does not store."""
+        if name in {f"opt.{c}" for c in cls.counters}:
+            return ()
+        for m in cls.moments:
+            prefix = f"opt.{m}."
+            if name.startswith(prefix):
+                return param_shapes.get(name[len(prefix):])
+        return None
+
+
+class RmsProp(_OptimizerState):
     name = "rmsprop"
+    moments = ("sq",)
 
     def __init__(self, lr=1e-4, alpha=0.99, eps=1e-8):
         self.lr = lr
@@ -247,19 +266,11 @@ class RmsProp:
             self.sq[name] = sq
             node.value = node.value - self.lr * g / (np.sqrt(sq) + self.eps)
 
-    def state_arrays(self):
-        return {f"opt.sq.{name}": arr for name, arr in self.sq.items()}
 
-    def load_state_arrays(self, arrays):
-        self.sq = {
-            name[len("opt.sq."):]: arr
-            for name, arr in arrays.items()
-            if name.startswith("opt.sq.")
-        }
-
-
-class Adam:
+class Adam(_OptimizerState):
     name = "adam"
+    moments = ("m", "v")
+    counters = ("step",)
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -287,25 +298,14 @@ class Adam:
                 np.sqrt(v / corr2) + self.eps
             )
 
-    def state_arrays(self):
-        out = {"opt.step": np.asarray(float(self.step))}
-        out.update({f"opt.m.{n}": a for n, a in self.m.items()})
-        out.update({f"opt.v.{n}": a for n, a in self.v.items()})
-        return out
 
-    def load_state_arrays(self, arrays):
-        self.step = int(arrays.get("opt.step", np.zeros(())))
-        self.m = {n[len("opt.m."):]: a for n, a in arrays.items()
-                  if n.startswith("opt.m.")}
-        self.v = {n[len("opt.v."):]: a for n, a in arrays.items()
-                  if n.startswith("opt.v.")}
+OPTIMIZERS = (RmsProp, Adam)
 
 
 def make_optimizer(name, lr):
-    if name == "rmsprop":
-        return RmsProp(lr=lr)
-    if name == "adam":
-        return Adam(lr=lr)
+    for cls in OPTIMIZERS:
+        if cls.name == name:
+            return cls(lr=lr)
     raise ValueError(f"unknown optimizer {name!r}")
 
 
@@ -604,13 +604,10 @@ def load_checkpoint(path):
 
 
 def _optimizer_array_shape(name, shapes):
-    """The shape an optimizer state array must have: a scalar step count,
-    or the shape of the parameter its moment belongs to.  None for a name
-    no optimizer writes."""
-    if name == "opt.step":
-        return ()
-    head, _, param = name.partition(".")
-    kind, _, param = param.partition(".")
-    if head != "opt" or kind not in ("m", "v", "sq"):
-        return None
-    return shapes.get(param)
+    """The shape an optimizer state array must have, from the optimizer
+    that stores `name`; None for a name no optimizer stores."""
+    for cls in OPTIMIZERS:
+        want = cls.state_array_shape(name, shapes)
+        if want is not None:
+            return want
+    return None

@@ -53,23 +53,39 @@ class HeadParams:
         return out
 
 
+def lstm_shapes(input_dim, hidden):
+    """Shape of each LSTM parameter, by name, in `LstmParams.parameters`
+    order."""
+    return {"w": (input_dim + hidden, 4 * hidden), "b": (4 * hidden,)}
+
+
+def head_shapes(hidden, k, dim, structure):
+    """Shape of each head parameter, by name, in `HeadParams.parameters`
+    order; only a tied head has the shared matrix u."""
+    width = k + 2 * k * dim
+    shapes = {"w": (hidden, width), "b": (width,)}
+    if structure == "tied":
+        shapes["u"] = (dim, dim)
+    return shapes
+
+
 def init_lstm(input_dim, hidden, rng):
     """Scaled-uniform fan-in weights; forget-gate bias starts at 1 so early
     gradients reach back through time."""
-    fan_in = input_dim + hidden
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, 4 * hidden))
-    b = np.zeros(4 * hidden)
+    shapes = lstm_shapes(input_dim, hidden)
+    bound = 1.0 / np.sqrt(shapes["w"][0])
+    w = rng.uniform(-bound, bound, size=shapes["w"])
+    b = np.zeros(shapes["b"])
     b[hidden : 2 * hidden] = 1.0
     return LstmParams(dc.parameter(w), dc.parameter(b), input_dim, hidden)
 
 
 def init_head(hidden, k, dim, structure, rng):
-    out_dim = k + 2 * k * dim
+    shapes = head_shapes(hidden, k, dim, structure)
     bound = 1.0 / np.sqrt(hidden)
-    w = rng.uniform(-bound, bound, size=(hidden, out_dim))
-    u = dc.parameter(np.eye(dim)) if structure == "tied" else None
-    return HeadParams(dc.parameter(w), dc.parameter(np.zeros(out_dim)),
+    w = rng.uniform(-bound, bound, size=shapes["w"])
+    u = dc.parameter(np.eye(dim)) if "u" in shapes else None
+    return HeadParams(dc.parameter(w), dc.parameter(np.zeros(shapes["b"])),
                       k, dim, structure, u)
 
 
