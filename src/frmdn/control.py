@@ -87,7 +87,7 @@ class DreamEnv:
 def dream_rollout(env, ctrl, rng):
     """Cumulative reward of one dreamed episode under the controller."""
     y = env.y0.copy()
-    state = rc.generation_state(env.model.config.hidden)
+    state = rc.initial_state(1, env.model.config.hidden)
     total = 0.0
     for t in range(env.horizon):
         action = controller_act(y, state[0][0], ctrl)

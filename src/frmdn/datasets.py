@@ -58,13 +58,25 @@ def equicorrelation(d, corr):
     return (1.0 - corr) * np.eye(d) + corr * np.ones((d, d))
 
 
+def _check_counts(q, t, d, d_action=None):
+    """Raise ValueError unless a generator's counts give a usable dataset:
+    at least one sequence of at least two steps (a model predicts each step
+    from the ones before it) in at least one dimension, and at least one
+    action dimension when the task has actions."""
+    counts = [("q", q, 1), ("t", t, 2), ("d", d, 1)]
+    if d_action is not None:
+        counts.append(("d_action", d_action, 1))
+    for name, value, least in counts:
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def gen_correlated_ar(q, t, d, rho, corr, seed):
     """First-order autoregression with equicorrelated Gaussian noise:
     y_{t+1} = rho * y_t + eps, eps ~ N(0, Sigma)."""
+    _check_counts(q, t, d)
     if not abs(rho) < 1.0:
         raise ValueError("rho must satisfy |rho| < 1")
-    if d < 1:
-        raise ValueError("d must be positive")
     sigma = equicorrelation(d, corr)
     chol = np.linalg.cholesky(sigma)
     rng = np.random.default_rng(seed)
@@ -93,6 +105,7 @@ def gen_switching_modes(q, t, d, modes, seed, stay_prob=0.92,
     observation is drawn from the active mode, making the next-step
     predictive law multimodal.
     """
+    _check_counts(q, t, d)
     if modes < 1:
         raise ValueError("modes must be at least 1")
     rng = np.random.default_rng(seed)
@@ -150,8 +163,7 @@ def switching_entropy_rate_mc(d, modes, seed, steps=20_000, stay_prob=0.92,
 def gen_control_task(q, t, d, d_action, seed, noise_std=0.1, action_scale=1.0):
     """Linear controllable dynamics y_{t+1} = A y_t + B a_t + noise, driven
     by a random policy; A is rescaled to spectral radius 0.7."""
-    if min(q, t, d, d_action) < 1:
-        raise ValueError("q, t, d, d_action must all be positive")
+    _check_counts(q, t, d, d_action)
     rng = np.random.default_rng(seed)
     a_mat = rng.normal(size=(d, d))
     radius = np.abs(np.linalg.eigvals(a_mat)).max()

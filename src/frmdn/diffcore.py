@@ -6,9 +6,9 @@ gradient back to input gradients.  A graph is built per evaluation and
 discarded afterwards; leaves (parameters) persist across graphs.
 
 The model's work is done by fused ops with hand-written backwards: `lstm`
-here, the coupling layer in `flow` and the mixture rows in `mixtures`.  A
-fused op that has several outputs returns them as `output_view`s of one
-core node, so gradients reaching any of them meet in a single backward
+here, the coupling layer in `flow` and the mixture rows in `mixtures`.
+The coupling op has two outputs and returns them as `output_view`s of
+one core node, so gradients reaching either meet in a single backward
 call.  `lstm_cell`, the LSTM op's step body, also serves generation,
 which runs on plain arrays without a tape.  The generic ops are only the
 glue the loss needs around them: `add` (equal shapes, a row-wise bias
@@ -34,13 +34,13 @@ class ShapeMismatchError(ValueError):
 
 
 class DiffNode:
-    """A value in the computation graph: data, gradient slot, and parents."""
+    """A value in the computation graph: data and parents, and the rule
+    that maps its gradient back to theirs."""
 
-    __slots__ = ("value", "grad", "parents", "op", "_rule", "requires_grad")
+    __slots__ = ("value", "parents", "op", "_rule", "requires_grad")
 
     def __init__(self, value, parents=(), op="leaf", rule=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
         self.parents = tuple(parents)
         self.op = op
         self._rule = rule
@@ -134,49 +134,46 @@ def lstm(x, w, b, h0, c0):
     """Whole-sequence LSTM unroll with a hand-written BPTT backward
     (Graves 2013, "Generating Sequences With Recurrent Neural Networks").
 
-    x is (T, q, n_in), or (q, n_in) for a single step; w is (n_in + H, 4H)
-    with gate columns ordered (input, forget, cell, output); b is (4H,);
-    h0 and c0 are (q, H).  Each step computes
+    x is (T, q, n_in); w is (n_in + H, 4H) with gate columns ordered
+    (input, forget, cell, output); b is (4H,); h0 and c0 are the (q, H)
+    arrays the unroll starts from, and get no gradient.  Each step computes
         i, f, g, o = sigmoid, sigmoid, tanh, sigmoid of
                      x_t @ w[:n_in] + h_{t-1} @ w[n_in:] + b
         c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t).
 
-    Returns (hs, h_T, c_T): hs holds the t-major rows (T*q, H) of h_1..h_T
-    and is h_T itself when T == 1.  The outputs read one forward cache, and
-    gradients arriving at any of them are folded into a single backward
-    sweep.
+    Returns one node: the t-major rows (T*q, H) of h_1..h_T.
     """
-    x, w, b, h0, c0 = (_node(n) for n in (x, w, b, h0, c0))
+    x, w, b = _node(x), _node(w), _node(b)
     xv, wv, bv = x.value, w.value, b.value
-    seq = xv[None] if xv.ndim == 2 else xv
-    shapes = (xv.shape, wv.shape, bv.shape, h0.value.shape, c0.value.shape)
-    if seq.ndim != 3 or h0.value.ndim != 2:
+    shapes = (xv.shape, wv.shape, bv.shape, h0.shape, c0.shape)
+    if xv.ndim != 3 or h0.ndim != 2:
         raise ShapeMismatchError("lstm", *shapes)
-    steps, q, n_in = seq.shape
-    hid = h0.value.shape[1]
+    steps, q, n_in = xv.shape
+    hid = h0.shape[1]
     if (steps < 1 or wv.shape != (n_in + hid, 4 * hid)
-            or bv.shape != (4 * hid,) or h0.value.shape != (q, hid)
-            or c0.value.shape != (q, hid)):
+            or bv.shape != (4 * hid,) or h0.shape != (q, hid)
+            or c0.shape != (q, hid)):
         raise ShapeMismatchError("lstm", *shapes)
     w_x, w_h = wv[:n_in], wv[n_in:]
-    x_rows = seq.reshape(steps * q, n_in)
+    x_rows = xv.reshape(steps * q, n_in)
     blocks = [np.s_[:, k * hid : (k + 1) * hid] for k in range(4)]
 
     # gates[t] holds the activated (i, f, g, o) of step t; hc stacks
-    # h_0..h_T then c_0..c_T, and is the value the three outputs slice
+    # h_0..h_T then c_0..c_T, and the output is a view of its h_1..h_T
     gates = (x_rows @ w_x + bv).reshape(steps, q, 4 * hid)
     hc = np.empty((2 * (steps + 1), q, hid))
     hs, cs = hc[: steps + 1], hc[steps + 1 :]
-    hs[0], cs[0] = h0.value, c0.value
+    hs[0], cs[0] = h0, c0
     tanh_c = np.empty((steps, q, hid))
     for t in range(steps):
         a = gates[t]
         a += hs[t] @ w_h
         lstm_cell(a, cs[t], cs[t + 1], tanh_c[t], hs[t + 1])
 
-    def rule(ghc):
-        dh = ghc[steps]                  # at h_T, from the hs rows and h_T
-        dc = ghc[-1]                     # at c_T
+    def rule(gh):
+        gh = gh.reshape(steps, q, hid)   # at h_1..h_T
+        dh = gh[-1]
+        dc = 0.0                         # c_T reaches no output
         # activation slopes of every step at once: s(1 - s) for the
         # sigmoid gates, 1 - g^2 for the cell input and 1 - tanh(c)^2
         slope = gates * (1.0 - gates)
@@ -193,21 +190,18 @@ def lstm(x, w, b, h0, c0):
             np.multiply(dc, i, out=dg)
             np.multiply(dh, tanh_c[t], out=do)
             dgates[t] *= slope[t]
-            dc = dc * f
-            dh = dgates[t] @ w_h.T
             if t:
-                dh += ghc[t]
+                dc = dc * f
+                dh = dgates[t] @ w_h.T
+                dh += gh[t - 1]
         da_rows = dgates.reshape(steps * q, 4 * hid)
         dw = np.empty_like(wv)
         dw[:n_in] = x_rows.T @ da_rows
         dw[n_in:] = hs[:steps].reshape(steps * q, hid).T @ da_rows
         dx = (da_rows @ w_x.T).reshape(xv.shape) if x.requires_grad else None
-        return dx, dw, da_rows.sum(axis=0), dh, dc
+        return dx, dw, da_rows.sum(axis=0)
 
-    core = DiffNode(hc, (x, w, b, h0, c0), "lstm", rule)
-    rows = output_view(core, np.s_[1 : steps + 1], (steps * q, hid))
-    h_last = rows if steps == 1 else output_view(core, steps, (q, hid))
-    return rows, h_last, output_view(core, -1, (q, hid))
+    return DiffNode(hs[1:].reshape(steps * q, hid), (x, w, b), "lstm", rule)
 
 
 def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
@@ -273,7 +267,7 @@ def _reverse_topological(root):
 
 
 def backward(root, params=None):
-    """Accumulate gradients from a scalar root into every reachable leaf.
+    """Propagate gradients from a scalar root to every reachable leaf.
 
     Returns a map {leaf DiffNode: gradient array}.  When `params` is given,
     the map covers exactly those nodes, with zeros for leaves the root does
@@ -283,15 +277,13 @@ def backward(root, params=None):
         raise ValueError(
             f"backward: root must be scalar-shaped, got shape {root.value.shape}"
         )
-    root.grad = np.ones_like(root.value)
     leaf_grads = {}
     if root.requires_grad:
-        pending = {id(root): root.grad}
+        pending = {id(root): np.ones_like(root.value)}
         for node in _reverse_topological(root):
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g
             if node._rule is None:
                 if not node.parents:
                     leaf_grads[node] = g

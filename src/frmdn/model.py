@@ -144,12 +144,12 @@ def _nll_graph(model, obs, actions):
     x = obs[:, :-1, :]
     if cfg.action_dim:
         x = np.concatenate([x, actions[:, :-1, :]], axis=2)
-    h_all, _ = rc.lstm_step(dc.constant(x.transpose(1, 0, 2)),    # t-major rows
-                            rc.initial_state(q, cfg.hidden), model.lstm)
+    h_all = rc.lstm_step(dc.constant(x.transpose(1, 0, 2)),    # t-major rows
+                         rc.initial_state(q, cfg.hidden), model.lstm)
 
     targets = obs[:, 1:, :].transpose(1, 0, 2).reshape(-1, d)    # align t-major
     z = dc.constant(targets)
-    if cfg.flow_enabled and model.flow.depth > 0:
+    if model.flow.depth > 0:
         z, logdet_rows = fl.flow_forward(z, model.flow)
         logdet_term = dc.neg(dc.reduce_mean(logdet_rows))
     else:
@@ -431,7 +431,7 @@ def generate_step(model, x_t, state, rng):
     action when present), sample the emitted mixture, and map the draw back
     through the inverse flow.
 
-    state is the (h, c) pair of (1, hidden) arrays that `rc.generation_state`
+    state is the (h, c) pair of (1, hidden) arrays that `rc.initial_state`
     starts and each step returns.  Generation never runs a backward, so it
     works on plain arrays and builds no graph nodes.  Returns (y, state)."""
     x = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
@@ -439,7 +439,7 @@ def generate_step(model, x_t, state, rng):
     params = rc.head_project(state[0][0], model.head)
     shared = model.shared_matrix() if model.config.head_structure == "tied" else None
     y = mx.mixture_sample(params, shared, rng)
-    if model.config.flow_enabled and model.flow.depth > 0:
+    if model.flow.depth > 0:
         y = fl.flow_inverse(y[None], model.flow)[0]
     return y, state
 
@@ -457,7 +457,7 @@ def rollout(model, y_0, action_fn, steps, rng=None, seed=0):
     if rng is None:
         rng = np.random.default_rng(seed)
     y = np.asarray(y_0, dtype=np.float64).ravel()
-    state = rc.generation_state(cfg.hidden)
+    state = rc.initial_state(1, cfg.hidden)
     obs = np.empty((steps + 1, cfg.dim))
     obs[0] = y
     acts = np.zeros((steps + 1, cfg.action_dim)) if cfg.action_dim else None

@@ -30,12 +30,6 @@ class LstmParams:
 
 
 @dataclass
-class RecurrentState:
-    h: dc.DiffNode
-    c: dc.DiffNode
-
-
-@dataclass
 class HeadParams:
     """Linear map from the hidden state to mixture parameter logits."""
 
@@ -90,60 +84,50 @@ def init_head(hidden, k, dim, structure, rng):
 
 
 def initial_state(batch, hidden):
-    zeros = np.zeros((batch, hidden))
-    return RecurrentState(dc.constant(zeros), dc.constant(zeros.copy()))
+    """The zero (h, c) pair of (batch, hidden) arrays that training windows
+    and generation start from."""
+    return np.zeros((batch, hidden)), np.zeros((batch, hidden))
+
+
+def _check_step_inputs(who, x, ndim, state, params):
+    """Raise ValueError unless x has `ndim` axes ending in (q, input_dim)
+    and both arrays of the (h, c) pair are (q, hidden)."""
+    if x.ndim != ndim or x.shape[-1] != params.input_dim:
+        raise ValueError(f"{who}: expected input with {ndim} axes ending in "
+                         f"{params.input_dim}, got {x.shape}")
+    h, c = state
+    rows = (x.shape[-2], params.hidden)
+    if h.shape != rows or c.shape != rows:
+        raise ValueError(f"{who}: state shapes {h.shape} and {c.shape} do not "
+                         f"match batch {rows[0]} and hidden size {rows[1]}")
 
 
 def lstm_step(x, state, params):
-    """Advance the cell from `state` over a batch node: (q, input_dim) for
-    one step, or (T, q, input_dim) for T steps in one fused op.
+    """Unroll the cell over a (T, q, input_dim) batch node from the (h, c)
+    pair `state`, in one fused op.
 
-    Returns (h, new_state).  For one step h is (q, hidden) and the same
-    node as new_state.h; for T steps it holds the t-major rows
-    (T*q, hidden) of every step's hidden output.  new_state holds the final
-    h and c, and gradients flow back through both.
+    Returns the node of the t-major rows (T*q, hidden) of every step's
+    hidden output.  The start state gets no gradient.
     """
     x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
-    H = params.hidden
-    if x.value.ndim not in (2, 3) or x.value.shape[-1] != params.input_dim:
-        raise ValueError(
-            f"lstm_step: expected input (*, {params.input_dim}), "
-            f"got {x.value.shape}"
-        )
-    if state.h.value.shape != (x.value.shape[-2], H):
-        raise ValueError(
-            f"lstm_step: state shape {state.h.value.shape} does not match "
-            f"batch {x.value.shape[-2]} and hidden size {H}"
-        )
-    h_rows, h, c = dc.lstm(x, params.w, params.b, state.h, state.c)
-    return h_rows, RecurrentState(h, c)
-
-
-def generation_state(hidden):
-    """The zero (h, c) pair, each a (1, hidden) array, that tape-free
-    generation starts from."""
-    return np.zeros((1, hidden)), np.zeros((1, hidden))
+    _check_step_inputs("lstm_step", x.value, 3, state, params)
+    return dc.lstm(x, params.w, params.b, *state)
 
 
 def cell_step(x, state, params):
     """Advance the cell one step on plain arrays, building no graph nodes.
 
-    x is (1, input_dim) and state an (h, c) pair of (1, hidden) arrays.
+    x is (q, input_dim) and state an (h, c) pair of (q, hidden) arrays.
     The arithmetic is `dc.lstm`'s own loop body in the op's summation
-    order, so the new (h, c) pair equals a one-step `lstm_step` bit for bit.
+    order, so the new h equals a one-step `lstm_step` from the same pair
+    bit for bit.  Returns the new (h, c) pair.
     """
-    h, c = state
-    if x.shape != (1, params.input_dim):
-        raise ValueError(f"cell_step: expected input (1, {params.input_dim}), "
-                         f"got {x.shape}")
-    if h.shape != (1, params.hidden) or c.shape != (1, params.hidden):
-        raise ValueError(f"cell_step: state shapes {h.shape} and {c.shape} "
-                         f"do not match hidden size {params.hidden}")
+    _check_step_inputs("cell_step", x, 2, state, params)
     w = params.w.value
     a = x @ w[: params.input_dim]
     a += params.b.value
-    a += h @ w[params.input_dim :]
-    return dc.lstm_cell(a, c)
+    a += state[0] @ w[params.input_dim :]
+    return dc.lstm_cell(a, state[1])
 
 
 def head_logits(h, head):

@@ -46,6 +46,22 @@ def test_gen_rejects_non_pd_correlation(tmp_path, capsys):
     assert "non-PD" in err
 
 
+@pytest.mark.parametrize("kind, flag, value", [
+    ("ar", "--q", "0"), ("ar", "--t", "1"), ("ar", "--t", "0"),
+    ("ar", "--d", "0"), ("modes", "--d", "0"), ("modes", "--t", "1"),
+    ("control", "--q", "0"), ("control", "--d-action", "0"),
+])
+def test_gen_rejects_counts_that_give_unusable_data(tmp_path, capsys, kind,
+                                                    flag, value):
+    out = tmp_path / "x.fseq"
+    code, _, err = run(["gen", "--kind", kind, "--q", "2", "--t", "4",
+                        "--d", "2", flag, value, "--out", str(out)], capsys)
+    assert code == 2
+    name = flag[2:].replace("-", "_")
+    assert one_error_line(err).startswith(f"error: {name} must be at least")
+    assert not out.exists()
+
+
 def test_gen_is_byte_reproducible(tmp_path, capsys):
     a = gen_small(tmp_path, "a.fseq")
     b = gen_small(tmp_path, "b.fseq")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -136,9 +137,8 @@ def test_nll_agrees_with_numeric_density_route(structure):
     for s in range(obs.shape[0]):
         state = rc.initial_state(1, model.config.hidden)
         for t in range(obs.shape[1] - 1):
-            h, state = rc.lstm_step(dc.constant(obs[s, t][None]), state,
-                                    model.lstm)
-            params = rc.head_project(h.value[0], model.head)
+            state = rc.cell_step(obs[s, t][None], state, model.lstm)
+            params = rc.head_project(state[0][0], model.head)
             z, logdet = fl.flow_forward(obs[s, t + 1][None], model.flow)
             point = z.value[0]
             if structure == "diagonal":
@@ -411,9 +411,10 @@ def test_train_settings_reject_settings_that_do_nothing(field, value, match):
 # ---------------------------------------------------------------------------
 
 def test_generate_step_equals_graph_replay():
-    # every family, flow on and off: the tape-free step equals the graph
-    # route (a one-step lstm_step, head_project, mixture_sample and
-    # flow_inverse) bit for bit, draw and state alike
+    # every family, flow on and off: from the same (h, c) pair, the
+    # tape-free step equals the graph route (a one-step lstm_step,
+    # head_project, mixture_sample and flow_inverse) bit for bit, draw and
+    # hidden state alike
     from frmdn import flow as fl
     from frmdn import mixtures as mx
     from frmdn import recurrent as rc
@@ -429,13 +430,11 @@ def test_generate_step_equals_graph_replay():
                 node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
             h0, c0 = rng.normal(size=(2, 1, model.config.hidden))
             x = rng.normal(size=4)
-            y, (h, c) = md.generate_step(model, x, (h0, c0),
+            y, (h, _) = md.generate_step(model, x, (h0, c0),
                                          np.random.default_rng(9))
 
-            h_node, state = rc.lstm_step(
-                dc.constant(x.reshape(1, -1)),
-                rc.RecurrentState(dc.constant(h0), dc.constant(c0)),
-                model.lstm)
+            h_node = rc.lstm_step(dc.constant(x.reshape(1, 1, -1)),
+                                  (h0, c0), model.lstm)
             params = rc.head_project(h_node.value[0], model.head)
             shared = (mx.SharedMatrix(model.head.u.value)
                       if structure == "tied" else None)
@@ -443,14 +442,13 @@ def test_generate_step_equals_graph_replay():
             if flow:
                 want = fl.flow_inverse(want.reshape(1, -1), model.flow)[0]
             assert np.array_equal(y, want), case
-            assert np.array_equal(h, state.h.value), case
-            assert np.array_equal(c, state.c.value), case
+            assert np.array_equal(h, h_node.value), case
 
 
 def test_generate_step_checks_input_and_state_shapes():
     from frmdn import recurrent as rc
     model = md.build_model(tiny_config(), seed=6)
-    state = rc.generation_state(model.config.hidden)
+    state = rc.initial_state(1, model.config.hidden)
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="expected input"):
         md.generate_step(model, np.zeros(3), state, rng)
@@ -470,7 +468,7 @@ def test_generate_step_degenerate_component_hits_mean():
     model.head.b.value[2:4] = [1.5, -0.5]          # mu block, component 1
     model.head.b.value[6:8] = -100.0               # scale logits -> clamp floor
     from frmdn import recurrent as rc
-    state = rc.generation_state(model.config.hidden)
+    state = rc.initial_state(1, model.config.hidden)
     y, _ = md.generate_step(model, np.zeros(2), state, np.random.default_rng(10))
     np.testing.assert_allclose(y, [1.5, -0.5], atol=1e-4)
 
@@ -489,27 +487,53 @@ def test_untrained_model_rollout_stays_finite():
     assert np.all(np.isfinite(out.observations))
 
 
+def record_nodes(monkeypatch):
+    """Patch the DiffNode constructor to append every node it builds to
+    the returned list."""
+    created = []
+    init = dc.DiffNode.__init__
+
+    def counting_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        created.append(node)
+
+    monkeypatch.setattr(dc.DiffNode, "__init__", counting_init)
+    return created
+
+
 def test_generation_builds_no_diffnodes(monkeypatch):
     from frmdn import control as ct
     model = md.build_model(tiny_config(action_dim=2, head_structure="tied"),
                            seed=12)
     env = ct.DreamEnv(model, lambda step, y, action: 0.0, horizon=64)
     ctrl = ct.LinearController(np.full((2, 8), 0.1), np.zeros(2))
-    created = []
-    init = dc.DiffNode.__init__
-
-    def counting_init(node, *args, **kwargs):
-        init(node, *args, **kwargs)
-        created.append(node.op)
-
-    monkeypatch.setattr(dc.DiffNode, "__init__", counting_init)
+    created = record_nodes(monkeypatch)
     md.rollout(model, np.zeros(2), lambda t: np.ones(2), 64, seed=13)
     ct.dream_rollout(env, ctrl, np.random.default_rng(13))
     assert created == []
     # the patched constructor sees the nodes a loss graph builds
     md.sequence_nll(model, ds.SequenceBatch(np.zeros((1, 3, 2)),
                                             np.zeros((1, 3, 2))))
-    assert "lstm" in created
+    assert "lstm" in [node.op for node in created]
+
+
+def test_train_step_tape_shape(monkeypatch):
+    # the nodes one train step builds, by op tag: the LSTM op reads the
+    # input leaf and its weights, with no state leaves and no output views;
+    # flow depth 1 is two coupling layers, each returning two views
+    batch = make_training_batch(q=2, t=9)
+    created = record_nodes(monkeypatch)
+    for flow, want in ((False, {"leaf": 3, "lstm": 1, "matmul": 1, "add": 2,
+                                "mixture_log_rows": 1, "mean": 1, "neg": 1}),
+                       (True, {"leaf": 2, "lstm": 1, "matmul": 1, "add": 3,
+                               "mixture_log_rows": 1, "mean": 2, "neg": 2,
+                               "coupling": 2, "view": 4})):
+        model = md.build_model(tiny_config(flow_enabled=flow), seed=3)
+        created.clear()
+        md.train_step(model, batch, md.make_optimizer("rmsprop", 1e-3))
+        assert Counter(node.op for node in created) == want, flow
+        lstm = next(node for node in created if node.op == "lstm")
+        assert lstm.parents[1:] == (model.lstm.w, model.lstm.b)
 
 
 def test_rollout_with_actions_records_them():
@@ -613,7 +637,7 @@ def test_shared_matrix_follows_head_u():
 def test_generate_step_supports_tied_head():
     from frmdn import recurrent as rc
     model = md.build_model(tiny_config(head_structure="tied"), seed=17)
-    state = rc.generation_state(model.config.hidden)
+    state = rc.initial_state(1, model.config.hidden)
     y, _ = md.generate_step(model, np.zeros(2), state,
                             np.random.default_rng(18))
     assert y.shape == (2,) and np.all(np.isfinite(y))

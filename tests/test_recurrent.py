@@ -13,16 +13,21 @@ def probe(node, seed=0):
     return dc.reduce_mean(dc.matmul(node, dc.constant(r)))
 
 
-def unroll_loss(params, xs, hidden):
+def unroll(params, xs, state=None):
+    """The fused op's hidden outputs over xs (T, q, n_in) as a (T, q, H)
+    array, from `state` or else from zeros."""
+    steps, q, _ = xs.shape
+    if state is None:
+        state = rc.initial_state(q, params.hidden)
+    rows = rc.lstm_step(dc.constant(xs), state, params)
+    return rows.value.reshape(steps, q, params.hidden)
+
+
+def unroll_loss(params, xs):
     """A fixed linear probe of every hidden output of an unrolled
-    sequence, summed over steps."""
-    state = rc.initial_state(xs.shape[1], hidden)
-    total = None
-    for t in range(xs.shape[0]):
-        h, state = rc.lstm_step(dc.constant(xs[t]), state, params)
-        term = probe(h, seed=t)
-        total = term if total is None else dc.add(total, term)
-    return total
+    sequence."""
+    state = rc.initial_state(xs.shape[1], params.hidden)
+    return probe(rc.lstm_step(dc.constant(xs), state, params))
 
 
 def test_zero_weights_give_zero_hidden():
@@ -30,19 +35,16 @@ def test_zero_weights_give_zero_hidden():
     params = rc.init_lstm(3, 4, rng)
     params.w.value[:] = 0.0
     params.b.value[:] = 0.0
-    state = rc.initial_state(2, 4)
-    h, new_state = rc.lstm_step(dc.constant(np.ones((2, 3))), state, params)
-    np.testing.assert_array_equal(h.value, np.zeros((2, 4)))
-    np.testing.assert_array_equal(new_state.c.value, np.zeros((2, 4)))
+    np.testing.assert_array_equal(unroll(params, np.ones((3, 2, 3))),
+                                  np.zeros((3, 2, 4)))
 
 
 def test_unrolled_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
-    hidden = 5
-    params = rc.init_lstm(2, hidden, rng)
+    params = rc.init_lstm(2, 5, rng)
     xs = rng.normal(size=(5, 3, 2))
 
-    root = unroll_loss(params, xs, hidden)
+    root = unroll_loss(params, xs)
     grads = dc.backward(root, params=[params.w, params.b])
 
     step = 1e-5
@@ -51,9 +53,9 @@ def test_unrolled_gradient_matches_finite_differences():
         for i in range(0, flat.size, 7):    # probe a spread of coordinates
             orig = flat[i]
             flat[i] = orig + step
-            hi = float(unroll_loss(params, xs, hidden).value)
+            hi = float(unroll_loss(params, xs).value)
             flat[i] = orig - step
-            lo = float(unroll_loss(params, xs, hidden).value)
+            lo = float(unroll_loss(params, xs).value)
             flat[i] = orig
             numeric = (hi - lo) / (2 * step)
             analytic = grads[node].ravel()[i]
@@ -65,26 +67,15 @@ def test_trajectories_are_deterministic():
     rng = np.random.default_rng(2)
     params = rc.init_lstm(3, 8, rng)
     xs = rng.normal(size=(10, 4, 3))
-
-    def run():
-        state = rc.initial_state(4, 8)
-        outs = []
-        for t in range(10):
-            h, state = rc.lstm_step(dc.constant(xs[t]), state, params)
-            outs.append(h.value)
-        return np.stack(outs)
-
-    np.testing.assert_array_equal(run(), run())
+    np.testing.assert_array_equal(unroll(params, xs), unroll(params, xs))
 
 
 def test_hidden_state_is_bounded():
     rng = np.random.default_rng(3)
     params = rc.init_lstm(2, 6, rng)
     params.w.value *= 50.0     # extreme weights cannot push |h| past 1
-    state = rc.initial_state(3, 6)
-    for t in range(20):
-        h, state = rc.lstm_step(dc.constant(rng.normal(size=(3, 2)) * 10), state, params)
-        assert np.abs(h.value).max() <= 1.0
+    xs = rng.normal(size=(20, 3, 2)) * 10
+    assert np.abs(unroll(params, xs)).max() <= 1.0
 
 
 def test_causality():
@@ -92,19 +83,11 @@ def test_causality():
     params = rc.init_lstm(2, 6, rng)
     xs = rng.normal(size=(8, 1, 2))
 
-    def outputs(seq):
-        state = rc.initial_state(1, 6)
-        outs = []
-        for t in range(seq.shape[0]):
-            h, state = rc.lstm_step(dc.constant(seq[t]), state, params)
-            outs.append(h.value.copy())
-        return np.stack(outs)
-
-    base = outputs(xs)
+    base = unroll(params, xs)
     for t in (2, 5, 7):
         bumped = xs.copy()
         bumped[t] += rng.normal(size=(1, 2))
-        out = outputs(bumped)
+        out = unroll(params, bumped)
         np.testing.assert_array_equal(out[:t], base[:t])
         assert not np.array_equal(out[t], base[t])
 
@@ -113,10 +96,18 @@ def test_lstm_rejects_mismatched_dims():
     rng = np.random.default_rng(5)
     params = rc.init_lstm(3, 4, rng)
     state = rc.initial_state(2, 4)
+    for x in (np.ones((1, 2, 5)), np.ones((1, 3, 3)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="lstm_step"):
+            rc.lstm_step(dc.constant(x), state, params)
     with pytest.raises(ValueError, match="lstm_step"):
-        rc.lstm_step(dc.constant(np.ones((2, 5))), state, params)
-    with pytest.raises(ValueError, match="lstm_step"):
-        rc.lstm_step(dc.constant(np.ones((3, 3))), state, params)
+        rc.lstm_step(dc.constant(np.ones((1, 2, 3))),
+                     (state[0], np.zeros((2, 5))), params)
+    with pytest.raises(ValueError, match="cell_step"):
+        rc.cell_step(np.ones((3, 3)), state, params)
+    with pytest.raises(ValueError, match="cell_step"):
+        rc.cell_step(np.ones((1, 2, 3)), state, params)
+    with pytest.raises(dc.ShapeMismatchError, match="lstm"):
+        dc.lstm(np.ones((0, 2, 3)), params.w, params.b, *state)
 
 
 def test_forget_gate_bias_initialized_to_one():
@@ -188,15 +179,9 @@ def test_tied_head_carries_identity_shared_matrix():
 # fused sequence op
 # ---------------------------------------------------------------------------
 
-def step_one_at_a_time(params, xs, state):
-    outs = []
-    for t in range(xs.shape[0]):
-        h, state = rc.lstm_step(dc.constant(xs[t]), state, params)
-        outs.append(h.value)
-    return np.stack(outs), state
-
-
 def test_sequence_call_matches_chained_single_steps():
+    # one batched input matmul against one per step: equal to rounding,
+    # never bit for bit
     rng = np.random.default_rng(12)
     obs_dim, act_dim, hidden, steps, q = 3, 2, 7, 9, 4
     params = rc.init_lstm(obs_dim + act_dim, hidden, rng)
@@ -204,17 +189,15 @@ def test_sequence_call_matches_chained_single_steps():
     acts = rng.normal(size=(steps, q, act_dim))
     xs = np.concatenate([obs, acts], axis=2)
 
-    h_rows, state = rc.lstm_step(dc.constant(xs), rc.initial_state(q, hidden),
-                                 params)
-    stepped, ref_state = step_one_at_a_time(params, xs,
-                                            rc.initial_state(q, hidden))
+    h_rows = rc.lstm_step(dc.constant(xs), rc.initial_state(q, hidden), params)
     assert h_rows.value.shape == (steps * q, hidden)
+    state = rc.initial_state(q, hidden)
+    stepped = []
+    for t in range(steps):
+        state = rc.cell_step(xs[t], state, params)
+        stepped.append(state[0])
     np.testing.assert_allclose(h_rows.value.reshape(steps, q, hidden),
-                               stepped, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(state.h.value, ref_state.h.value,
-                               rtol=0, atol=1e-13)
-    np.testing.assert_allclose(state.c.value, ref_state.c.value,
-                               rtol=0, atol=1e-13)
+                               np.stack(stepped), rtol=0, atol=1e-13)
 
 
 def test_fused_op_gradients_match_central_differences():
@@ -225,17 +208,14 @@ def test_fused_op_gradients_match_central_differences():
     x = rng.normal(size=(steps, q, n_in))
     h0 = rng.normal(size=(q, hidden)) * 0.5
     c0 = rng.normal(size=(q, hidden))
-    # fixed probes on all three outputs, weighting every row differently,
-    # so every gradient path is probed
-    lefts = [rng.normal(size=(2, m)) for m in (steps * q, q, q)]
-    arrays = [x, w, b, h0, c0]
+    # a fixed probe weighting every output row differently, so every
+    # gradient path is probed
+    left = rng.normal(size=(2, steps * q))
+    arrays = [x, w, b]
 
     def loss(nodes):
-        total = None
-        for k, (out, left) in enumerate(zip(dc.lstm(*nodes), lefts)):
-            term = probe(dc.matmul(dc.constant(left), out), seed=k)
-            total = term if total is None else dc.add(total, term)
-        return total
+        out = dc.lstm(*nodes, h0, c0)
+        return probe(dc.matmul(dc.constant(left), out))
 
     leaves = [dc.parameter(a) for a in arrays]
     grads = dc.backward(loss(leaves), params=leaves)
@@ -255,32 +235,6 @@ def test_fused_op_gradients_match_central_differences():
             assert rel < 1e-6, f"input {k} coordinate {i}: {rel:.3e}"
 
 
-def test_sequence_state_continues_like_single_steps():
-    rng = np.random.default_rng(14)
-    n_in, hidden, q = 3, 5, 2
-    params = rc.init_lstm(n_in, hidden, rng)
-    head_xs = rng.normal(size=(6, q, n_in))
-    tail_xs = rng.normal(size=(4, q, n_in))
-
-    def continuation(fused):
-        state = rc.initial_state(q, hidden)
-        if fused:
-            _, state = rc.lstm_step(dc.constant(head_xs), state, params)
-        else:
-            _, state = step_one_at_a_time(params, head_xs, state)
-        total = probe(state.c)
-        outs = []
-        for t in range(tail_xs.shape[0]):
-            h, state = rc.lstm_step(dc.constant(tail_xs[t]), state, params)
-            outs.append(h.value)
-            total = dc.add(total, probe(h, seed=t + 1))
-        grads = dc.backward(total, params=[params.w, params.b])
-        return np.stack(outs), grads[params.w], grads[params.b]
-
-    for fused, stepped in zip(continuation(True), continuation(False)):
-        np.testing.assert_allclose(fused, stepped, rtol=0, atol=1e-13)
-
-
 def test_single_step_matches_cell_formula():
     rng = np.random.default_rng(15)
     n_in, hidden, q = 3, 4, 5
@@ -289,8 +243,8 @@ def test_single_step_matches_cell_formula():
     x = rng.normal(size=(q, n_in))
     h_prev = rng.normal(size=(q, hidden)) * 0.5
     c_prev = rng.normal(size=(q, hidden))
-    state = rc.RecurrentState(dc.constant(h_prev), dc.constant(c_prev))
-    h, new_state = rc.lstm_step(dc.constant(x), state, params)
+    h, c = rc.cell_step(x, (h_prev, c_prev), params)
+    rows = rc.lstm_step(dc.constant(x[None]), (h_prev, c_prev), params)
 
     pre = np.concatenate([x, h_prev], axis=1) @ params.w.value + params.b.value
     H = hidden
@@ -298,7 +252,8 @@ def test_single_step_matches_cell_formula():
     f = 1 / (1 + np.exp(-pre[:, H:2 * H]))
     g = np.tanh(pre[:, 2 * H:3 * H])
     o = 1 / (1 + np.exp(-pre[:, 3 * H:]))
-    c = f * c_prev + i * g
-    np.testing.assert_allclose(new_state.c.value, c, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(h.value, o * np.tanh(c), rtol=0, atol=1e-14)
-    assert new_state.h is h
+    want_c = f * c_prev + i * g
+    np.testing.assert_allclose(c, want_c, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(h, o * np.tanh(want_c), rtol=0, atol=1e-14)
+    # the tape-free step is the op's own loop body, in its summation order
+    np.testing.assert_array_equal(rows.value, h)
