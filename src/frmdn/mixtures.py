@@ -10,6 +10,12 @@ the logistic family.
 Each family's log density is written once, batched over rows and
 components in `component_log_densities`; the point densities (one point
 or a batch of rows) and the loss-graph op `mixture_log_rows` both call it.
+
+A logistic component's bin mass sigmoid(hi) - sigmoid(-lo), with
+hi = (z - mu + C/2)/s, lo = (mu - z + C/2)/s and gap = hi + lo = C/s, is
+logged without a positive exponent (Maechler 2012, "Accurately computing
+log(1 - exp(-|a|))") as min(hi, 0) + min(lo, 0), which is min(hi, lo, 0)
+as hi + lo > 0, plus log[(1 - e^{-gap}) / ((1 + e^{-|hi|})(1 + e^{-|lo|}))].
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import EXP_CLAMP, DiffNode, _sigmoid
+from .diffcore import EXP_CLAMP, DiffNode
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -159,56 +165,67 @@ def component_log_densities(z, mu, log_s, structure, u=None, log_abs_det=0.0,
     the scales (logistic).  A tied family also takes its shared matrix `u`
     and log|det U|.  The coefficients are not included.
 
-    Returns (comp, grads): comp is (n, K), and grads(w) maps the (n, K)
-    gradient of a loss with respect to comp to its gradients with respect
-    to (z, mu, log_s, u), with None for u outside the tied family.  The
-    gradient through log|det U| is left to the caller that supplied it.
+    Returns (comp, grads): comp is (n, K), and grads(w, g_mu, g_log_s),
+    for w of shape (n, K, 1), writes the gradients of sum(w * comp) with
+    respect to mu and log_s into the given (n, K, d) arrays and returns the
+    one with respect to u (None outside the tied family); the one with
+    respect to z is -g_mu.sum(axis=1).  The gradient through log|det U| is
+    left to the caller that supplied it.
     """
     d = z.shape[1]
     diff = z[:, None, :] - mu
     if structure == "diagonal":
         inv = np.exp(-log_s)                       # 1 / sigma
-        e = diff * inv
+        e = np.multiply(diff, inv, out=diff)
         comp = (-0.5 * d * LOG_2PI - log_s.sum(axis=2)
                 - 0.5 * (e * e).sum(axis=2))
 
-        def grads(w):
-            w = w[:, :, None]
-            g_diff = -w * e * inv
-            return g_diff.sum(axis=1), -g_diff, w * (e * e - 1.0), None
+        def grads(w, g_mu, g_log_s):
+            np.multiply(w * e, inv, out=g_mu)
+            np.multiply(w, e * e - 1.0, out=g_log_s)
     elif structure == "tied":
-        prec = np.exp(log_s)                       # D_k diagonals
         v = (diff.reshape(-1, d) @ u).reshape(diff.shape)  # U^T (z - mu_k)
-        pv = prec * v
+        pv = np.exp(log_s, out=np.empty_like(v))   # D_k diagonals
+        pv *= v
         comp = (-0.5 * d * LOG_2PI + log_abs_det + 0.5 * log_s.sum(axis=2)
                 - 0.5 * (v * pv).sum(axis=2))
 
-        def grads(w):
-            w = w[:, :, None]
-            g_v = (-w * pv).reshape(-1, d)
-            g_diff = (g_v @ u.T).reshape(diff.shape)
-            g_u = diff.reshape(-1, d).T @ g_v
-            return g_diff.sum(axis=1), -g_diff, 0.5 * w * (1.0 - v * pv), g_u
+        def grads(w, g_mu, g_log_s):
+            g_v = np.multiply(w, pv).reshape(-1, d)    # minus the v gradient
+            g_mu[...] = (g_v @ u.T).reshape(diff.shape)
+            np.subtract(1.0, np.multiply(v, pv, out=g_log_s), out=g_log_s)
+            g_log_s *= 0.5 * w
+            return -(diff.reshape(-1, d).T @ g_v)
     elif structure == "logistic":
-        # log[sigmoid(hi) - sigmoid(-lo)] with hi - (-lo) = C/s, through
-        # sigmoid(a) - sigmoid(b) = sigmoid(a) * sigmoid(-b) * (1 - e^{b-a})
-        inv = np.exp(-log_s)                       # 1 / s
-        centre = diff * inv
-        half = (0.5 * c_width) * inv
-        hi = centre + half
-        lo = half - centre
-        comp = ((_log_sigmoid(hi) + _log_sigmoid(lo)
-                 + _log1mexp(c_width * inv)).sum(axis=2)
-                - d * math.log(c_width))
+        gap = np.exp(-log_s)                       # 1 / s
+        hi = np.multiply(diff, gap, out=diff)      # (z - mu)/s
+        gap *= c_width
+        half = np.multiply(gap, 0.5)               # C/(2s)
+        lo = np.subtract(half, hi)
+        hi += half
+        q = np.expm1(np.negative(gap, out=half), out=half)
+        np.negative(q, out=q)                      # 1 - e^{-gap}
+        den, scratch = np.abs(hi), np.abs(lo)
+        for a in (den, scratch):               # 1 + e^{-|hi|}, 1 + e^{-|lo|}
+            np.exp(np.negative(a, out=a), out=a)
+            a += 1.0
+        np.log(np.divide(q, np.multiply(den, scratch, out=den), out=den), out=den)
+        den += np.minimum(np.minimum(hi, lo, out=scratch), 0.0, out=scratch)
+        comp = np.einsum("nkd->nk", den) - d * math.log(c_width)
 
-        def grads(w):
-            w = w[:, :, None]
-            s_hi, s_lo = _sigmoid(-hi), _sigmoid(-lo)
-            g_diff = w * inv * (s_hi - s_lo)
-            gap = c_width * inv
-            tail = gap * np.exp(-gap) / -np.expm1(-gap)    # gap / (e^gap - 1)
-            g_log_s = -w * (s_hi * hi + s_lo * lo + tail)
-            return g_diff.sum(axis=1), -g_diff, g_log_s, None
+        def grads(w, g_mu, g_log_s):
+            # u = 1 - tanh(x/2) = 2 sigmoid(-x) = 2 d log sigmoid(x) / dx
+            u_hi = np.tanh(np.multiply(hi, 0.5, out=g_log_s), out=g_log_s)
+            u_lo = np.multiply(lo, 0.5)
+            np.subtract(1.0, u_hi, out=u_hi)
+            np.subtract(1.0, np.tanh(u_lo, out=u_lo), out=u_lo)
+            np.multiply(np.subtract(u_lo, u_hi, out=g_mu), gap, out=g_mu)
+            g_mu *= w * (0.5 / c_width)
+            u_hi *= hi
+            u_hi += np.multiply(u_lo, lo, out=u_lo)
+            np.subtract(np.divide(2.0, q, out=u_lo), 2.0, out=u_lo)
+            u_hi += np.multiply(u_lo, gap, out=u_lo)   # + 2 gap / (e^gap - 1)
+            np.multiply(u_hi, -0.5 * w, out=g_log_s)
     else:
         raise ValueError(f"unknown mixture structure {structure!r}")
     return comp, grads
@@ -224,6 +241,8 @@ def _point_log_density(y, params, **family):
             f"dimension mismatch: points of shape {y.shape}, "
             f"mixture is over R^{params.dim}"
         )
+    if not np.all(params.d_diag > 0.0):
+        raise ValueError("d_diag entries must be positive")
     comp, _ = component_log_densities(rows, params.mu[None],
                                       np.log(params.d_diag)[None],
                                       params.structure, **family)
@@ -253,19 +272,13 @@ def tied_gmm_log_density(y, params, shared):
 
 
 def logistic_mixture_log_density(y, params, c_width=1.0):
-    """Mixture of per-dimension logistic bin probabilities of width C.
-
-    Each dimension contributes (1/C) * (sigmoid((y-mu+C/2)/s)
-    - sigmoid((y-mu-C/2)/s)); dimensions are independent within a
-    component.  y is one (d,) point, giving a float, or (n, d) rows,
-    giving (n,).
-    """
+    """Mixture of per-dimension logistic bin probabilities of width C, each
+    divided by C; dimensions are independent within a component.  y is one
+    (d,) point, giving a float, or (n, d) rows, giving (n,)."""
     if params.structure != "logistic":
         raise ValueError("logistic_mixture_log_density needs structure='logistic'")
     if c_width <= 0.0:
         raise ValueError("c_width must be positive")
-    if np.any(params.d_diag <= 0.0):
-        raise ValueError("logistic scales must be positive")
     return _point_log_density(y, params, c_width=c_width)
 
 
@@ -284,9 +297,7 @@ def mixture_log_rows(z, logits, head, c_width=1.0):
     gradients.
     """
     k, d = head.k, head.dim
-    n = z.value.shape[0]
     a, mu, raw = split_head(logits.value, k, d)
-    inside = np.abs(raw) <= EXP_CLAMP
     parents = [z, logits]
     family = {"c_width": c_width}
     if head.structure == "tied":
@@ -296,9 +307,10 @@ def mixture_log_rows(z, logits, head, c_width=1.0):
             raise np.linalg.LinAlgError("mixture_log_rows: singular shared matrix")
         parents.append(head.u)
         family.update(u=u, log_abs_det=log_abs_det)
-    comp, comp_grads = component_log_densities(
-        z.value, mu, np.clip(raw, -EXP_CLAMP, EXP_CLAMP), head.structure,
-        **family)
+    log_s = np.clip(raw, -EXP_CLAMP, EXP_CLAMP)
+    clipped = log_s != raw
+    comp, comp_grads = component_log_densities(z.value, mu, log_s,
+                                               head.structure, **family)
     log_alpha = a - _lse_rows(a)[:, None]
     joint = log_alpha + comp
     rows = _lse_rows(joint)
@@ -306,10 +318,12 @@ def mixture_log_rows(z, logits, head, c_width=1.0):
     def rule(g):
         g = g[:, None]
         w = g * np.exp(joint - rows[:, None])          # g * responsibilities
-        g_z, g_mu, g_log_s, g_u = comp_grads(w)
-        g_logits = np.concatenate([w - g * np.exp(log_alpha),
-                                   g_mu.reshape(n, k * d),
-                                   (g_log_s * inside).reshape(n, k * d)], axis=1)
+        g_logits = np.empty(logits.value.shape)
+        g_alpha, g_mu, g_log_s = split_head(g_logits, k, d)
+        g_u = comp_grads(w[:, :, None], g_mu, g_log_s)
+        g_z = -np.einsum("nkd->nd", g_mu)      # .sum(axis=1), bit for bit, faster
+        np.subtract(w, g * np.exp(log_alpha), out=g_alpha)
+        g_log_s[clipped] = 0.0
         if g_u is None:
             return g_z, g_logits
         return g_z, g_logits, g_u + g.sum() * np.linalg.inv(u).T
@@ -320,20 +334,6 @@ def mixture_log_rows(z, logits, head, c_width=1.0):
 def _lse_rows(v):
     m = v.max(axis=1)
     return m + np.log(np.exp(v - m[:, None]).sum(axis=1))
-
-
-def _log_sigmoid(x):
-    return -np.logaddexp(0.0, -x)
-
-
-def _log1mexp(r):
-    """log(1 - e^{-r}) for r > 0, stable near both ends."""
-    r = np.asarray(r, dtype=np.float64)
-    out = np.empty_like(r)
-    small = r < math.log(2.0)
-    out[small] = np.log(-np.expm1(-r[small]))
-    out[~small] = np.log1p(-np.exp(-r[~small]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,98 @@ def test_point_densities_take_rows():
             f(ys[None])
 
 
+@pytest.mark.parametrize("structure", mx.STRUCTURES)
+def test_point_density_rejects_non_positive_scale(structure):
+    density = {
+        "diagonal": mx.diag_gmm_log_density,
+        "tied": lambda y, p: mx.tied_gmm_log_density(
+            y, p, mx.SharedMatrix.identity(2)),
+        "logistic": lambda y, p: mx.logistic_mixture_log_density(y, p, 1.0),
+    }[structure]
+    for bad in (0.0, -1.0, np.nan):
+        d_diag = np.ones((2, 2))
+        d_diag[1, 0] = bad
+        p = mx.MixtureParams([0.5, 0.5], np.zeros((2, 2)), d_diag, structure)
+        with pytest.raises(ValueError, match="d_diag entries must be positive"):
+            density(np.zeros(2), p)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel
+# ---------------------------------------------------------------------------
+
+def logistic_oracle(z, mu, log_s, c_width, w):
+    """The logistic kernel in its log-sigmoid / log1mexp form: comp and the
+    gradients of sum(w * comp) with respect to (z, mu, log_s)."""
+    inv = np.exp(-log_s)
+    centre = (z[:, None, :] - mu) * inv
+    half = 0.5 * c_width * inv
+    hi, lo = centre + half, half - centre
+    gap = c_width * inv
+    log1mexp = np.empty_like(gap)
+    small = gap < math.log(2.0)
+    log1mexp[small] = np.log(-np.expm1(-gap[small]))
+    log1mexp[~small] = np.log1p(-np.exp(-gap[~small]))
+    comp = ((-np.logaddexp(0.0, -hi) - np.logaddexp(0.0, -lo) + log1mexp)
+            .sum(axis=2) - z.shape[1] * math.log(c_width))
+    w = w[:, :, None]
+    s_hi, s_lo = 0.5 * (1.0 + np.tanh(-0.5 * hi)), 0.5 * (1.0 + np.tanh(-0.5 * lo))
+    g_diff = w * inv * (s_hi - s_lo)
+    tail = gap * np.exp(-gap) / -np.expm1(-gap)
+    g_log_s = -w * (s_hi * hi + s_lo * lo + tail)
+    return comp, g_diff.sum(axis=1), -g_diff, g_log_s
+
+
+def run_kernel(z, mu, log_s, structure, w, **family):
+    """comp and the (z, mu, log_s, u) gradients of sum(w * comp)."""
+    comp, grads = mx.component_log_densities(z, mu, log_s, structure, **family)
+    g_mu, g_log_s = np.full((2,) + comp.shape + (z.shape[1],), np.nan)
+    g_u = grads(w[:, :, None], g_mu, g_log_s)
+    return comp, -g_mu.sum(axis=1), g_mu, g_log_s, g_u
+
+
+def test_logistic_kernel_matches_log_sigmoid_oracle():
+    # per-dimension offsets (z - mu)/s up to 1e3 scales, scale logits over
+    # the whole clamp band, and bin widths far on either side of the scale
+    offsets = np.array([0.0, 1e-6, -0.3, 1.0, -2.5, 7.0, -30.0, 200.0, -1e3])
+    logits = np.linspace(-dc.EXP_CLAMP, dc.EXP_CLAMP, 25)
+    rng = np.random.default_rng(24)
+    z = rng.normal(size=(offsets.size, 2))
+    log_s = np.broadcast_to(logits[None, :, None], (offsets.size, logits.size, 2))
+    mu = z[:, None, :] - offsets[:, None, None] * np.exp(log_s)
+    mu[:, :, 1] += rng.normal(size=mu.shape[:2])
+    w = rng.uniform(0.1, 1.0, size=mu.shape[:2])
+    for c_width in (1e-3, 1.0, 1e3):
+        got = run_kernel(z, mu, log_s, "logistic", w, c_width=c_width)
+        want = logistic_oracle(z, mu, log_s, c_width, w)
+        for a, b in zip(got, want):
+            assert np.all(np.isfinite(a))
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-12
+        assert got[-1] is None
+
+
+@pytest.mark.parametrize("structure", mx.STRUCTURES)
+def test_shared_parameters_equal_their_per_row_repetition(structure):
+    rng = np.random.default_rng(25)
+    n, k, d = 6, 3, 4
+    z = rng.normal(size=(n, d)) * 2.0
+    mu = rng.normal(size=(1, k, d))
+    log_s = 0.5 * rng.normal(size=(1, k, d))
+    w = rng.uniform(size=(n, k))
+    family = {"c_width": 0.7}
+    if structure == "tied":
+        family = {"u": np.eye(d) + 0.3 * rng.normal(size=(d, d)), "log_abs_det": 0.2}
+    shared = run_kernel(z, mu, log_s, structure, w, **family)
+    per_row = run_kernel(z, np.repeat(mu, n, axis=0), np.repeat(log_s, n, axis=0),
+                         structure, w, **family)
+    for a, b in zip(shared, per_row):
+        if a is None:
+            assert b is None
+        else:
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # normalization by quadrature, all structures
 # ---------------------------------------------------------------------------
@@ -416,6 +509,23 @@ def test_logistic_rows_finite_at_extreme_width_to_scale_ratios():
         assert np.all(np.isfinite(rows.value))
         grads = dc.backward(dc.reduce_mean(rows), params=leaves)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def test_logistic_op_memory_peak():
+    # one forward plus backward at the wide-head shape, in units of one
+    # (n, K, d) float64 array.  The kernel keeps hi, lo, gap and 1 - e^{-gap}
+    # for the backward, which writes into the head-gradient array: about 7.7
+    # units, and 8.5 leaves room for numpy's own temporaries.
+    n, k, d = 496, 16, 16
+    head, arrays = op_inputs("logistic", np.random.default_rng(26), n, k, d)
+    leaves = [dc.parameter(a) for a in arrays]
+    tracemalloc.start()
+    try:
+        dc.backward(dc.reduce_mean(mx.mixture_log_rows(*leaves, head, 1.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * k * d * 8) <= 8.5
 
 
 def test_mixture_log_rows_rejects_singular_shared_matrix():
