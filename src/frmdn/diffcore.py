@@ -160,7 +160,8 @@ def lstm(x, w, b, h0, c0):
 
     # gates[t] holds the activated (i, f, g, o) of step t; hc stacks
     # h_0..h_T then c_0..c_T, and the output is a view of its h_1..h_T
-    gates = (x_rows @ w_x + bv).reshape(steps, q, 4 * hid)
+    gates = (x_rows @ w_x).reshape(steps, q, 4 * hid)
+    gates += bv
     hc = np.empty((2 * (steps + 1), q, hid))
     hs, cs = hc[: steps + 1], hc[steps + 1 :]
     hs[0], cs[0] = h0, c0
@@ -298,7 +299,8 @@ def backward(root, params=None):
                     pending[key] = pg
     if params is not None:
         return {
-            p: leaf_grads.get(p, np.zeros_like(p.value)) for p in params
+            p: leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value)
+            for p in params
         }
     return leaf_grads
 

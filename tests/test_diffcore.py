@@ -73,6 +73,31 @@ def test_backward_unreachable_param_gets_zero():
     np.testing.assert_allclose(grads[dead], [0.0])
 
 
+def test_backward_listing_reached_params_allocates_nothing_more():
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    a = dc.parameter(rng.normal(size=(2000, 64)))
+    b = dc.parameter(rng.normal(size=(64, 1)))
+    root = dc.reduce_mean(dc.matmul(a, b))
+
+    def peak(**kw):
+        tracemalloc.start()
+        try:
+            dc.backward(root, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the slack covers the result dict, far below one (2000, 64) array
+    assert peak(params=[a, b]) <= peak() + 4096
+
+    dead = dc.parameter(np.ones(3))
+    grads = dc.backward(root, params=[a, b, dead])
+    np.testing.assert_array_equal(grads[a], dc.backward(root)[a])
+    np.testing.assert_array_equal(grads[dead], np.zeros(3))
+
+
 def test_composite_tanh_dot_grad_matches_finite_differences():
     # tanh(w . x) as the shift net of a coupling layer with one hidden
     # unit: the transformed coordinate becomes x_t + tanh(w . x_pass)

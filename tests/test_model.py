@@ -1,9 +1,13 @@
+import ctypes
+import importlib
 import math
+import platform
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import frmdn
 from frmdn import datasets as ds
 from frmdn import diffcore as dc
 from frmdn import model as md
@@ -241,6 +245,52 @@ def test_evaluate_rejects_an_empty_batch():
     model = md.build_model(tiny_config(), seed=0)
     with pytest.raises(ValueError, match="at least one"):
         md.evaluate(model, ds.SequenceBatch(np.zeros((0, 8, 2))))
+
+
+@pytest.mark.skipif(platform.system() != "Linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set through glibc's mallopt")
+def test_evaluate_again_reuses_freed_memory():
+    import resource
+
+    # under glibc's dynamic thresholds each block's freed arrays went back
+    # to the kernel and the next evaluate faulted them in again
+    cfg = md.ModelConfig(dim=16, components=16, hidden=16, flow_depth=2,
+                         head_structure="logistic")
+    model = md.build_model(cfg, seed=34)
+    n = 4 * (md.EVAL_ROWS // 31)
+    batch = ds.SequenceBatch(np.random.default_rng(35).normal(size=(n, 32, 16)))
+    md.evaluate(model, batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    md.evaluate(model, batch)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, faults
+
+
+class _FakeLibc:
+    """A glibc whose `mallopt` refuses every setting."""
+
+    gnu_get_libc_version = None
+
+    def __init__(self):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append(param) or 0
+
+
+@pytest.mark.parametrize("libc", [None, object(), _FakeLibc()],
+                         ids=["no-libc", "no-mallopt", "mallopt-refuses"])
+def test_import_without_glibc_mallopt_does_nothing(monkeypatch, libc):
+    def cdll(name):
+        if libc is None:
+            raise OSError("no C library")
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    importlib.reload(frmdn)
+    assert frmdn.__version__
+    if isinstance(libc, _FakeLibc):
+        # a refused mmap threshold is not followed by the trim setting
+        assert libc.calls == [frmdn._M_MMAP_THRESHOLD]
 
 
 # ---------------------------------------------------------------------------
