@@ -10,9 +10,16 @@ here, the coupling layer in `flow` and the mixture rows in `mixtures`.
 The coupling op has two outputs and returns them as `output_view`s of
 one core node, so gradients reaching either meet in a single backward
 call.  `lstm_cell`, the LSTM op's step body, also serves generation,
-which runs on plain arrays without a tape.  The generic ops are only the
-glue the loss needs around them: `add` (equal shapes, a row-wise bias
-(n, m) + (m,), or a scalar node), `matmul`, `neg` and `reduce_mean`.
+which runs on plain arrays without a tape.  It activates all four gate
+blocks of a step's (q, 4H) pre-activation rows in one contiguous pass of
+four ufuncs, scale * (tanh(scale * a) + shift) per column, rather than
+one call per strided (q, H) block: the sigmoid gates get
+0.5 * (1 + tanh(a * 0.5)) and the cell input tanh(a), whose shift is
+-0.0 because adding +0.0 would turn -0.0 into +0.0.  The BPTT backward
+works in place on one reused (q, H) scratch.  The generic ops are only
+the glue the loss needs around them: `add` (equal shapes, a row-wise
+bias (n, m) + (m,), or a scalar node), `matmul`, `neg` and
+`reduce_mean`.
 """
 
 from __future__ import annotations
@@ -102,15 +109,6 @@ def neg(a):
     return DiffNode(-a.value, (a,), "neg", lambda g: (-g,))
 
 
-def _sigmoid(x, out=None):
-    """0.5 * (1 + tanh(x / 2)): no exp to overflow on either tail and no
-    masks to allocate.  `out` may alias `x`."""
-    out = np.tanh(x * 0.5, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 def reduce_mean(a, axis=None, keepdims=False):
     a = _node(a)
     av = a.value
@@ -173,26 +171,33 @@ def lstm(x, w, b, h0, c0):
 
     def rule(gh):
         gh = gh.reshape(steps, q, hid)   # at h_1..h_T
-        dh = gh[-1]
-        dc = 0.0                         # c_T reaches no output
         # activation slopes of every step at once: s(1 - s) for the
         # sigmoid gates, 1 - g^2 for the cell input and 1 - tanh(c)^2
-        slope = gates * (1.0 - gates)
+        slope = 1.0 - gates
+        slope *= gates
         g_all = gates[..., 2 * hid : 3 * hid]
-        slope[..., 2 * hid : 3 * hid] = 1.0 - g_all * g_all
-        slope_c = 1.0 - tanh_c * tanh_c
+        slope_g = slope[..., 2 * hid : 3 * hid]
+        np.multiply(g_all, g_all, out=slope_g)
+        np.subtract(1.0, slope_g, out=slope_g)
+        slope_c = tanh_c * tanh_c
+        np.subtract(1.0, slope_c, out=slope_c)
         dgates = np.empty_like(gates)
+        dh = gh[-1]
+        dc = np.zeros((q, hid))          # c_T reaches no output
+        tmp = np.empty((q, hid))
         for t in range(steps - 1, -1, -1):
             i, f, g, o = (gates[t][sl] for sl in blocks)
             di, df, dg, do = (dgates[t][sl] for sl in blocks)
-            dc = dc + dh * o * slope_c[t]
+            np.multiply(dh, o, out=tmp)
+            tmp *= slope_c[t]
+            dc += tmp
             np.multiply(dc, g, out=di)
             np.multiply(dc, cs[t], out=df)
             np.multiply(dc, i, out=dg)
             np.multiply(dh, tanh_c[t], out=do)
             dgates[t] *= slope[t]
             if t:
-                dc = dc * f
+                dc *= f
                 dh = dgates[t] @ w_h.T
                 dh += gh[t - 1]
         da_rows = dgates.reshape(steps * q, 4 * hid)
@@ -205,23 +210,49 @@ def lstm(x, w, b, h0, c0):
     return DiffNode(hs[1:].reshape(steps * q, hid), (x, w, b), "lstm", rule)
 
 
+# hidden size -> read-only (rows, 4H) scale and shift tables of the
+# activation pass, grown to the most rows any step has had
+_GATE_AFFINE = {}
+
+
+def _gate_affine(q, hid):
+    """The (q, 4H) scale and shift of `lstm_cell`'s activation pass: each
+    row is (0.5, 0.5, 1, 0.5) and (1, 1, -0.0, 1), each repeated per gate
+    block.  Whole rows rather than one broadcast (4H,) row, since numpy
+    runs a same-shape ufunc at about twice the speed."""
+    tables = _GATE_AFFINE.get(hid)
+    if tables is None or tables[0].shape[0] < q:
+        tables = tuple(np.tile(np.repeat(row, hid), (q, 1))
+                       for row in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
+        for t in tables:
+            t.flags.writeable = False
+        _GATE_AFFINE[hid] = tables
+    return tables[0][:q], tables[1][:q]
+
+
 def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
     """The body of one LSTM step, shared by `lstm` and tape-free generation.
 
     a is the (q, 4H) pre-activation x_t @ w_x + b + h_{t-1} @ w_h, summed
-    in that order; its gate blocks are activated in place.  Writes c_t,
-    tanh(c_t) and h_t into `c`, `tanh_c` and `h` when given, else into new
-    arrays, and returns (h_t, c_t).
+    in that order.  All four gate blocks are activated in place in one
+    contiguous pass, scale * (tanh(scale * a) + shift) per column:
+    i, f and o get sigmoid as 0.5 * (1 + tanh(a * 0.5)), with no exp to
+    overflow on either tail, and g gets tanh(a), since a * 1 is exact and
+    adding -0.0 keeps every value, the sign of zero too (+0.0 would turn
+    -0.0 into +0.0).  Writes c_t, tanh(c_t) and h_t into `c`, `tanh_c`
+    and `h` when given, else into new arrays, and returns (h_t, c_t).
     """
-    hid = a.shape[1] // 4
-    i_f, g, o = a[:, : 2 * hid], a[:, 2 * hid : 3 * hid], a[:, 3 * hid :]
-    _sigmoid(i_f, out=i_f)
-    np.tanh(g, out=g)
-    _sigmoid(o, out=o)
-    i, f = i_f[:, :hid], i_f[:, hid:]
+    q, hid = a.shape[0], a.shape[1] // 4
+    scale, shift = _gate_affine(q, hid)
+    a *= scale
+    np.tanh(a, out=a)
+    a += shift
+    a *= scale
+    i, f, g, o = (a[:, k * hid : (k + 1) * hid] for k in range(4))
     c = np.multiply(f, c_prev, out=c)
-    c += i * g
-    tanh_c = np.tanh(c, out=tanh_c)
+    tanh_c = np.multiply(i, g, out=tanh_c)
+    c += tanh_c
+    np.tanh(c, out=tanh_c)
     return np.multiply(o, tanh_c, out=h), c
 
 

@@ -341,9 +341,11 @@ def _lse_rows(v):
 # ---------------------------------------------------------------------------
 
 def pick_component(alpha, rng):
-    """Inverse-CDF draw from the coefficients; ties go to the lower index."""
+    """Inverse-CDF draw from the coefficients; ties go to the lower index.
+    `rng.random()` takes the same double from the stream as
+    `rng.uniform()`, with less call overhead."""
     cum = alpha.cumsum()
-    u = rng.uniform()
+    u = rng.random()
     return min(int(cum.searchsorted(u, side="left")), alpha.shape[0] - 1)
 
 

@@ -212,7 +212,8 @@ class _OptimizerState:
     """Checkpoint layout of an optimizer's state: each attribute named in
     `moments` is a dict of per-parameter arrays, stored as
     `opt.<moment>.<parameter>`; each attribute named in `counters` is an
-    int, stored as the scalar `opt.<counter>`."""
+    int, stored as the scalar `opt.<counter>`.  `update` changes the
+    moment arrays in place, so both directions copy them."""
 
     moments = ()
     counters = ()
@@ -221,7 +222,8 @@ class _OptimizerState:
         out = {f"opt.{c}": np.asarray(float(getattr(self, c)))
                for c in self.counters}
         for m in self.moments:
-            out.update({f"opt.{m}.{n}": a for n, a in getattr(self, m).items()})
+            out.update({f"opt.{m}.{n}": a.copy()
+                        for n, a in getattr(self, m).items()})
         return out
 
     def load_state_arrays(self, arrays):
@@ -229,7 +231,8 @@ class _OptimizerState:
             setattr(self, c, int(arrays.get(f"opt.{c}", np.zeros(()))))
         for m in self.moments:
             prefix = f"opt.{m}."
-            setattr(self, m, {n[len(prefix):]: a for n, a in arrays.items()
+            setattr(self, m, {n[len(prefix):]: np.array(a, dtype=np.float64)
+                              for n, a in arrays.items()
                               if n.startswith(prefix)})
 
     @classmethod
@@ -246,6 +249,14 @@ class _OptimizerState:
         return None
 
 
+def _moment(moments, name, like):
+    """The moment array of parameter `name`, zeros on first use."""
+    arr = moments.get(name)
+    if arr is None:
+        arr = moments[name] = np.zeros_like(like)
+    return arr
+
+
 class RmsProp(_OptimizerState):
     name = "rmsprop"
     moments = ("sq",)
@@ -259,12 +270,17 @@ class RmsProp(_OptimizerState):
     def update(self, named_params, grads):
         for name, node in named_params:
             g = grads[node]
-            sq = self.sq.get(name)
-            if sq is None:
-                sq = np.zeros_like(node.value)
-            sq = self.alpha * sq + (1.0 - self.alpha) * g * g
-            self.sq[name] = sq
-            node.value = node.value - self.lr * g / (np.sqrt(sq) + self.eps)
+            sq = _moment(self.sq, name, node.value)
+            sq *= self.alpha
+            tmp = (1.0 - self.alpha) * g
+            tmp *= g
+            sq += tmp
+            den = np.sqrt(sq, out=tmp)
+            den += self.eps
+            step = self.lr * g
+            step /= den
+            # a fresh array: callers may hold the old value
+            node.value = node.value - step
 
 
 class Adam(_OptimizerState):
@@ -288,15 +304,22 @@ class Adam(_OptimizerState):
         corr2 = 1.0 - b2**self.step
         for name, node in named_params:
             g = grads[node]
-            m = self.m.get(name, np.zeros_like(node.value))
-            v = self.v.get(name, np.zeros_like(node.value))
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            node.value = node.value - self.lr * (m / corr1) / (
-                np.sqrt(v / corr2) + self.eps
-            )
+            m = _moment(self.m, name, node.value)
+            v = _moment(self.v, name, node.value)
+            m *= b1
+            tmp = (1.0 - b1) * g
+            m += tmp
+            v *= b2
+            np.multiply(1.0 - b2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            den = np.divide(v, corr2, out=tmp)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step = m / corr1
+            step *= self.lr
+            step /= den
+            node.value = node.value - step
 
 
 OPTIMIZERS = (RmsProp, Adam)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frmdn import control as ct
+from frmdn import mixtures as mx
 from frmdn import model as md
 
 
@@ -66,6 +67,26 @@ def test_dream_rollout_reproducible_per_seed():
     a = ct.dream_rollout(task.env, ctrl, np.random.default_rng(9))
     b = ct.dream_rollout(task.env, ctrl, np.random.default_rng(9))
     assert a == b
+
+
+def test_dream_rollout_reward_independent_of_uniform_draw(monkeypatch):
+    # three components, so the drawn double picks among them
+    config = md.ModelConfig(dim=2, action_dim=2, components=3, hidden=4,
+                            flow_hidden=8)
+    env = ct.DreamEnv(md.build_model(config, seed=4),
+                      ct.tracking_reward(np.array([0.5, -0.5])), 24)
+    rng = np.random.default_rng(3)
+    ctrl = ct.LinearController(rng.normal(size=(2, 6)) * 0.2,
+                               rng.normal(size=2) * 0.2)
+    drawn = ct.dream_rollout(env, ctrl, np.random.default_rng(9))
+
+    def pick_by_uniform(alpha, rng):
+        cum = alpha.cumsum()
+        k = int(cum.searchsorted(rng.uniform(), side="left"))
+        return min(k, alpha.shape[0] - 1)
+
+    monkeypatch.setattr(mx, "pick_component", pick_by_uniform)
+    assert ct.dream_rollout(env, ctrl, np.random.default_rng(9)) == drawn
 
 
 def test_dream_env_requires_action_model():

@@ -540,6 +540,17 @@ def test_mixture_log_rows_rejects_singular_shared_matrix():
 # sampling
 # ---------------------------------------------------------------------------
 
+def test_random_and_uniform_draw_the_same_stream():
+    # pick_component draws with rng.random(); rng.uniform() would take the
+    # same double, so the samples after it are the same too
+    for seed in range(200):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert a.random() == b.uniform()
+            np.testing.assert_array_equal(a.standard_normal(3),
+                                          b.standard_normal(3))
+
+
 def test_sample_degenerate_categorical():
     p = mx.MixtureParams(
         [1.0 - 1e-300, 1e-300], [[5.0], [-5.0]], [[1e-6], [1.0]], "diagonal"

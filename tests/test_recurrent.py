@@ -257,3 +257,98 @@ def test_single_step_matches_cell_formula():
     np.testing.assert_allclose(h, o * np.tanh(want_c), rtol=0, atol=1e-14)
     # the tape-free step is the op's own loop body, in its summation order
     np.testing.assert_array_equal(rows.value, h)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity lock on the fused op's arithmetic
+# ---------------------------------------------------------------------------
+
+def _sigmoid_ref(x):
+    return 0.5 * (1.0 + np.tanh(x / 2))
+
+
+def _lstm_reference(x, w, b, h0, c0, gh):
+    """A plain per-step LSTM forward and BPTT, each gate block activated on
+    its own, in the fused op's summation order.  Returns the hidden rows
+    (T*q, H) and the gradients of w and b for the output gradient gh."""
+    steps, q, n_in = x.shape
+    hid = h0.shape[1]
+    w_x, w_h = w[:n_in], w[n_in:]
+    x_rows = x.reshape(steps * q, n_in)
+    pre = (x_rows @ w_x).reshape(steps, q, 4 * hid) + b
+    hs, cs, acts, tanh_cs = [h0], [c0], [], []
+    for t in range(steps):
+        a = pre[t] + hs[t] @ w_h
+        i = _sigmoid_ref(a[:, :hid])
+        f = _sigmoid_ref(a[:, hid:2 * hid])
+        g = np.tanh(a[:, 2 * hid:3 * hid])
+        o = _sigmoid_ref(a[:, 3 * hid:])
+        c = f * cs[t] + i * g
+        tanh_cs.append(np.tanh(c))
+        cs.append(c)
+        hs.append(o * tanh_cs[t])
+        acts.append((i, f, g, o))
+
+    gh = gh.reshape(steps, q, hid)
+    dh, dc = gh[-1], 0.0
+    da = [None] * steps
+    for t in range(steps - 1, -1, -1):
+        i, f, g, o = acts[t]
+        dc = dc + dh * o * (1.0 - tanh_cs[t] * tanh_cs[t])
+        da[t] = np.concatenate([dc * g * (i * (1.0 - i)),
+                                dc * cs[t] * (f * (1.0 - f)),
+                                dc * i * (1.0 - g * g),
+                                dh * tanh_cs[t] * (o * (1.0 - o))], axis=1)
+        if t:
+            dc = dc * f
+            dh = da[t] @ w_h.T + gh[t - 1]
+    da_rows = np.concatenate(da)
+    dw = np.concatenate([x_rows.T @ da_rows,
+                         np.concatenate(hs[:steps]).T @ da_rows])
+    return np.concatenate(hs[1:]), dw, da_rows.sum(axis=0)
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("q,hidden", [(1, 16), (16, 16), (16, 128)])
+def test_fused_op_is_bit_identical_to_per_block_reference(q, hidden):
+    rng = np.random.default_rng(21)
+    n_in, steps = 8, 6
+    w = rng.normal(size=(n_in + hidden, 4 * hidden)) * 0.5
+    w[:, ::5] *= 200.0                 # pre-activations far past |x| = 40
+    w[:, 3::7] = 0.0                   # with x_0 = 0 and h_0 = 0 these
+    b = rng.normal(size=4 * hidden)    # columns start at +0.0 + b = +0.0
+    b[3::7] = np.where(np.arange(b[3::7].size) % 2, 0.0, -0.0)
+    x = rng.normal(size=(steps, q, n_in))
+    x[0] = 0.0
+    h0, c0 = np.zeros((q, hidden)), np.zeros((q, hidden))
+    gh = rng.normal(size=(steps * q, hidden))
+
+    pre = x.reshape(steps * q, n_in) @ w[:n_in] + b
+    assert np.abs(pre).max() > 40.0 and np.any(pre == 0.0)
+    wn, bn = dc.parameter(w), dc.parameter(b)
+    out = dc.lstm(x, wn, bn, h0, c0)
+    _, dw, db = out._rule(gh)
+    want_h, want_dw, want_db = _lstm_reference(x, w, b, h0, c0, gh)
+    _assert_same_bits(out.value, want_h)
+    _assert_same_bits(dw, want_dw)
+    _assert_same_bits(db, want_db)
+
+
+def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
+    hidden = 4
+    row = np.array([-0.0, 0.0, 45.0, -45.0])
+    act = np.tile(row, 4)[None]
+    c_prev = np.array([[-0.0, 0.0, 1.0, -1.0]])
+    h, c = dc.lstm_cell(act, c_prev)
+    i = f = o = _sigmoid_ref(row)[None]
+    g = np.tanh(row)[None]
+    want_c = f * c_prev + i * g
+    _assert_same_bits(c, want_c)
+    _assert_same_bits(h, o * np.tanh(want_c))
+    # the gates are activated in place; g is tanh itself, so -0.0 stays
+    for k, want in enumerate((i, f, g, o)):
+        _assert_same_bits(act[:, k * hidden:(k + 1) * hidden], want)
