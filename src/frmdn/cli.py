@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +25,6 @@ from .datasets import SequenceBatch
 
 class CliError(Exception):
     """Validation failure surfaced as exit code 2."""
-
-
-def _echo_header(fh, args, skip=("func",)):
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        fh.write(f"# {key}={getattr(args, key)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -60,126 +55,139 @@ def cmd_gen(args):
 # train
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "structure": ("diagonal", str),
-    "flow": ("on", str),
-    "flow_depth": (1, int),
-    "k": (5, int),
-    "hidden": (128, int),
-    "epochs": (30, int),
-    "lr": (1e-4, float),
-    "optimizer": ("rmsprop", str),
-    "batch": (16, int),
-    "window": (32, int),
-    "seed": (0, int),
-    "c_width": (1.0, float),
-}
+class TrainOption(NamedTuple):
+    """One `frmdn train` option: flag `--name` with its default, type and
+    choices, and the ModelConfig or TrainSettings field it sets.  A
+    checkpoint stores it in that ModelConfig field or, when `entry`, as an
+    entry named `name`; a resumed run keeps a `locked` option's value."""
+
+    name: str
+    default: object
+    type: type
+    field: str
+    choices: tuple | None = None
+    entry: bool = False
+    locked: bool = False
 
 
-def _resolve_train_options(args):
-    """Flag > config file > default, per option.
+ON_OFF = ("on", "off")          # the choices of an option whose field is a bool
 
-    Returns the options and the set of keys a flag or the config file set.
-    """
+TRAIN_OPTIONS = (
+    TrainOption("structure", "diagonal", str, "head_structure",
+                ("diagonal", "tied", "logistic"), locked=True),
+    TrainOption("flow", "on", str, "flow_enabled", ON_OFF, locked=True),
+    TrainOption("flow_depth", 1, int, "flow_depth", locked=True),
+    TrainOption("k", 5, int, "components", locked=True),
+    TrainOption("hidden", 128, int, "hidden", locked=True),
+    TrainOption("epochs", 30, int, "epochs"),
+    TrainOption("lr", 1e-4, float, "lr", entry=True),
+    TrainOption("optimizer", "rmsprop", str, "optimizer", ("rmsprop", "adam"),
+                entry=True, locked=True),
+    TrainOption("batch", 16, int, "batch_size", entry=True),
+    TrainOption("window", 32, int, "window", entry=True),
+    TrainOption("seed", 0, int, "seed", entry=True),
+    TrainOption("c_width", 1.0, float, "c_width", locked=True),
+)
+MODEL_FIELDS = {f.name for f in fields(md.ModelConfig)}
+
+
+def _field_value(opt, value):
+    """The ModelConfig field value of option `opt` set to `value`."""
+    return value == "on" if opt.choices == ON_OFF else value
+
+
+def _stored_options(config, extra):
+    """The option values a checkpoint's config and entries store."""
+    stored = {}
+    for opt in TRAIN_OPTIONS:
+        if opt.field in MODEL_FIELDS:
+            value = getattr(config, opt.field)
+            if opt.choices == ON_OFF:
+                value = "on" if value else "off"
+            stored[opt.name] = value
+        elif opt.entry and opt.name in extra:
+            stored[opt.name] = opt.type(extra[opt.name])
+    return stored
+
+
+def _resolve_train_options(args, stored):
+    """Flag > config file > `stored` (a resumed checkpoint's values) >
+    default, per option.  A locked option that a flag or the config file
+    sets to other than its stored value is an error, as is a value that
+    could have no effect."""
     from_file = {}
     if args.config:
         with open(args.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                from_file[key.strip()] = value.strip()
-        unknown = set(from_file) - set(TRAIN_DEFAULTS)
+            from_file = ds.read_key_values(fh.read(), f"config {args.config}")
+        unknown = set(from_file) - {opt.name for opt in TRAIN_OPTIONS}
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-    opts = {}
-    given = set()
-    for key, (default, cast) in TRAIN_DEFAULTS.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            opts[key] = flag
-            given.add(key)
-        elif key in from_file:
-            opts[key] = cast(from_file[key])
-            given.add(key)
-        else:
-            opts[key] = default
-    if opts["flow"] not in ("on", "off"):
-        raise CliError("--flow must be 'on' or 'off'")
-    return opts, given
+    opts, given = {}, set()
+    for opt in TRAIN_OPTIONS:
+        value = getattr(args, opt.name)
+        if value is None and opt.name in from_file:
+            value = opt.type(from_file[opt.name])
+            if opt.choices and value not in opt.choices:
+                raise CliError(f"config {opt.name}={value} is not one of "
+                               f"{', '.join(opt.choices)}")
+        if value is None:
+            opts[opt.name] = stored.get(opt.name, opt.default)
+            continue
+        if opt.locked and opt.name in stored and value != stored[opt.name]:
+            raise CliError(f"{opt.name}={value} conflicts with the resumed "
+                           f"checkpoint's {opt.name}={stored[opt.name]}")
+        opts[opt.name] = value
+        given.add(opt.name)
+    if "flow_depth" in given and opts["flow"] == "off":
+        raise CliError("flow_depth is set but the flow is off")
+    if "c_width" in given and opts["structure"] != "logistic":
+        raise CliError(f"c_width is set but the head is {opts['structure']}, "
+                       "not logistic")
+    return opts
 
 
-def _adopt_checkpoint_options(opts, given, config, extra):
-    """Take the architecture and optimizer of a resumed checkpoint into
-    `opts`, rejecting any value a flag or the config file set otherwise."""
-    stored = {
-        "structure": config.head_structure,
-        "flow": "on" if config.flow_enabled else "off",
-        "flow_depth": config.flow_depth,
-        "k": config.components,
-        "hidden": config.hidden,
-        "c_width": config.c_width,
-    }
-    if "optimizer" in extra:
-        stored["optimizer"] = extra["optimizer"]
-    for key, value in stored.items():
-        if key in given and opts[key] != value:
-            raise CliError(f"{key}={opts[key]} conflicts with the resumed "
-                           f"checkpoint's {key}={value}")
-        opts[key] = value
-
-
-def _write_metrics(path, args, rows):
+def _write_log(path, args, columns, rows):
+    """CSV of `rows` under `#` lines echoing every flag; floats are
+    written with repr, so they read back exactly."""
     with open(path, "w") as fh:
-        _echo_header(fh, args)
-        fh.write("epoch,split,nll_total,nll_mixture,nll_logdet\n")
+        for key in sorted(vars(args)):
+            if key != "func":
+                fh.write(f"# {key}={getattr(args, key)}\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(f"{row['epoch']},{row['split']},{row['nll_total']!r},"
-                     f"{row['nll_mixture']!r},{row['nll_logdet']!r}\n")
+            fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
+                              else str(row[c]) for c in columns) + "\n")
 
 
 def cmd_train(args):
-    opts, given = _resolve_train_options(args)
     train = ds.load_fseq(args.data)
     test = ds.load_fseq(args.test_data) if args.test_data else None
-
-    start_epoch = 0
-    optimizer = None
-    if args.resume:
-        model, extra, opt_arrays = md.load_checkpoint(args.resume)
-        _adopt_checkpoint_options(opts, given, model.config, extra)
-        start_epoch = int(extra.get("epoch", 0))
-        optimizer = md.make_optimizer(opts["optimizer"], opts["lr"])
-        optimizer.load_state_arrays(opt_arrays)
-    else:
+    model, extra, opt_arrays = (md.load_checkpoint(args.resume)
+                                if args.resume else (None, {}, {}))
+    opts = _resolve_train_options(
+        args, _stored_options(model.config, extra) if model else {})
+    if model is None:
         config = md.ModelConfig(
             dim=train.dim, action_dim=train.action_dim,
-            components=opts["k"], hidden=opts["hidden"],
-            flow_depth=opts["flow_depth"],
-            head_structure=opts["structure"],
-            flow_enabled=opts["flow"] == "on", c_width=opts["c_width"],
-        )
-        config.validate()
+            **{opt.field: _field_value(opt, opts[opt.name])
+               for opt in TRAIN_OPTIONS if opt.field in MODEL_FIELDS})
         model = md.build_model(config, seed=opts["seed"])
+    optimizer = md.make_optimizer(opts["optimizer"], opts["lr"])
+    optimizer.load_state_arrays(opt_arrays)
+    start_epoch = int(extra.get("epoch", 0))
 
-    settings = md.TrainSettings(
-        epochs=opts["epochs"], lr=opts["lr"], optimizer=opts["optimizer"],
-        batch_size=opts["batch"], window=opts["window"], seed=opts["seed"],
-    )
+    settings = md.TrainSettings(**{opt.field: opts[opt.name]
+                                   for opt in TRAIN_OPTIONS
+                                   if opt.field not in MODEL_FIELDS})
     rows, optimizer = md.train_model(model, train, settings, test_batch=test,
                                      optimizer=optimizer,
                                      start_epoch=start_epoch)
-    extra = {
-        "epoch": str(start_epoch + opts["epochs"]),
-        "lr": repr(opts["lr"]),
-        "seed": str(opts["seed"]),
-        "window": str(opts["window"]),
-        "batch": str(opts["batch"]),
-    }
-    md.save_checkpoint(args.out, model, optimizer=optimizer, extra=extra)
+    entries = {opt.name: opts[opt.name] for opt in TRAIN_OPTIONS if opt.entry}
+    entries["epoch"] = start_epoch + opts["epochs"]
+    md.save_checkpoint(args.out, model, optimizer=optimizer, extra=entries)
     if args.log:
-        _write_metrics(args.log, args, rows)
+        _write_log(args.log, args, ("epoch", "split", "nll_total",
+                                    "nll_mixture", "nll_logdet"), rows)
     final = rows[-1]
     print(f"epoch {final['epoch']} {final['split']} "
           f"nll_total={final['nll_total']:.6f} "
@@ -219,8 +227,7 @@ def cmd_sample(args):
         obs.append(out.observations[0])
         if out.actions is not None:
             acts.append(out.actions[0])
-    batch = SequenceBatch(np.stack(obs), np.stack(acts) if acts else None,
-                          "samples")
+    batch = SequenceBatch(np.stack(obs), np.stack(acts) if acts else None)
     ds.export_csv(batch, args.out)
     print(f"wrote {args.out}: {args.n} rollouts of {args.steps} steps")
     return 0
@@ -287,12 +294,8 @@ def cmd_dream(args):
         episodes_per_candidate=args.episodes,
     )
     if args.log:
-        with open(args.log, "w") as fh:
-            _echo_header(fh, args)
-            fh.write("generation,mean_reward,best_reward\n")
-            for row in history:
-                fh.write(f"{row['generation']},{row['mean_reward']!r},"
-                         f"{row['best_reward']!r}\n")
+        _write_log(args.log, args,
+                   ("generation", "mean_reward", "best_reward"), history)
     first, last = history[0], history[-1]
     print(f"generation {first['generation']} mean_reward="
           f"{first['mean_reward']:.4f}")
@@ -336,19 +339,9 @@ def build_parser():
                        help="key=value defaults, overridden by flags")
     train.add_argument("--resume", default=None,
                        help="checkpoint to continue from")
-    train.add_argument("--structure",
-                       choices=["diagonal", "tied", "logistic"], default=None)
-    train.add_argument("--flow", choices=["on", "off"], default=None)
-    train.add_argument("--flow-depth", dest="flow_depth", type=int, default=None)
-    train.add_argument("--k", type=int, default=None)
-    train.add_argument("--hidden", type=int, default=None)
-    train.add_argument("--epochs", type=int, default=None)
-    train.add_argument("--lr", type=float, default=None)
-    train.add_argument("--optimizer", choices=["rmsprop", "adam"], default=None)
-    train.add_argument("--batch", type=int, default=None)
-    train.add_argument("--window", type=int, default=None)
-    train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--c-width", dest="c_width", type=float, default=None)
+    for opt in TRAIN_OPTIONS:
+        train.add_argument("--" + opt.name.replace("_", "-"), type=opt.type,
+                           choices=opt.choices)
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

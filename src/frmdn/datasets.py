@@ -24,7 +24,6 @@ class SequenceBatch:
 
     observations: np.ndarray           # (Q, T, d)
     actions: np.ndarray | None = None  # (Q, T, d_action)
-    descriptor: str = ""
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=np.float64)
@@ -85,8 +84,7 @@ def gen_correlated_ar(q, t, d, rho, corr, seed):
     obs[:, 0] = eps[:, 0]
     for step in range(1, t):
         obs[:, step] = rho * obs[:, step - 1] + eps[:, step]
-    desc = f"ar(q={q},t={t},d={d},rho={rho},corr={corr},seed={seed})"
-    return SequenceBatch(obs, None, desc)
+    return SequenceBatch(obs)
 
 
 def ar_entropy_rate(d, corr):
@@ -118,8 +116,7 @@ def gen_switching_modes(q, t, d, modes, seed, stay_prob=0.92,
         for step in range(t):
             obs[s, step] = means[mode] + emission_std * rng.standard_normal(d)
             mode = int(rng.choice(modes, p=trans[mode]))
-    desc = f"modes(q={q},t={t},d={d},m={modes},seed={seed})"
-    return SequenceBatch(obs, None, desc)
+    return SequenceBatch(obs)
 
 
 def _mode_means(modes, d, separation):
@@ -179,8 +176,7 @@ def gen_control_task(q, t, d, d_action, seed, noise_std=0.1, action_scale=1.0):
             + actions[:, step - 1] @ b_mat.T
             + noise[:, step]
         )
-    desc = f"control(q={q},t={t},d={d},da={d_action},seed={seed})"
-    batch = SequenceBatch(obs, actions, desc)
+    batch = SequenceBatch(obs, actions)
     batch.dynamics = (a_mat, b_mat)     # exposed for verification
     return batch
 
@@ -205,6 +201,25 @@ def read_exact(fh, size, what):
         raise ValueError(f"truncated {what}: expected {size} more bytes at "
                          f"offset {offset}, got {left}")
     return fh.read(size)
+
+
+def read_key_values(text, what):
+    """The `key=value` lines of `text` as a dict, keys and values
+    stripped; blank lines and `#` lines are skipped.  A line with no key
+    or no `=`, or a key given twice, raises ValueError naming it."""
+    entries = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not (sep and key):
+            raise ValueError(f"{what}: line {line!r} is not key=value")
+        if key in entries:
+            raise ValueError(f"{what}: key {key!r} is given twice")
+        entries[key] = value.strip()
+    return entries
 
 
 def read_float64(fh, shape, what, name):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from . import diffcore as dc
 from . import flow as fl
 from . import mixtures as mx
 from . import recurrent as rc
-from .datasets import SequenceBatch, read_exact, read_float64, slice_windows
+from .datasets import (SequenceBatch, read_exact, read_float64, read_key_values,
+                       slice_windows)
 
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
@@ -493,8 +495,7 @@ def rollout(model, y_0, action_fn, steps, rng=None, seed=0):
             x = y
         y, state = generate_step(model, x, state, rng)
         obs[t + 1] = y
-    return SequenceBatch(obs[None], None if acts is None else acts[None],
-                         "rollout")
+    return SequenceBatch(obs[None], None if acts is None else acts[None])
 
 
 # ---------------------------------------------------------------------------
@@ -502,46 +503,26 @@ def rollout(model, y_0, action_fn, steps, rng=None, seed=0):
 # ---------------------------------------------------------------------------
 
 def _config_text(config, extra=None):
-    entries = {
-        "dim": config.dim,
-        "action_dim": config.action_dim,
-        "components": config.components,
-        "hidden": config.hidden,
-        "flow_depth": config.flow_depth,
-        "head_structure": config.head_structure,
-        "flow_enabled": int(config.flow_enabled),
-        "c_width": repr(config.c_width),
-        "flow_hidden": config.flow_hidden,
-        "s_clamp": repr(config.s_clamp),
-    }
-    if extra:
-        entries.update(extra)
-    return "".join(f"{k}={entries[k]}\n" for k in sorted(entries))
+    """The FRMD config block: every ModelConfig field and every `extra`
+    entry as sorted `key=value` lines, bools as 0/1."""
+    entries = {f.name: getattr(config, f.name) for f in fields(ModelConfig)}
+    entries.update(extra or {})
+    return "".join(f"{k}={int(v) if isinstance(v, bool) else v}\n"
+                   for k, v in sorted(entries.items()))
 
 
 def _parse_config_text(text):
-    entries = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    missing = [f.name for f in fields(ModelConfig) if f.name not in entries]
-    if missing:
-        raise ValueError(f"FRMD checkpoint config is missing {missing[0]!r}")
-    config = ModelConfig(
-        dim=int(entries.pop("dim")),
-        action_dim=int(entries.pop("action_dim")),
-        components=int(entries.pop("components")),
-        hidden=int(entries.pop("hidden")),
-        flow_depth=int(entries.pop("flow_depth")),
-        head_structure=entries.pop("head_structure"),
-        flow_enabled=bool(int(entries.pop("flow_enabled"))),
-        c_width=float(entries.pop("c_width")),
-        flow_hidden=int(entries.pop("flow_hidden")),
-        s_clamp=float(entries.pop("s_clamp")),
-    )
-    return config, entries
+    """(ModelConfig, the remaining entries as strings) from a config block;
+    each field is read back by its annotated type."""
+    entries = read_key_values(text, "FRMD checkpoint config")
+    types = get_type_hints(ModelConfig)
+    values = {}
+    for f in fields(ModelConfig):
+        if f.name not in entries:
+            raise ValueError(f"FRMD checkpoint config is missing {f.name!r}")
+        cast, value = types[f.name], entries.pop(f.name)
+        values[f.name] = bool(int(value)) if cast is bool else cast(value)
+    return ModelConfig(**values), entries
 
 
 def _write_array(fh, name, arr):

@@ -30,8 +30,8 @@ TRAIN_SETTINGS = dict(epochs=30, lr=1e-3, optimizer="rmsprop",
 def ar_split():
     full = ds.gen_correlated_ar(80, 256, BENCH["d"], BENCH["rho"],
                                 BENCH["corr"], seed=1)
-    train = SequenceBatch(full.observations[:64], None, "train")
-    test = SequenceBatch(full.observations[64:], None, "test")
+    train = SequenceBatch(full.observations[:64])
+    test = SequenceBatch(full.observations[64:])
     return train, test
 
 

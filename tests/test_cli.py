@@ -308,6 +308,90 @@ def test_train_resume_keeps_stored_optimizer(tmp_path, capsys):
     assert read_metrics(log_b)[-1][2] == read_metrics(log_full)[-1][2]
 
 
+def bare_resume_args(data, out, log, ckpt, epochs=2):
+    """`frmdn train --resume` that types no option but --epochs."""
+    return ["train", "--data", str(data), "--out", str(out), "--log",
+            str(log), "--epochs", str(epochs), "--resume", str(ckpt)]
+
+
+def test_train_bare_resume_restores_stored_settings(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    log_full = tmp_path / "full.csv"
+    assert main(train_args(data, tmp_path / "full.frmd", log_full,
+                           epochs=4)) == 0
+    half = tmp_path / "half.frmd"
+    assert main(train_args(data, half, epochs=2)) == 0
+    resumed = tmp_path / "resumed.frmd"
+    log_b = tmp_path / "b.csv"
+    assert main(bare_resume_args(data, resumed, log_b, half)) == 0
+
+    assert read_metrics(log_b)[-1] == read_metrics(log_full)[-1]
+    _, first, _ = md.load_checkpoint(half)
+    _, second, _ = md.load_checkpoint(resumed)
+    for key in ("lr", "batch", "window", "seed"):
+        assert second[key] == first[key], key
+
+
+def test_train_resume_flag_overrides_stored_lr(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    half = tmp_path / "half.frmd"
+    assert main(train_args(data, half, epochs=2)) == 0
+    resumed = tmp_path / "resumed.frmd"
+    log = tmp_path / "flat.csv"
+    argv = bare_resume_args(data, resumed, log, half) + ["--lr", "0"]
+    assert main(argv) == 0
+    # a zero learning rate leaves the model as the resumed checkpoint had it
+    totals = [r[2] for r in read_metrics(log) if r[1] == "train"]
+    assert len(totals) == 3 and len(set(totals)) == 1
+    _, extra, _ = md.load_checkpoint(resumed)
+    assert extra["lr"] == "0.0" and extra["epoch"] == "4"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("hidden=8", "key 'hidden' is given twice"),
+    ("hidden", "line 'hidden' is not key=value"),
+])
+def test_key_value_lines_are_strict(tmp_path, capsys, line, message):
+    # in an FRMD config block ...
+    code, err = eval_untrained_checkpoint(
+        tmp_path, capsys,
+        lambda blob: with_config_entry(blob, "action_dim", f"0\n{line}"))
+    assert code == 2 and message in err
+    # ... and in a --config file
+    data = tmp_path / "data.fseq"        # written by the call above
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"hidden=8\n{line}\n")
+    out = tmp_path / "cfg.frmd"
+    code, _, err = run(train_args(data, out, epochs=0)
+                       + ["--config", str(cfg)], capsys)
+    assert code == 2 and message in one_error_line(err)
+    assert not out.exists()
+
+
+def test_train_rejects_options_the_model_would_ignore(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    out = tmp_path / "m.frmd"
+    for text, extra, name in (
+            (None, ["--flow", "off", "--flow-depth", "2"], "flow_depth"),
+            ("flow_depth=2", ["--flow", "off"], "flow_depth"),
+            (None, ["--c-width", "2.0"], "c_width"),
+            ("c_width=0.5", ["--structure", "tied"], "c_width")):
+        argv = train_args(data, out, epochs=0) + extra
+        if text:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text + "\n")
+            argv += ["--config", str(cfg)]
+        code, _, err = run(argv, capsys)
+        assert code == 2, (text, extra)
+        assert name in one_error_line(err), (text, extra)
+        assert not out.exists()
+
+    argv = train_args(data, out, epochs=0, structure="logistic", c_width=0.5)
+    assert main(argv) == 0
+    model, _, _ = md.load_checkpoint(out)
+    assert model.config.c_width == 0.5
+
+
 def test_non_finite_data_exit_2(tmp_path, capsys):
     data = gen_small(tmp_path)
     ckpt = tmp_path / "m.frmd"

@@ -3,6 +3,7 @@ import importlib
 import math
 import platform
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -644,6 +645,20 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert before.total == after.total
     assert before.mixture == after.mixture
     assert extra["note"] == "unit"
+
+
+def test_checkpoint_keeps_every_config_field(tmp_path):
+    config = md.ModelConfig(dim=3, action_dim=1, components=2, hidden=5,
+                            flow_depth=2, head_structure="logistic",
+                            flow_enabled=False, c_width=0.25, flow_hidden=6,
+                            s_clamp=1.5)
+    default = md.ModelConfig(dim=1)
+    for f in fields(md.ModelConfig):
+        assert getattr(config, f.name) != getattr(default, f.name), f.name
+    path = tmp_path / "model.frmd"
+    md.save_checkpoint(path, md.build_model(config))
+    loaded, _, _ = md.load_checkpoint(path)
+    assert loaded.config == config
 
 
 def test_parameter_shapes_match_build_model():
