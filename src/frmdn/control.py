@@ -190,8 +190,8 @@ def train_controller(task, generations, popsize=16, sigma0=0.5, seed=0,
         raise ValueError(f"generations must be at least 1, got {generations}")
     state = cmaes_init(np.zeros(task.n_params), sigma0, lam=popsize)
     ask_rng = np.random.default_rng([seed, 1])
-    episode_seeds = [int(s) for s in
-                     np.random.default_rng([seed, 2]).integers(0, 2**31, 64)]
+    episode_seeds = [int(s) for s in np.random.default_rng([seed, 2]).integers(
+        0, 2**31, episodes_per_candidate)]
     history = []
     best_vec = state.mean.copy()
     best_reward = -math.inf

@@ -3,7 +3,11 @@
 Graphs are tapes: each operation returns a fresh DiffNode holding the
 forward value, references to its inputs, and a closure mapping the output
 gradient back to input gradients.  A graph is built per evaluation and
-discarded afterwards; leaves (parameters) persist across graphs.
+discarded afterwards; leaves (parameters) persist across graphs.  Every
+node takes a creation number from one counter, and `backward` visits the
+nodes with pending gradients newest first: a node's consumers are all
+created after it, so its gradient is complete when it is visited, and no
+graph search is needed (a Wengert list swept in reverse).
 
 The model's work is done by fused ops with hand-written backwards: `lstm`
 here, the coupling layer in `flow` and the mixture rows in `mixtures`.
@@ -17,17 +21,24 @@ one call per strided (q, H) block: the sigmoid gates get
 0.5 * (1 + tanh(a * 0.5)) and the cell input tanh(a), whose shift is
 -0.0 because adding +0.0 would turn -0.0 into +0.0.  The BPTT backward
 works in place on one reused (q, H) scratch.  The generic ops are only
-the glue the loss needs around them: `add` (equal shapes, a row-wise
-bias (n, m) + (m,), or a scalar node), `matmul`, `neg` and
-`reduce_mean`.
+the glue the loss needs around them: `add` (equal shapes, or a row-wise
+bias (n, m) + (m,)), `matmul`, `neg` and the whole-array `reduce_mean`.
+`grad_check(loss, leaves)` compares `backward` with central differences
+taken by shifting the leaves' values in place.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 import numpy as np
 
 # Scale logits are clamped to this band before exponentiation.
 EXP_CLAMP = 60.0
+
+# creation numbers of DiffNodes; `backward` visits the newest node first
+_CREATION = itertools.count()
 
 
 class ShapeMismatchError(ValueError):
@@ -44,7 +55,7 @@ class DiffNode:
     """A value in the computation graph: data and parents, and the rule
     that maps its gradient back to theirs."""
 
-    __slots__ = ("value", "parents", "op", "_rule", "requires_grad")
+    __slots__ = ("value", "parents", "op", "_rule", "requires_grad", "_order")
 
     def __init__(self, value, parents=(), op="leaf", rule=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
@@ -52,6 +63,7 @@ class DiffNode:
         self.op = op
         self._rule = rule
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
+        self._order = next(_CREATION)
 
     @property
     def shape(self):
@@ -87,10 +99,6 @@ def add(a, b):
     elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
         # row-wise bias
         rule = lambda g: (g, g.sum(axis=0))
-    elif bv.ndim == 0:
-        rule = lambda g: (g, np.asarray(g.sum()))
-    elif av.ndim == 0:
-        rule = lambda g: (np.asarray(g.sum()), g)
     else:
         raise ShapeMismatchError("add", av.shape, bv.shape)
     return DiffNode(av + bv, (a, b), "add", rule)
@@ -109,19 +117,12 @@ def neg(a):
     return DiffNode(-a.value, (a,), "neg", lambda g: (-g,))
 
 
-def reduce_mean(a, axis=None, keepdims=False):
+def reduce_mean(a):
+    """Mean over every element, a scalar node."""
     a = _node(a)
     av = a.value
-    count = av.size if axis is None else av.shape[axis]
-    out = av.mean(axis=axis, keepdims=keepdims)
-
-    def rule(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, av.shape).copy() / count,)
-
-    return DiffNode(out, (a,), "mean", rule)
+    return DiffNode(av.mean(), (a,), "mean",
+                    lambda g: (np.broadcast_to(g, av.shape).copy() / av.size,))
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +273,6 @@ def output_view(core, index, shape):
 # backward pass
 # ---------------------------------------------------------------------------
 
-def _reverse_topological(root):
-    """Root first, every node before its parents.  Iterative to keep long
-    unrolled graphs from hitting the recursion limit.
-
-    Visited marking happens when a node is popped, not pushed: a shared
-    node must be appended only after every path that consumes it, or its
-    gradient would be propagated before all contributions arrive."""
-    visited = set()
-    order = []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
-    order.reverse()
-    return order
-
-
 def backward(root, params=None):
     """Propagate gradients from a scalar root to every reachable leaf.
 
@@ -311,11 +286,11 @@ def backward(root, params=None):
         )
     leaf_grads = {}
     if root.requires_grad:
-        pending = {id(root): np.ones_like(root.value)}
-        for node in _reverse_topological(root):
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
+        pending = {root._order: np.ones_like(root.value)}
+        newest = [(-root._order, root)]
+        while newest:
+            _, node = heapq.heappop(newest)
+            g = pending.pop(node._order)
             if node._rule is None:
                 if not node.parents:
                     leaf_grads[node] = g
@@ -323,11 +298,12 @@ def backward(root, params=None):
             for p, pg in zip(node.parents, node._rule(g)):
                 if pg is None or not p.requires_grad:
                     continue
-                key = id(p)
+                key = p._order
                 if key in pending:
                     pending[key] = pending[key] + pg
                 else:
                     pending[key] = pg
+                    heapq.heappush(newest, (-key, p))
     if params is not None:
         return {
             p: leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value)
@@ -336,33 +312,35 @@ def backward(root, params=None):
     return leaf_grads
 
 
-def grad_check(scalar_fn, point, step=1e-5):
-    """Compare the analytic gradient of `scalar_fn` against central
-    differences at `point`.
+def grad_check(loss, leaves, step=1e-5):
+    """Compare the analytic gradient of `loss()` in `leaves` against
+    central differences.
 
-    `scalar_fn` takes one vector-shaped DiffNode and returns a scalar node.
-    Returns the max over coordinates of
-    |analytic - numeric| / max(1, |analytic|).
+    `loss` takes no arguments and builds the scalar root node from the
+    leaves' current values.  Each coordinate is shifted in place through
+    `leaf.value[idx]` and put back afterwards.  Returns the max over
+    coordinates of |analytic - numeric| / max(1, |analytic|).
     """
     if not 0.0 < step <= 1e-2:
         raise ValueError(f"grad_check: step must be in (0, 1e-2], got {step}")
-    point = np.asarray(point, dtype=np.float64).ravel()
-    leaf = parameter(point)
-    root = scalar_fn(leaf)
+    root = loss()
     if not np.all(np.isfinite(root.value)):
         raise ValueError("grad_check: function value is not finite")
-    analytic = backward(root, params=[leaf])[leaf]
+    grads = backward(root, params=leaves)
 
     worst = 0.0
-    for i in range(point.size):
-        shifted = point.copy()
-        shifted[i] = point[i] + step
-        hi = float(scalar_fn(constant(shifted)).value)
-        shifted[i] = point[i] - step
-        lo = float(scalar_fn(constant(shifted)).value)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("grad_check: function value is not finite")
-        numeric = (hi - lo) / (2.0 * step)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-        worst = max(worst, err)
+    for leaf in leaves:
+        analytic = grads[leaf]
+        for idx in np.ndindex(leaf.value.shape):
+            orig = leaf.value[idx]
+            leaf.value[idx] = orig + step
+            hi = float(loss().value)
+            leaf.value[idx] = orig - step
+            lo = float(loss().value)
+            leaf.value[idx] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise ValueError("grad_check: function value is not finite")
+            numeric = (hi - lo) / (2.0 * step)
+            err = abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx]))
+            worst = max(worst, err)
     return worst

@@ -349,11 +349,14 @@ def pick_component(alpha, rng):
     return min(int(cum.searchsorted(u, side="left")), alpha.shape[0] - 1)
 
 
-def mixture_sample(params, shared, rng):
+def mixture_sample(params, shared, rng, c_width=1.0):
     """Draw one d-vector: pick a component, then sample it.
 
     tied components have covariance (U D_k U^T)^{-1}, realized as
-    mu_k + solve(U^T, D_k^{-1/2} * xi) with xi standard normal.
+    mu_k + solve(U^T, D_k^{-1/2} * xi) with xi standard normal.  A
+    logistic component's density is a logistic convolved with
+    Uniform(-C/2, C/2), C = c_width, so its draw is
+    mu_k + s_k * logit(u) + C * (v - 1/2) with u, v uniform.
     """
     k = pick_component(params.alpha, rng)
     mu = params.mu[k]
@@ -366,7 +369,8 @@ def mixture_sample(params, shared, rng):
         return mu + np.linalg.solve(shared.u.T, xi / np.sqrt(params.d_diag[k]))
     if params.structure == "logistic":
         u = rng.uniform(size=params.dim)
-        return mu + params.d_diag[k] * np.log(u / (1.0 - u))
+        v = rng.uniform(size=params.dim)
+        return mu + params.d_diag[k] * np.log(u / (1.0 - u)) + c_width * (v - 0.5)
     raise ValueError(f"unknown mixture structure {params.structure!r}")
 
 

@@ -324,14 +324,18 @@ class Adam(_OptimizerState):
             node.value = node.value - step
 
 
-OPTIMIZERS = (RmsProp, Adam)
+OPTIMIZERS = {cls.name: cls for cls in (RmsProp, Adam)}
+
+
+def optimizer_class(name):
+    """The optimizer class named `name`."""
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name]
 
 
 def make_optimizer(name, lr):
-    for cls in OPTIMIZERS:
-        if cls.name == name:
-            return cls(lr=lr)
-    raise ValueError(f"unknown optimizer {name!r}")
+    return optimizer_class(name)(lr=lr)
 
 
 def train_step(model, batch, optimizer, clip_norm=10.0):
@@ -367,24 +371,9 @@ def _gradient_error(named, grads):
 def gradient_check_model(model, batch, step=1e-5):
     """Max relative error between the loss gradient and central finite
     differences, swept over every parameter coordinate."""
-    named = model.parameters()
-    root, _, _ = _nll_graph(model, batch.observations, batch.actions)
-    grads = dc.backward(root, params=[node for _, node in named])
-    worst = 0.0
-    for _, node in named:
-        flat = node.value.ravel()
-        analytic = grads[node].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(_nll_graph(model, batch.observations, batch.actions)[0].value)
-            flat[i] = orig - step
-            lo = float(_nll_graph(model, batch.observations, batch.actions)[0].value)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-            worst = max(worst, err)
-    return worst
+    return dc.grad_check(
+        lambda: _nll_graph(model, batch.observations, batch.actions)[0],
+        [node for _, node in model.parameters()], step)
 
 
 @dataclass
@@ -463,7 +452,7 @@ def generate_step(model, x_t, state, rng):
     state = rc.cell_step(x, state, model.lstm)
     params = rc.head_project(state[0][0], model.head)
     shared = model.shared_matrix() if model.config.head_structure == "tied" else None
-    y = mx.mixture_sample(params, shared, rng)
+    y = mx.mixture_sample(params, shared, rng, c_width=model.config.c_width)
     if model.flow.depth > 0:
         y = fl.flow_inverse(y[None], model.flow)[0]
     return y, state
@@ -570,6 +559,8 @@ def load_checkpoint(path):
     Every stored array is checked against the shape the config implies
     before anything sized by the config is allocated, so a corrupt size in
     the config block fails as a ValueError instead of an allocation.
+    `opt.*` arrays must be ones the optimizer named by the `optimizer`
+    entry stores.
 
     Returns (model, extra_entries, optimizer_arrays); evaluation of the
     reloaded model is bit-identical to the saved one.
@@ -585,6 +576,8 @@ def load_checkpoint(path):
         (count,) = struct.unpack("<I", _read(fh, 4))
         arrays = dict(_read_array(fh) for _ in range(count))
     config.validate()
+    stored_opt = (optimizer_class(extra["optimizer"])
+                  if "optimizer" in extra else None)
     shapes = {}
     for name, shape in parameter_shapes(config):
         if name not in arrays:
@@ -593,8 +586,8 @@ def load_checkpoint(path):
     opt_arrays = {}
     for name, arr in arrays.items():
         want = shapes.get(name)
-        if want is None:
-            want = _optimizer_array_shape(name, shapes)
+        if want is None and stored_opt is not None:
+            want = stored_opt.state_array_shape(name, shapes)
             opt_arrays[name] = arr
         if want is None:
             raise ValueError(f"checkpoint has unexpected array {name!r}")
@@ -605,13 +598,3 @@ def load_checkpoint(path):
     for name, node in model.parameters():
         node.value = arrays[name]
     return model, extra, opt_arrays
-
-
-def _optimizer_array_shape(name, shapes):
-    """The shape an optimizer state array must have, from the optimizer
-    that stores `name`; None for a name no optimizer stores."""
-    for cls in OPTIMIZERS:
-        want = cls.state_array_shape(name, shapes)
-        if want is not None:
-            return want
-    return None

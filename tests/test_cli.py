@@ -229,6 +229,17 @@ def test_gradcheck_fails_above_1e_4(monkeypatch, capsys):
     assert "gradient check FAILED" in err
 
 
+def test_gradcheck_non_finite_loss_exits_2(monkeypatch, capsys):
+    from frmdn import diffcore as dc
+
+    monkeypatch.setattr(md, "_nll_graph",
+                        lambda *args: (dc.constant(np.nan),) * 3)
+    code, _, err = run(["gradcheck", "--d", "2", "--k", "1", "--h", "4",
+                        "--flow-hidden", "8", "--seed", "0"], capsys)
+    assert code == 2
+    assert "not finite" in one_error_line(err)
+
+
 def test_paramcount_table_row(capsys):
     code, out, _ = run(["paramcount", "--k", "5", "--d", "32",
                         "--structure", "diagonal"], capsys)
@@ -556,6 +567,8 @@ def test_checkpoint_optimizer_arrays_are_checked(tmp_path, capsys):
             ("opt.m.lstm.w", np.zeros((3, 3)), "'opt.m.lstm.w' has shape (3, 3)"),
             ("opt.step", np.zeros(2), "'opt.step' has shape (2,)"),
             ("opt.m.lstm.x", np.zeros(3), "unexpected array 'opt.m.lstm.x'"),
+            ("opt.sq.lstm.w", opt_arrays["opt.m.lstm.w"],
+             "unexpected array 'opt.sq.lstm.w'"),
             ("stray", np.zeros(3), "unexpected array 'stray'")):
         stored = StoredOptimizer(dict(opt_arrays, **{name: arr}))
         md.save_checkpoint(bad, model, optimizer=stored, extra=extra)
@@ -565,6 +578,19 @@ def test_checkpoint_optimizer_arrays_are_checked(tmp_path, capsys):
         assert code == 2, name
         assert msg in one_error_line(err), name
     assert not (tmp_path / "out.frmd").exists()
+
+
+def test_checkpoint_unknown_optimizer_exits_2(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=0)) == 0
+    model, _, _ = md.load_checkpoint(ckpt)
+    md.save_checkpoint(ckpt, model, extra={"optimizer": "sgd"})
+    capsys.readouterr()
+    code, _, err = run(["eval", "--ckpt", str(ckpt), "--data", str(data)],
+                       capsys)
+    assert code == 2
+    assert "unknown optimizer 'sgd'" in one_error_line(err)
 
 
 def test_dream_checks_its_counts_before_training(monkeypatch, capsys):
@@ -583,3 +609,10 @@ def test_dream_checks_its_counts_before_training(monkeypatch, capsys):
         code, _, err = run(base + [flag, value], capsys)
         assert code == 2, (flag, value)
         assert flag in one_error_line(err), (flag, value)
+
+
+def test_dream_draws_a_seed_per_episode(capsys):
+    code, _, _ = run(["dream", "--episodes", "65", "--generations", "1",
+                      "--popsize", "2", "--hidden", "4", "--horizon", "4",
+                      "--train-epochs", "0"], capsys)
+    assert code == 0

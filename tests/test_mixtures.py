@@ -590,6 +590,17 @@ def test_sample_logistic_median():
     assert abs(np.median(draws) - 2.0) < 0.02
 
 
+def test_sample_logistic_variance_includes_bin_width():
+    # the density is a logistic convolved with Uniform(-C/2, C/2), whose
+    # variance is s^2 pi^2 / 3 + C^2 / 12 = 0.215 at s = 0.2, C = 1; the
+    # logistic alone has 0.132
+    p = mx.MixtureParams([1.0], [[2.0]], [[0.2]], "logistic")
+    rng = np.random.default_rng(16)
+    draws = np.array([mx.mixture_sample(p, None, rng, c_width=1.0)[0]
+                      for _ in range(50_000)])
+    assert abs(draws.var() - (0.04 * np.pi**2 / 3 + 1 / 12)) < 0.01
+
+
 # ---------------------------------------------------------------------------
 # parameter accounting
 # ---------------------------------------------------------------------------
