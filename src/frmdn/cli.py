@@ -241,7 +241,6 @@ def cmd_gradcheck(args):
     config = md.ModelConfig(dim=args.d, components=args.k, hidden=args.h,
                             flow_depth=args.flow_depth,
                             flow_hidden=args.flow_hidden)
-    config.validate()
     model = md.build_model(config, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     for layer in model.flow.layers:

@@ -107,9 +107,7 @@ def gen_switching_modes(q, t, d, modes, seed, stay_prob=0.92,
     if modes < 1:
         raise ValueError("modes must be at least 1")
     rng = np.random.default_rng(seed)
-    means = _mode_means(modes, d, separation)
-    trans = np.full((modes, modes), (1.0 - stay_prob) / max(modes - 1, 1))
-    np.fill_diagonal(trans, stay_prob if modes > 1 else 1.0)
+    means, trans = _switching_chain(modes, d, stay_prob, separation)
     obs = np.empty((q, t, d))
     for s in range(q):
         mode = int(rng.integers(modes))
@@ -119,13 +117,17 @@ def gen_switching_modes(q, t, d, modes, seed, stay_prob=0.92,
     return SequenceBatch(obs)
 
 
-def _mode_means(modes, d, separation):
+def _switching_chain(modes, d, stay_prob, separation):
+    """The (modes, d) mode means and the (modes, modes) transition matrix
+    of the switching generator's hidden Markov chain."""
     # symmetric lattice: per coordinate, levels +s, -s, +2s, -2s, ...
     means = np.zeros((modes, d))
     for m in range(modes):
         level = m // d
         means[m, m % d] = separation * (level // 2 + 1) * (1 if level % 2 == 0 else -1)
-    return means
+    trans = np.full((modes, modes), (1.0 - stay_prob) / max(modes - 1, 1))
+    np.fill_diagonal(trans, stay_prob if modes > 1 else 1.0)
+    return means, trans
 
 
 def switching_entropy_rate_mc(d, modes, seed, steps=20_000, stay_prob=0.92,
@@ -136,9 +138,7 @@ def switching_entropy_rate_mc(d, modes, seed, steps=20_000, stay_prob=0.92,
     Returns (estimate, standard_error).
     """
     rng = np.random.default_rng(seed)
-    means = _mode_means(modes, d, separation)
-    trans = np.full((modes, modes), (1.0 - stay_prob) / max(modes - 1, 1))
-    np.fill_diagonal(trans, stay_prob if modes > 1 else 1.0)
+    means, trans = _switching_chain(modes, d, stay_prob, separation)
     log_norm = -0.5 * d * math.log(2 * math.pi) - d * math.log(emission_std)
 
     belief = np.full(modes, 1.0 / modes)

@@ -9,18 +9,12 @@ nodes with pending gradients newest first: a node's consumers are all
 created after it, so its gradient is complete when it is visited, and no
 graph search is needed (a Wengert list swept in reverse).
 
-The model's work is done by fused ops with hand-written backwards: `lstm`
-here, the coupling layer in `flow` and the mixture rows in `mixtures`.
-The coupling op has two outputs and returns them as `output_view`s of
-one core node, so gradients reaching either meet in a single backward
-call.  `lstm_cell`, the LSTM op's step body, also serves generation,
-which runs on plain arrays without a tape.  It activates all four gate
-blocks of a step's (q, 4H) pre-activation rows in one contiguous pass of
-four ufuncs, scale * (tanh(scale * a) + shift) per column, rather than
-one call per strided (q, H) block: the sigmoid gates get
-0.5 * (1 + tanh(a * 0.5)) and the cell input tanh(a), whose shift is
--0.0 because adding +0.0 would turn -0.0 into +0.0.  The BPTT backward
-works in place on one reused (q, H) scratch.  The generic ops are only
+This module is the generic tape alone.  The model's work is done by
+fused ops that each layer's own module builds with hand-written
+backwards: the LSTM unroll in `recurrent`, the coupling layer in `flow`
+and the mixture rows in `mixtures`.  A fused op with several outputs
+returns them as `output_view`s of one core node, so gradients reaching
+any of them meet in a single backward call.  The generic ops are only
 the glue the loss needs around them: `add` (equal shapes, or a row-wise
 bias (n, m) + (m,)), `matmul`, `neg` and the whole-array `reduce_mean`.
 `grad_check(loss, leaves)` compares `backward` with central differences
@@ -33,9 +27,6 @@ import heapq
 import itertools
 
 import numpy as np
-
-# Scale logits are clamped to this band before exponentiation.
-EXP_CLAMP = 60.0
 
 # creation numbers of DiffNodes; `backward` visits the newest node first
 _CREATION = itertools.count()
@@ -123,138 +114,6 @@ def reduce_mean(a):
     av = a.value
     return DiffNode(av.mean(), (a,), "mean",
                     lambda g: (np.broadcast_to(g, av.shape).copy() / av.size,))
-
-
-# ---------------------------------------------------------------------------
-# fused recurrence
-# ---------------------------------------------------------------------------
-
-def lstm(x, w, b, h0, c0):
-    """Whole-sequence LSTM unroll with a hand-written BPTT backward
-    (Graves 2013, "Generating Sequences With Recurrent Neural Networks").
-
-    x is (T, q, n_in); w is (n_in + H, 4H) with gate columns ordered
-    (input, forget, cell, output); b is (4H,); h0 and c0 are the (q, H)
-    arrays the unroll starts from, and get no gradient.  Each step computes
-        i, f, g, o = sigmoid, sigmoid, tanh, sigmoid of
-                     x_t @ w[:n_in] + h_{t-1} @ w[n_in:] + b
-        c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t).
-
-    Returns one node: the t-major rows (T*q, H) of h_1..h_T.
-    """
-    x, w, b = _node(x), _node(w), _node(b)
-    xv, wv, bv = x.value, w.value, b.value
-    shapes = (xv.shape, wv.shape, bv.shape, h0.shape, c0.shape)
-    if xv.ndim != 3 or h0.ndim != 2:
-        raise ShapeMismatchError("lstm", *shapes)
-    steps, q, n_in = xv.shape
-    hid = h0.shape[1]
-    if (steps < 1 or wv.shape != (n_in + hid, 4 * hid)
-            or bv.shape != (4 * hid,) or h0.shape != (q, hid)
-            or c0.shape != (q, hid)):
-        raise ShapeMismatchError("lstm", *shapes)
-    w_x, w_h = wv[:n_in], wv[n_in:]
-    x_rows = xv.reshape(steps * q, n_in)
-    blocks = [np.s_[:, k * hid : (k + 1) * hid] for k in range(4)]
-
-    # gates[t] holds the activated (i, f, g, o) of step t; hc stacks
-    # h_0..h_T then c_0..c_T, and the output is a view of its h_1..h_T
-    gates = (x_rows @ w_x).reshape(steps, q, 4 * hid)
-    gates += bv
-    hc = np.empty((2 * (steps + 1), q, hid))
-    hs, cs = hc[: steps + 1], hc[steps + 1 :]
-    hs[0], cs[0] = h0, c0
-    tanh_c = np.empty((steps, q, hid))
-    for t in range(steps):
-        a = gates[t]
-        a += hs[t] @ w_h
-        lstm_cell(a, cs[t], cs[t + 1], tanh_c[t], hs[t + 1])
-
-    def rule(gh):
-        gh = gh.reshape(steps, q, hid)   # at h_1..h_T
-        # activation slopes of every step at once: s(1 - s) for the
-        # sigmoid gates, 1 - g^2 for the cell input and 1 - tanh(c)^2
-        slope = 1.0 - gates
-        slope *= gates
-        g_all = gates[..., 2 * hid : 3 * hid]
-        slope_g = slope[..., 2 * hid : 3 * hid]
-        np.multiply(g_all, g_all, out=slope_g)
-        np.subtract(1.0, slope_g, out=slope_g)
-        slope_c = tanh_c * tanh_c
-        np.subtract(1.0, slope_c, out=slope_c)
-        dgates = np.empty_like(gates)
-        dh = gh[-1]
-        dc = np.zeros((q, hid))          # c_T reaches no output
-        tmp = np.empty((q, hid))
-        for t in range(steps - 1, -1, -1):
-            i, f, g, o = (gates[t][sl] for sl in blocks)
-            di, df, dg, do = (dgates[t][sl] for sl in blocks)
-            np.multiply(dh, o, out=tmp)
-            tmp *= slope_c[t]
-            dc += tmp
-            np.multiply(dc, g, out=di)
-            np.multiply(dc, cs[t], out=df)
-            np.multiply(dc, i, out=dg)
-            np.multiply(dh, tanh_c[t], out=do)
-            dgates[t] *= slope[t]
-            if t:
-                dc *= f
-                dh = dgates[t] @ w_h.T
-                dh += gh[t - 1]
-        da_rows = dgates.reshape(steps * q, 4 * hid)
-        dw = np.empty_like(wv)
-        dw[:n_in] = x_rows.T @ da_rows
-        dw[n_in:] = hs[:steps].reshape(steps * q, hid).T @ da_rows
-        dx = (da_rows @ w_x.T).reshape(xv.shape) if x.requires_grad else None
-        return dx, dw, da_rows.sum(axis=0)
-
-    return DiffNode(hs[1:].reshape(steps * q, hid), (x, w, b), "lstm", rule)
-
-
-# hidden size -> read-only (rows, 4H) scale and shift tables of the
-# activation pass, grown to the most rows any step has had
-_GATE_AFFINE = {}
-
-
-def _gate_affine(q, hid):
-    """The (q, 4H) scale and shift of `lstm_cell`'s activation pass: each
-    row is (0.5, 0.5, 1, 0.5) and (1, 1, -0.0, 1), each repeated per gate
-    block.  Whole rows rather than one broadcast (4H,) row, since numpy
-    runs a same-shape ufunc at about twice the speed."""
-    tables = _GATE_AFFINE.get(hid)
-    if tables is None or tables[0].shape[0] < q:
-        tables = tuple(np.tile(np.repeat(row, hid), (q, 1))
-                       for row in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
-        for t in tables:
-            t.flags.writeable = False
-        _GATE_AFFINE[hid] = tables
-    return tables[0][:q], tables[1][:q]
-
-
-def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
-    """The body of one LSTM step, shared by `lstm` and tape-free generation.
-
-    a is the (q, 4H) pre-activation x_t @ w_x + b + h_{t-1} @ w_h, summed
-    in that order.  All four gate blocks are activated in place in one
-    contiguous pass, scale * (tanh(scale * a) + shift) per column:
-    i, f and o get sigmoid as 0.5 * (1 + tanh(a * 0.5)), with no exp to
-    overflow on either tail, and g gets tanh(a), since a * 1 is exact and
-    adding -0.0 keeps every value, the sign of zero too (+0.0 would turn
-    -0.0 into +0.0).  Writes c_t, tanh(c_t) and h_t into `c`, `tanh_c`
-    and `h` when given, else into new arrays, and returns (h_t, c_t).
-    """
-    q, hid = a.shape[0], a.shape[1] // 4
-    scale, shift = _gate_affine(q, hid)
-    a *= scale
-    np.tanh(a, out=a)
-    a += shift
-    a *= scale
-    i, f, g, o = (a[:, k * hid : (k + 1) * hid] for k in range(4))
-    c = np.multiply(f, c_prev, out=c)
-    tanh_c = np.multiply(i, g, out=tanh_c)
-    c += tanh_c
-    np.tanh(c, out=tanh_c)
-    return np.multiply(o, tanh_c, out=h), c
 
 
 def output_view(core, index, shape):

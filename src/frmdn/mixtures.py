@@ -25,9 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import EXP_CLAMP, DiffNode
+from .diffcore import DiffNode
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Scale logits are clamped to this band before exponentiation.
+EXP_CLAMP = 60.0
 
 STRUCTURES = ("diagonal", "tied", "logistic")
 
@@ -53,8 +56,6 @@ class MixtureParams:
     structure: str = "diagonal"
 
     def __post_init__(self):
-        # float64 arrays of the right rank (what head_project passes) are
-        # kept as they are, without a copy
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         self.mu = _as_rows(self.mu)
         self.d_diag = _as_rows(self.d_diag)
@@ -349,29 +350,31 @@ def pick_component(alpha, rng):
     return min(int(cum.searchsorted(u, side="left")), alpha.shape[0] - 1)
 
 
-def mixture_sample(params, shared, rng, c_width=1.0):
-    """Draw one d-vector: pick a component, then sample it.
+def mixture_sample(alpha, mu, scale, structure, rng, u=None, c_width=1.0):
+    """Draw one d-vector from the mixture with (K,) coefficients alpha,
+    (K, d) means mu and (K, d) scales as `MixtureParams.d_diag` holds
+    them: pick a component, then sample it.
 
-    tied components have covariance (U D_k U^T)^{-1}, realized as
-    mu_k + solve(U^T, D_k^{-1/2} * xi) with xi standard normal.  A
-    logistic component's density is a logistic convolved with
-    Uniform(-C/2, C/2), C = c_width, so its draw is
-    mu_k + s_k * logit(u) + C * (v - 1/2) with u, v uniform.
+    tied components have covariance (U D_k U^T)^{-1} with the shared
+    (d, d) matrix `u`, realized as mu_k + solve(U^T, D_k^{-1/2} * xi)
+    with xi standard normal.  A logistic component's density is a
+    logistic convolved with Uniform(-C/2, C/2), C = c_width, so its draw
+    is mu_k + s_k * logit(p) + C * (v - 1/2) with p, v uniform.
     """
-    k = pick_component(params.alpha, rng)
-    mu = params.mu[k]
-    if params.structure == "diagonal":
-        return mu + params.d_diag[k] * rng.standard_normal(params.dim)
-    if params.structure == "tied":
-        if shared is None:
+    k = pick_component(alpha, rng)
+    dim = mu.shape[1]
+    if structure == "diagonal":
+        return mu[k] + scale[k] * rng.standard_normal(dim)
+    if structure == "tied":
+        if u is None:
             raise ValueError("tied mixtures need their shared matrix to sample")
-        xi = rng.standard_normal(params.dim)
-        return mu + np.linalg.solve(shared.u.T, xi / np.sqrt(params.d_diag[k]))
-    if params.structure == "logistic":
-        u = rng.uniform(size=params.dim)
-        v = rng.uniform(size=params.dim)
-        return mu + params.d_diag[k] * np.log(u / (1.0 - u)) + c_width * (v - 0.5)
-    raise ValueError(f"unknown mixture structure {params.structure!r}")
+        xi = rng.standard_normal(dim)
+        return mu[k] + np.linalg.solve(u.T, xi / np.sqrt(scale[k]))
+    if structure == "logistic":
+        p = rng.uniform(size=dim)
+        v = rng.uniform(size=dim)
+        return mu[k] + scale[k] * np.log(p / (1.0 - p)) + c_width * (v - 0.5)
+    raise ValueError(f"unknown mixture structure {structure!r}")
 
 
 # ---------------------------------------------------------------------------

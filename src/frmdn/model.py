@@ -59,8 +59,12 @@ class ModelConfig:
             raise ValueError("action_dim and flow_depth must be non-negative")
         if self.head_structure not in mx.STRUCTURES:
             raise ValueError(f"unknown head structure {self.head_structure!r}")
-        if self.c_width <= 0.0:
-            raise ValueError("c_width must be positive")
+        for name in ("c_width", "s_clamp"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.flow_hidden < 1:
+            raise ValueError(f"flow_hidden must be at least 1, got {self.flow_hidden}")
         if self.flow_enabled and self.flow_depth > 0 and self.dim < 2:
             raise ValueError("coupling layers need dim >= 2")
 
@@ -87,11 +91,6 @@ class FrmdnModel:
         out = list(self.lstm.parameters()) + list(self.head.parameters())
         out.extend(self.flow.parameters())
         return out
-
-    def shared_matrix(self):
-        if self.head.u is None:
-            return mx.SharedMatrix.identity(self.config.dim)
-        return mx.SharedMatrix(self.head.u.value.copy())
 
 
 def parameter_shapes(config):
@@ -238,17 +237,14 @@ class _OptimizerState:
                               if n.startswith(prefix)})
 
     @classmethod
-    def state_array_shape(cls, name, param_shapes):
-        """The shape array `name` must have if this optimizer stores it: a
-        scalar for a counter, its parameter's shape for a moment.  None
-        for a name it does not store."""
-        if name in {f"opt.{c}" for c in cls.counters}:
-            return ()
+    def state_shapes(cls, param_shapes):
+        """{name: shape} of every array this optimizer stores once it has
+        taken a step: a scalar per counter, and per moment an array of
+        each parameter's shape."""
+        shapes = {f"opt.{c}": () for c in cls.counters}
         for m in cls.moments:
-            prefix = f"opt.{m}."
-            if name.startswith(prefix):
-                return param_shapes.get(name[len(prefix):])
-        return None
+            shapes.update((f"opt.{m}.{n}", s) for n, s in param_shapes.items())
+        return shapes
 
 
 def _moment(moments, name, like):
@@ -450,16 +446,18 @@ def generate_step(model, x_t, state, rng):
     works on plain arrays and builds no graph nodes.  Returns (y, state)."""
     x = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
     state = rc.cell_step(x, state, model.lstm)
-    params = rc.head_project(state[0][0], model.head)
-    shared = model.shared_matrix() if model.config.head_structure == "tied" else None
-    y = mx.mixture_sample(params, shared, rng, c_width=model.config.c_width)
+    head = model.head
+    u = None if head.u is None else head.u.value
+    y = mx.mixture_sample(*rc.head_project(state[0][0], head), head.structure,
+                          rng, u=u, c_width=model.config.c_width)
     if model.flow.depth > 0:
         y = fl.flow_inverse(y[None], model.flow)[0]
     return y, state
 
 
-def rollout(model, y_0, action_fn, steps, rng=None, seed=0):
-    """Free-running generation: each sample feeds the next step.
+def rollout(model, y_0, action_fn, steps, rng):
+    """Free-running generation: each sample feeds the next step, with every
+    draw taken from the generator `rng`.
 
     Returns one sequence of steps+1 observations (y_0 first).  When the
     model takes actions, action_fn(t) supplies the action applied at step t;
@@ -468,8 +466,6 @@ def rollout(model, y_0, action_fn, steps, rng=None, seed=0):
     if steps < 1:
         raise ValueError("steps must be at least 1")
     cfg = model.config
-    if rng is None:
-        rng = np.random.default_rng(seed)
     y = np.asarray(y_0, dtype=np.float64).ravel()
     state = rc.initial_state(1, cfg.hidden)
     obs = np.empty((steps + 1, cfg.dim))
@@ -560,7 +556,8 @@ def load_checkpoint(path):
     before anything sized by the config is allocated, so a corrupt size in
     the config block fails as a ValueError instead of an allocation.
     `opt.*` arrays must be ones the optimizer named by the `optimizer`
-    entry stores.
+    entry stores, and must be all of its state: its counters alone (a
+    fresh optimizer) or every counter and moment array.
 
     Returns (model, extra_entries, optimizer_arrays); evaluation of the
     reloaded model is bit-identical to the saved one.
@@ -578,22 +575,25 @@ def load_checkpoint(path):
     config.validate()
     stored_opt = (optimizer_class(extra["optimizer"])
                   if "optimizer" in extra else None)
-    shapes = {}
-    for name, shape in parameter_shapes(config):
+    shapes = dict(parameter_shapes(config))
+    for name in shapes:
         if name not in arrays:
             raise ValueError(f"checkpoint is missing array {name!r}")
-        shapes[name] = shape
-    opt_arrays = {}
+    opt_shapes = stored_opt.state_shapes(shapes) if stored_opt else {}
+    opt_arrays = {n: a for n, a in arrays.items() if n in opt_shapes}
     for name, arr in arrays.items():
-        want = shapes.get(name)
-        if want is None and stored_opt is not None:
-            want = stored_opt.state_array_shape(name, shapes)
-            opt_arrays[name] = arr
+        want = shapes.get(name, opt_shapes.get(name))
         if want is None:
             raise ValueError(f"checkpoint has unexpected array {name!r}")
         if arr.shape != want:
             raise ValueError(f"checkpoint array {name!r} has shape "
                              f"{arr.shape}, expected {want}")
+    # a fresh optimizer stores its counters alone, one that has taken a
+    # step its whole state
+    fresh = {f"opt.{c}" for c in stored_opt.counters} if stored_opt else set()
+    for name in fresh if opt_arrays.keys() <= fresh else opt_shapes:
+        if name not in opt_arrays:
+            raise ValueError(f"checkpoint is missing array {name!r}")
     model = build_model(config, seed=0)
     for name, node in model.parameters():
         node.value = arrays[name]

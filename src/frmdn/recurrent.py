@@ -1,4 +1,11 @@
-"""LSTM backbone and the linear head that emits per-step mixture parameters.
+"""The LSTM backbone and the linear head that emits per-step mixture
+parameters.
+
+This module owns the LSTM end to end: its gate layout, the fused
+whole-window op `lstm_step` with its hand-written BPTT backward (Graves
+2013, "Generating Sequences With Recurrent Neural Networks"), and the
+step body `lstm_cell` that the op and tape-free generation (`cell_step`)
+share.  Each entry point checks its shapes once.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -104,21 +111,134 @@ def _check_step_inputs(who, x, ndim, state, params):
 
 def lstm_step(x, state, params):
     """Unroll the cell over a (T, q, input_dim) batch node from the (h, c)
-    pair `state`, in one fused op.
+    pair `state`, in one fused op with a hand-written BPTT backward.
 
-    Returns the node of the t-major rows (T*q, hidden) of every step's
-    hidden output.  The start state gets no gradient.
+    params.w is (input_dim + H, 4H) with gate columns ordered (input,
+    forget, cell, output) and params.b is (4H,).  Each step computes
+        i, f, g, o = sigmoid, sigmoid, tanh, sigmoid of
+                     x_t @ w[:input_dim] + h_{t-1} @ w[input_dim:] + b
+        c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t).
+
+    Returns one node, op "lstm": the t-major rows (T*q, H) of h_1..h_T.
+    The start state gets no gradient.
     """
     x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
-    _check_step_inputs("lstm_step", x.value, 3, state, params)
-    return dc.lstm(x, params.w, params.b, *state)
+    xv = x.value
+    _check_step_inputs("lstm_step", xv, 3, state, params)
+    steps, q, n_in = xv.shape
+    if steps < 1:
+        raise dc.ShapeMismatchError("lstm_step", xv.shape)
+    hid, wv = params.hidden, params.w.value
+    w_x, w_h = wv[:n_in], wv[n_in:]
+    x_rows = xv.reshape(steps * q, n_in)
+    blocks = [np.s_[:, k * hid : (k + 1) * hid] for k in range(4)]
+
+    # gates[t] holds the activated (i, f, g, o) of step t; hc stacks
+    # h_0..h_T then c_0..c_T, and the output is a view of its h_1..h_T
+    gates = (x_rows @ w_x).reshape(steps, q, 4 * hid)
+    gates += params.b.value
+    hc = np.empty((2 * (steps + 1), q, hid))
+    hs, cs = hc[: steps + 1], hc[steps + 1 :]
+    hs[0], cs[0] = state
+    tanh_c = np.empty((steps, q, hid))
+    for t in range(steps):
+        a = gates[t]
+        a += hs[t] @ w_h
+        lstm_cell(a, cs[t], cs[t + 1], tanh_c[t], hs[t + 1])
+
+    def rule(gh):
+        gh = gh.reshape(steps, q, hid)   # at h_1..h_T
+        # activation slopes of every step at once: s(1 - s) for the
+        # sigmoid gates, 1 - g^2 for the cell input and 1 - tanh(c)^2
+        slope = 1.0 - gates
+        slope *= gates
+        g_all = gates[..., 2 * hid : 3 * hid]
+        slope_g = slope[..., 2 * hid : 3 * hid]
+        np.multiply(g_all, g_all, out=slope_g)
+        np.subtract(1.0, slope_g, out=slope_g)
+        slope_c = tanh_c * tanh_c
+        np.subtract(1.0, slope_c, out=slope_c)
+        dgates = np.empty_like(gates)
+        dh = gh[-1]
+        dcell = np.zeros((q, hid))       # c_T reaches no output
+        tmp = np.empty((q, hid))
+        for t in range(steps - 1, -1, -1):
+            i, f, g, o = (gates[t][sl] for sl in blocks)
+            di, df, dg, do = (dgates[t][sl] for sl in blocks)
+            np.multiply(dh, o, out=tmp)
+            tmp *= slope_c[t]
+            dcell += tmp
+            np.multiply(dcell, g, out=di)
+            np.multiply(dcell, cs[t], out=df)
+            np.multiply(dcell, i, out=dg)
+            np.multiply(dh, tanh_c[t], out=do)
+            dgates[t] *= slope[t]
+            if t:
+                dcell *= f
+                dh = dgates[t] @ w_h.T
+                dh += gh[t - 1]
+        da_rows = dgates.reshape(steps * q, 4 * hid)
+        dw = np.empty_like(wv)
+        dw[:n_in] = x_rows.T @ da_rows
+        dw[n_in:] = hs[:steps].reshape(steps * q, hid).T @ da_rows
+        dx = (da_rows @ w_x.T).reshape(xv.shape) if x.requires_grad else None
+        return dx, dw, da_rows.sum(axis=0)
+
+    return dc.DiffNode(hs[1:].reshape(steps * q, hid),
+                       (x, params.w, params.b), "lstm", rule)
+
+
+# hidden size -> read-only (rows, 4H) scale and shift tables of the
+# activation pass, grown to the most rows any step has had
+_GATE_AFFINE = {}
+
+
+def _gate_affine(q, hid):
+    """The (q, 4H) scale and shift of `lstm_cell`'s activation pass: each
+    row is (0.5, 0.5, 1, 0.5) and (1, 1, -0.0, 1), each repeated per gate
+    block.  Whole rows rather than one broadcast (4H,) row, since numpy
+    runs a same-shape ufunc at about twice the speed."""
+    tables = _GATE_AFFINE.get(hid)
+    if tables is None or tables[0].shape[0] < q:
+        tables = tuple(np.tile(np.repeat(row, hid), (q, 1))
+                       for row in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
+        for t in tables:
+            t.flags.writeable = False
+        _GATE_AFFINE[hid] = tables
+    return tables[0][:q], tables[1][:q]
+
+
+def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
+    """The body of one LSTM step, shared by `lstm_step` and `cell_step`.
+
+    a is the (q, 4H) pre-activation x_t @ w_x + b + h_{t-1} @ w_h, summed
+    in that order.  All four gate blocks are activated in place in one
+    contiguous pass, scale * (tanh(scale * a) + shift) per column:
+    i, f and o get sigmoid as 0.5 * (1 + tanh(a * 0.5)), with no exp to
+    overflow on either tail, and g gets tanh(a), since a * 1 is exact and
+    adding -0.0 keeps every value, the sign of zero too (+0.0 would turn
+    -0.0 into +0.0).  Writes c_t, tanh(c_t) and h_t into `c`, `tanh_c`
+    and `h` when given, else into new arrays, and returns (h_t, c_t).
+    """
+    q, hid = a.shape[0], a.shape[1] // 4
+    scale, shift = _gate_affine(q, hid)
+    a *= scale
+    np.tanh(a, out=a)
+    a += shift
+    a *= scale
+    i, f, g, o = (a[:, k * hid : (k + 1) * hid] for k in range(4))
+    c = np.multiply(f, c_prev, out=c)
+    tanh_c = np.multiply(i, g, out=tanh_c)
+    c += tanh_c
+    np.tanh(c, out=tanh_c)
+    return np.multiply(o, tanh_c, out=h), c
 
 
 def cell_step(x, state, params):
     """Advance the cell one step on plain arrays, building no graph nodes.
 
     x is (q, input_dim) and state an (h, c) pair of (q, hidden) arrays.
-    The arithmetic is `dc.lstm`'s own loop body in the op's summation
+    The arithmetic is `lstm_step`'s own loop body in the op's summation
     order, so the new h equals a one-step `lstm_step` from the same pair
     bit for bit.  Returns the new (h, c) pair.
     """
@@ -127,25 +247,21 @@ def cell_step(x, state, params):
     a = x @ w[: params.input_dim]
     a += params.b.value
     a += state[0] @ w[params.input_dim :]
-    return dc.lstm_cell(a, state[1])
+    return lstm_cell(a, state[1])
 
 
 def head_logits(h, head):
     """The linear head output rows (n, K + 2*K*d) as one graph node;
     `mx.split_head` reads its layout."""
-    h = h if isinstance(h, dc.DiffNode) else dc.constant(h)
     return dc.add(dc.matmul(h, head.w), head.b)
 
 
 def head_project(h_vec, head):
-    """Numeric mixture parameters for one (hidden,) float64 vector
-    (sampling path).
-
-    Coefficients go through the softmax, means stay raw, and scale logits go
-    through the clamped exponential.
-    """
+    """Numeric mixture parameters (alpha, mu, scale) for one (hidden,)
+    float64 vector (sampling path): the (K,) coefficients through the
+    softmax, the (K, d) raw means and the (K, d) scales through the
+    clamped exponential."""
     out = h_vec @ head.w.value + head.b.value
     alpha, mu, scale_logits = mx.split_head(out[None], head.k, head.dim)
-    return mx.MixtureParams(mx.coeffs_from_logits(alpha[0]), mu[0],
-                            mx.diag_scales_from_logits(scale_logits[0]),
-                            head.structure)
+    return (mx.coeffs_from_logits(alpha[0]), mu[0],
+            mx.diag_scales_from_logits(scale_logits[0]))

@@ -240,6 +240,13 @@ def test_gradcheck_non_finite_loss_exits_2(monkeypatch, capsys):
     assert "not finite" in one_error_line(err)
 
 
+def test_gradcheck_rejects_zero_width_coupling_nets(capsys):
+    code, out, err = run(["gradcheck", "--d", "2", "--k", "1", "--h", "4",
+                          "--flow-hidden", "0"], capsys)
+    assert code == 2 and "flow_hidden" in one_error_line(err)
+    assert out == ""
+
+
 def test_paramcount_table_row(capsys):
     code, out, _ = run(["paramcount", "--k", "5", "--d", "32",
                         "--structure", "diagonal"], capsys)
@@ -457,6 +464,11 @@ def test_train_rejects_settings_that_do_nothing(tmp_path, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2, (flag, value)
         assert name in one_error_line(err)
+    for value in ("nan", "inf"):
+        argv = train_args(data, out, structure="logistic", c_width=value)
+        code, _, err = run(argv, capsys)
+        assert code == 2, value
+        assert "c_width" in one_error_line(err)
     assert not out.exists()
 
 
@@ -494,6 +506,16 @@ def test_checkpoint_config_missing_key_exit_2(tmp_path, capsys):
         tmp_path, capsys,
         lambda blob: blob.replace(b"action_dim=", b"action_xxx=", 1))
     assert code == 2 and "missing 'action_dim'" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("s_clamp", "nan"), ("s_clamp", "0.0"), ("c_width", "nan"),
+    ("c_width", "inf"), ("flow_hidden", "0"),
+])
+def test_checkpoint_config_values_are_checked(tmp_path, capsys, key, value):
+    code, err = eval_untrained_checkpoint(
+        tmp_path, capsys, lambda blob: with_config_entry(blob, key, value))
+    assert code == 2 and key in err
 
 
 def test_checkpoint_shape_past_end_of_file_exit_2(tmp_path, capsys):
@@ -578,6 +600,31 @@ def test_checkpoint_optimizer_arrays_are_checked(tmp_path, capsys):
         assert code == 2, name
         assert msg in one_error_line(err), name
     assert not (tmp_path / "out.frmd").exists()
+
+
+def test_checkpoint_optimizer_state_must_be_complete(tmp_path, capsys):
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=1, optimizer="adam")) == 0
+    model, extra, opt_arrays = md.load_checkpoint(ckpt)
+    bad = tmp_path / "bad.frmd"
+    out = tmp_path / "out.frmd"
+    for name in ("opt.step", "opt.m.lstm.w"):
+        kept = {n: a for n, a in opt_arrays.items() if n != name}
+        md.save_checkpoint(bad, model, optimizer=StoredOptimizer(kept),
+                           extra=extra)
+        capsys.readouterr()
+        argv = train_args(data, out, epochs=1) + ["--resume", str(bad)]
+        code, _, err = run(argv, capsys)
+        assert code == 2, name
+        assert f"missing array {name!r}" in one_error_line(err), name
+    assert not out.exists()
+    # a fresh optimizer has stored no moments yet, and resumes
+    for optimizer in ("rmsprop", "adam"):
+        fresh = tmp_path / f"{optimizer}.frmd"
+        assert main(train_args(data, fresh, epochs=0, optimizer=optimizer)) == 0
+        argv = train_args(data, out, epochs=1) + ["--resume", str(fresh)]
+        assert main(argv) == 0, optimizer
 
 
 def test_checkpoint_unknown_optimizer_exits_2(tmp_path, capsys):

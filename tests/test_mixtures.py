@@ -324,7 +324,7 @@ def test_logistic_kernel_matches_log_sigmoid_oracle():
     # per-dimension offsets (z - mu)/s up to 1e3 scales, scale logits over
     # the whole clamp band, and bin widths far on either side of the scale
     offsets = np.array([0.0, 1e-6, -0.3, 1.0, -2.5, 7.0, -30.0, 200.0, -1e3])
-    logits = np.linspace(-dc.EXP_CLAMP, dc.EXP_CLAMP, 25)
+    logits = np.linspace(-mx.EXP_CLAMP, mx.EXP_CLAMP, 25)
     rng = np.random.default_rng(24)
     z = rng.normal(size=(offsets.size, 2))
     log_s = np.broadcast_to(logits[None, :, None], (offsets.size, logits.size, 2))
@@ -551,20 +551,26 @@ def test_random_and_uniform_draw_the_same_stream():
                                           b.standard_normal(3))
 
 
+def sample(p, rng, **family):
+    """One `mixture_sample` draw from the mixture `p`."""
+    return mx.mixture_sample(p.alpha, p.mu, p.d_diag, p.structure, rng,
+                             **family)
+
+
 def test_sample_degenerate_categorical():
     p = mx.MixtureParams(
         [1.0 - 1e-300, 1e-300], [[5.0], [-5.0]], [[1e-6], [1.0]], "diagonal"
     )
     rng = np.random.default_rng(12)
     for _ in range(100):
-        y = mx.mixture_sample(p, None, rng)
+        y = sample(p, rng)
         assert abs(y[0] - 5.0) < 1.0
 
 
 def test_sample_diagonal_moments():
     p = mx.MixtureParams([1.0], [[3.0]], [[2.0]])
     rng = np.random.default_rng(13)
-    draws = np.array([mx.mixture_sample(p, None, rng)[0] for _ in range(200_000)])
+    draws = np.array([sample(p, rng)[0] for _ in range(200_000)])
     assert abs(draws.mean() - 3.0) < 0.02
     assert abs(draws.std() - 2.0) < 0.02
 
@@ -574,10 +580,7 @@ def test_sample_tied_covariance_matches_inverse_oracle():
     u = np.array([[1.2, 0.4], [-0.3, 0.9]])
     d_diag = np.array([[1.5, 0.8]])
     p = mx.MixtureParams([1.0], [[0.0, 0.0]], d_diag, "tied")
-    shared = mx.SharedMatrix(u)
-    draws = np.array(
-        [mx.mixture_sample(p, shared, rng) for _ in range(200_000)]
-    )
+    draws = np.array([sample(p, rng, u=u) for _ in range(200_000)])
     want = np.linalg.inv(u @ np.diag(d_diag[0]) @ u.T)
     got = np.cov(draws.T)
     np.testing.assert_allclose(got, want, atol=0.05)
@@ -586,7 +589,7 @@ def test_sample_tied_covariance_matches_inverse_oracle():
 def test_sample_logistic_median():
     p = mx.MixtureParams([1.0], [[2.0]], [[0.5]], "logistic")
     rng = np.random.default_rng(15)
-    draws = np.array([mx.mixture_sample(p, None, rng)[0] for _ in range(50_000)])
+    draws = np.array([sample(p, rng)[0] for _ in range(50_000)])
     assert abs(np.median(draws) - 2.0) < 0.02
 
 
@@ -596,7 +599,7 @@ def test_sample_logistic_variance_includes_bin_width():
     # logistic alone has 0.132
     p = mx.MixtureParams([1.0], [[2.0]], [[0.2]], "logistic")
     rng = np.random.default_rng(16)
-    draws = np.array([mx.mixture_sample(p, None, rng, c_width=1.0)[0]
+    draws = np.array([sample(p, rng, c_width=1.0)[0]
                       for _ in range(50_000)])
     assert abs(draws.var() - (0.04 * np.pi**2 / 3 + 1 / 12)) < 0.01
 

@@ -137,13 +137,14 @@ def test_nll_agrees_with_numeric_density_route(structure):
     obs = rng.normal(size=(2, 6, 3))
     rec = md.sequence_nll(model, ds.SequenceBatch(obs))
 
-    shared = model.shared_matrix()
+    shared = mx.SharedMatrix(model.head.u.value) if structure == "tied" else None
     total = 0.0
     for s in range(obs.shape[0]):
         state = rc.initial_state(1, model.config.hidden)
         for t in range(obs.shape[1] - 1):
             state = rc.cell_step(obs[s, t][None], state, model.lstm)
-            params = rc.head_project(state[0][0], model.head)
+            params = mx.MixtureParams(*rc.head_project(state[0][0], model.head),
+                                      structure)
             z, logdet = fl.flow_forward(obs[s, t + 1][None], model.flow)
             point = z.value[0]
             if structure == "diagonal":
@@ -476,10 +477,9 @@ def test_generate_step_equals_graph_replay():
 
             h_node = rc.lstm_step(dc.constant(x.reshape(1, 1, -1)),
                                   (h0, c0), model.lstm)
-            params = rc.head_project(h_node.value[0], model.head)
-            shared = (mx.SharedMatrix(model.head.u.value)
-                      if structure == "tied" else None)
-            want = mx.mixture_sample(params, shared, np.random.default_rng(9))
+            u = model.head.u.value if structure == "tied" else None
+            want = mx.mixture_sample(*rc.head_project(h_node.value[0], model.head),
+                                     structure, np.random.default_rng(9), u=u)
             if flow:
                 want = fl.flow_inverse(want.reshape(1, -1), model.flow)[0]
             assert np.array_equal(y, want), case
@@ -516,15 +516,18 @@ def test_generate_step_degenerate_component_hits_mean():
 
 def test_rollout_single_step_and_reproducibility():
     model = md.build_model(tiny_config(), seed=8)
-    one = md.rollout(model, np.zeros(2), None, steps=1, seed=3)
+    one = md.rollout(model, np.zeros(2), None, steps=1,
+                     rng=np.random.default_rng(3))
     assert one.observations.shape == (1, 2, 2)
-    again = md.rollout(model, np.zeros(2), None, steps=1, seed=3)
+    again = md.rollout(model, np.zeros(2), None, steps=1,
+                       rng=np.random.default_rng(3))
     np.testing.assert_array_equal(one.observations, again.observations)
 
 
 def test_untrained_model_rollout_stays_finite():
     model = md.build_model(tiny_config(), seed=9)
-    out = md.rollout(model, np.zeros(2), None, steps=1000, seed=1)
+    out = md.rollout(model, np.zeros(2), None, steps=1000,
+                     rng=np.random.default_rng(1))
     assert np.all(np.isfinite(out.observations))
 
 
@@ -549,7 +552,8 @@ def test_generation_builds_no_diffnodes(monkeypatch):
     env = ct.DreamEnv(model, lambda step, y, action: 0.0, horizon=64)
     ctrl = ct.LinearController(np.full((2, 8), 0.1), np.zeros(2))
     created = record_nodes(monkeypatch)
-    md.rollout(model, np.zeros(2), lambda t: np.ones(2), 64, seed=13)
+    md.rollout(model, np.zeros(2), lambda t: np.ones(2), 64,
+               np.random.default_rng(13))
     ct.dream_rollout(env, ctrl, np.random.default_rng(13))
     assert created == []
     # the patched constructor sees the nodes a loss graph builds
@@ -581,7 +585,7 @@ def test_rollout_with_actions_records_them():
     model = md.build_model(tiny_config(action_dim=2), seed=10)
     rng = np.random.default_rng(11)
     out = md.rollout(model, np.zeros(2), lambda t: rng.uniform(-1, 1, 2),
-                     steps=5, seed=2)
+                     steps=5, rng=np.random.default_rng(2))
     assert out.actions.shape == (1, 6, 2)
     assert np.all(out.actions[0, -1] == 0.0)
 
@@ -602,7 +606,8 @@ def trained_ar_model():
 
 
 def test_trained_model_rollout_recovers_autocorrelation(trained_ar_model):
-    out = md.rollout(trained_ar_model, np.zeros(2), None, steps=6000, seed=6)
+    out = md.rollout(trained_ar_model, np.zeros(2), None, steps=6000,
+                     rng=np.random.default_rng(6))
     series = out.observations[0, 500:, 0]    # discard warm-up
     lag1 = np.corrcoef(series[:-1], series[1:])[0, 1]
     assert abs(lag1 - 0.9) < 0.1
@@ -678,15 +683,6 @@ def test_checkpoint_carries_adam_state(tmp_path):
     for name, arr in opt.m.items():
         np.testing.assert_array_equal(restored.m[name], arr)
         np.testing.assert_array_equal(restored.v[name], opt.v[name])
-
-
-def test_shared_matrix_follows_head_u():
-    model = md.build_model(tiny_config(head_structure="tied"), seed=17)
-    np.testing.assert_array_equal(model.shared_matrix().u, np.eye(2))
-    model.head.u.value[0, 0] = 2.0      # in place, as gradient checks write
-    shared = model.shared_matrix()
-    np.testing.assert_array_equal(shared.u, model.head.u.value)
-    assert shared.log_abs_det == pytest.approx(math.log(2.0))
 
 
 def test_generate_step_supports_tied_head():

@@ -107,7 +107,7 @@ def test_lstm_rejects_mismatched_dims():
     with pytest.raises(ValueError, match="cell_step"):
         rc.cell_step(np.ones((1, 2, 3)), state, params)
     with pytest.raises(dc.ShapeMismatchError, match="lstm"):
-        dc.lstm(np.ones((0, 2, 3)), params.w, params.b, *state)
+        rc.lstm_step(np.ones((0, 2, 3)), state, params)
 
 
 def test_forget_gate_bias_initialized_to_one():
@@ -123,7 +123,7 @@ def test_forget_gate_bias_initialized_to_one():
 def test_zero_head_gives_uniform_alpha_zero_mu_unit_scales():
     head = rc.init_head(4, 3, 2, "diagonal", np.random.default_rng(7))
     head.w.value[:] = 0.0
-    params = rc.head_project(np.zeros(4), head)
+    params = mx.MixtureParams(*rc.head_project(np.zeros(4), head))
     np.testing.assert_allclose(params.alpha, [1 / 3] * 3)
     np.testing.assert_array_equal(params.mu, np.zeros((3, 2)))
     np.testing.assert_array_equal(params.d_diag, np.ones((3, 2)))
@@ -133,7 +133,7 @@ def test_head_alpha_from_constructed_logits():
     head = rc.init_head(2, 2, 1, "diagonal", np.random.default_rng(8))
     head.w.value[:] = 0.0
     head.b.value[:2] = [np.log(2.0), 0.0]
-    params = rc.head_project(np.zeros(2), head)
+    params = mx.MixtureParams(*rc.head_project(np.zeros(2), head))
     np.testing.assert_allclose(params.alpha, [2 / 3, 1 / 3], atol=1e-15)
 
 
@@ -142,7 +142,8 @@ def test_head_invariants_hold_for_random_hidden_states():
     head = rc.init_head(16, 4, 3, "diagonal", rng)
     head.w.value *= 10.0   # exaggerate logits to stress the activations
     for _ in range(10_000):
-        params = rc.head_project(rng.normal(size=16) * 3.0, head)
+        params = mx.MixtureParams(
+            *rc.head_project(rng.normal(size=16) * 3.0, head))
         params.validate()
 
 
@@ -154,7 +155,7 @@ def test_head_logits_agree_with_head_project():
     assert logits.shape == (4, 3 + 2 * 3 * 2)
     # layout K | K*d | K*d, component-major
     for row in range(4):
-        params = rc.head_project(h[row], head)
+        params = mx.MixtureParams(*rc.head_project(h[row], head))
         np.testing.assert_allclose(
             params.alpha, mx.coeffs_from_logits(logits[row, :3]), atol=1e-14
         )
@@ -214,7 +215,9 @@ def test_fused_op_gradients_match_central_differences():
     arrays = [x, w, b]
 
     def loss(nodes):
-        out = dc.lstm(*nodes, h0, c0)
+        x_node, w_node, b_node = nodes
+        out = rc.lstm_step(x_node, (h0, c0),
+                           rc.LstmParams(w_node, b_node, n_in, hidden))
         return probe(dc.matmul(dc.constant(left), out))
 
     leaves = [dc.parameter(a) for a in arrays]
@@ -330,7 +333,7 @@ def test_fused_op_is_bit_identical_to_per_block_reference(q, hidden):
     pre = x.reshape(steps * q, n_in) @ w[:n_in] + b
     assert np.abs(pre).max() > 40.0 and np.any(pre == 0.0)
     wn, bn = dc.parameter(w), dc.parameter(b)
-    out = dc.lstm(x, wn, bn, h0, c0)
+    out = rc.lstm_step(x, (h0, c0), rc.LstmParams(wn, bn, n_in, hidden))
     _, dw, db = out._rule(gh)
     want_h, want_dw, want_db = _lstm_reference(x, w, b, h0, c0, gh)
     _assert_same_bits(out.value, want_h)
@@ -343,7 +346,7 @@ def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
     row = np.array([-0.0, 0.0, 45.0, -45.0])
     act = np.tile(row, 4)[None]
     c_prev = np.array([[-0.0, 0.0, 1.0, -1.0]])
-    h, c = dc.lstm_cell(act, c_prev)
+    h, c = rc.lstm_cell(act, c_prev)
     i = f = o = _sigmoid_ref(row)[None]
     g = np.tanh(row)[None]
     want_c = f * c_prev + i * g
