@@ -7,6 +7,19 @@ whole-window op `lstm_step` with its hand-written BPTT backward (Graves
 step body `lstm_cell` that the op and tape-free generation (`cell_step`)
 share.  Each entry point checks its shapes once.
 
+The parameter `lstm.w` keeps the (input_dim + H, 4H) layout that
+checkpoints store, gate columns ordered (i, f, g, o).  The working arrays
+are gate-major: a step's pre-activations and gates are one (4, q, H)
+array whose four gate blocks are each a contiguous (q, H) array, so the
+cell and the BPTT rule do their elementwise work on contiguous blocks
+(the layout choices of Appleyard et al. 2016, "Optimizing Performance of
+Recurrent Neural Networks on GPUs").  Each block comes from (q, H)
+products with a strided view of its gate's columns of w, so no weights
+are copied per step or per call.  The backward writes each step's gate
+gradients back into (q, 4H) rows in parameter layout for the weight
+products, and runs the recurrent product against one contiguous copy of
+w_h.T per call.
+
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
 and clamped exp keep the resulting mixture parameters inside their valid
@@ -116,7 +129,7 @@ def lstm_step(x, state, params):
     params.w is (input_dim + H, 4H) with gate columns ordered (input,
     forget, cell, output) and params.b is (4H,).  Each step computes
         i, f, g, o = sigmoid, sigmoid, tanh, sigmoid of
-                     x_t @ w[:input_dim] + h_{t-1} @ w[input_dim:] + b
+                     x_t @ w[:input_dim] + b + h_{t-1} @ w[input_dim:]
         c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t).
 
     Returns one node, op "lstm": the t-major rows (T*q, H) of h_1..h_T.
@@ -129,21 +142,24 @@ def lstm_step(x, state, params):
     if steps < 1:
         raise dc.ShapeMismatchError("lstm_step", xv.shape)
     hid, wv = params.hidden, params.w.value
-    w_x, w_h = wv[:n_in], wv[n_in:]
-    x_rows = xv.reshape(steps * q, n_in)
-    blocks = [np.s_[:, k * hid : (k + 1) * hid] for k in range(4)]
+    w4 = _gate_major(wv)
+    w_x4, w_h4 = w4[:, :n_in], w4[:, n_in:]
 
-    # gates[t] holds the activated (i, f, g, o) of step t; hc stacks
-    # h_0..h_T then c_0..c_T, and the output is a view of its h_1..h_T
-    gates = (x_rows @ w_x).reshape(steps, q, 4 * hid)
-    gates += params.b.value
+    # gates[t] holds the (i, f, g, o) of step t as one contiguous
+    # (4, q, H) block, gate by gate: first x_t @ w_x + b from one
+    # (q, H) product per step and gate, then the pre-activation, then the
+    # activations; hc stacks h_0..h_T then c_0..c_T, and the output is a
+    # view of its h_1..h_T
+    gates = np.matmul(xv[:, None], w_x4)
+    gates += params.b.value.reshape(4, 1, -1)
     hc = np.empty((2 * (steps + 1), q, hid))
     hs, cs = hc[: steps + 1], hc[steps + 1 :]
     hs[0], cs[0] = state
     tanh_c = np.empty((steps, q, hid))
+    rec = np.empty((4, q, hid))
     for t in range(steps):
         a = gates[t]
-        a += hs[t] @ w_h
+        a += np.matmul(hs[t], w_h4, out=rec)
         lstm_cell(a, cs[t], cs[t + 1], tanh_c[t], hs[t + 1])
 
     def rule(gh):
@@ -152,19 +168,25 @@ def lstm_step(x, state, params):
         # sigmoid gates, 1 - g^2 for the cell input and 1 - tanh(c)^2
         slope = 1.0 - gates
         slope *= gates
-        g_all = gates[..., 2 * hid : 3 * hid]
-        slope_g = slope[..., 2 * hid : 3 * hid]
+        g_all, slope_g = gates[:, 2], slope[:, 2]
         np.multiply(g_all, g_all, out=slope_g)
         np.subtract(1.0, slope_g, out=slope_g)
         slope_c = tanh_c * tanh_c
         np.subtract(1.0, slope_c, out=slope_c)
-        dgates = np.empty_like(gates)
+        # step t's gate gradients are formed block by block in dgate and,
+        # times the slopes, written into its (q, 4H) rows of da in
+        # parameter layout, which the weight products below read; the
+        # recurrent product runs NN against one contiguous copy of w_h.T
+        da = np.empty((steps, q, 4 * hid))
+        w_x, w_h = wv[:n_in], wv[n_in:]
+        w_h_t = np.ascontiguousarray(w_h.T)
+        dgate = np.empty((4, q, hid))
+        di, df, dg, do = dgate
         dh = gh[-1]
         dcell = np.zeros((q, hid))       # c_T reaches no output
         tmp = np.empty((q, hid))
         for t in range(steps - 1, -1, -1):
-            i, f, g, o = (gates[t][sl] for sl in blocks)
-            di, df, dg, do = (dgates[t][sl] for sl in blocks)
+            i, f, g, o = gates[t]
             np.multiply(dh, o, out=tmp)
             tmp *= slope_c[t]
             dcell += tmp
@@ -172,12 +194,13 @@ def lstm_step(x, state, params):
             np.multiply(dcell, cs[t], out=df)
             np.multiply(dcell, i, out=dg)
             np.multiply(dh, tanh_c[t], out=do)
-            dgates[t] *= slope[t]
+            np.multiply(dgate, slope[t], out=_gate_major(da[t]))
             if t:
                 dcell *= f
-                dh = dgates[t] @ w_h.T
+                dh = da[t] @ w_h_t
                 dh += gh[t - 1]
-        da_rows = dgates.reshape(steps * q, 4 * hid)
+        da_rows = da.reshape(steps * q, 4 * hid)
+        x_rows = xv.reshape(steps * q, n_in)
         dw = np.empty_like(wv)
         dw[:n_in] = x_rows.T @ da_rows
         dw[n_in:] = hs[:steps].reshape(steps * q, hid).T @ da_rows
@@ -188,45 +211,57 @@ def lstm_step(x, state, params):
                        (x, params.w, params.b), "lstm", rule)
 
 
-# hidden size -> read-only (rows, 4H) scale and shift tables of the
-# activation pass, grown to the most rows any step has had
+def _gate_major(rows):
+    """The (4, n, H) gate-major view of (n, 4H) rows in parameter layout:
+    block k holds gate k's H columns of every row."""
+    n, width = rows.shape
+    return rows.reshape(n, 4, width // 4).transpose(1, 0, 2)
+
+
+# hidden size -> read-only (4, q, H) scale and shift tables of the
+# activation pass, for the row count q of the latest step
 _GATE_AFFINE = {}
 
 
 def _gate_affine(q, hid):
-    """The (q, 4H) scale and shift of `lstm_cell`'s activation pass: each
-    row is (0.5, 0.5, 1, 0.5) and (1, 1, -0.0, 1), each repeated per gate
-    block.  Whole rows rather than one broadcast (4H,) row, since numpy
-    runs a same-shape ufunc at about twice the speed."""
+    """The (4, q, H) scale and shift of `lstm_cell`'s activation pass,
+    blocks of 0.5, 0.5, 1, 0.5 and of 1, 1, -0.0, 1.  Whole contiguous
+    arrays, since numpy runs a same-shape ufunc at about twice the speed
+    of a broadcast one and a slice of a larger gate-major table would not
+    be contiguous; rebuilt when q changes, so one pair per hidden size is
+    kept."""
     tables = _GATE_AFFINE.get(hid)
-    if tables is None or tables[0].shape[0] < q:
-        tables = tuple(np.tile(np.repeat(row, hid), (q, 1))
-                       for row in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
+    if tables is None or tables[0].shape[1] != q:
+        tables = tuple(np.repeat(np.array(blocks), q * hid).reshape(4, q, hid)
+                       for blocks in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
         for t in tables:
             t.flags.writeable = False
         _GATE_AFFINE[hid] = tables
-    return tables[0][:q], tables[1][:q]
+    return tables
 
 
 def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
     """The body of one LSTM step, shared by `lstm_step` and `cell_step`.
 
-    a is the (q, 4H) pre-activation x_t @ w_x + b + h_{t-1} @ w_h, summed
-    in that order.  All four gate blocks are activated in place in one
-    contiguous pass, scale * (tanh(scale * a) + shift) per column:
-    i, f and o get sigmoid as 0.5 * (1 + tanh(a * 0.5)), with no exp to
-    overflow on either tail, and g gets tanh(a), since a * 1 is exact and
-    adding -0.0 keeps every value, the sign of zero too (+0.0 would turn
-    -0.0 into +0.0).  Writes c_t, tanh(c_t) and h_t into `c`, `tanh_c`
-    and `h` when given, else into new arrays, and returns (h_t, c_t).
+    a is the step's gate-major pre-activation x_t @ w_x + b +
+    h_{t-1} @ w_h, summed in that order: a C-contiguous (4, q, H) array
+    whose blocks a[0..3] are i, f, g and o.  All four are activated in
+    place in one contiguous pass, scale * (tanh(scale * a) + shift) per
+    element: i, f and o get sigmoid as 0.5 * (1 + tanh(a * 0.5)), with no
+    exp to overflow on either tail, and g gets tanh(a), since a * 1 is
+    exact and adding -0.0 keeps every value, the sign of zero too (+0.0
+    would turn -0.0 into +0.0).  The products f * c_{t-1}, i * g and
+    o * tanh(c_t) then read whole blocks.  Writes c_t, tanh(c_t) and h_t
+    into `c`, `tanh_c` and `h` when given, else into new arrays, and
+    returns (h_t, c_t).
     """
-    q, hid = a.shape[0], a.shape[1] // 4
+    _, q, hid = a.shape
     scale, shift = _gate_affine(q, hid)
     a *= scale
     np.tanh(a, out=a)
     a += shift
     a *= scale
-    i, f, g, o = (a[:, k * hid : (k + 1) * hid] for k in range(4))
+    i, f, g, o = a
     c = np.multiply(f, c_prev, out=c)
     tanh_c = np.multiply(i, g, out=tanh_c)
     c += tanh_c
@@ -238,15 +273,15 @@ def cell_step(x, state, params):
     """Advance the cell one step on plain arrays, building no graph nodes.
 
     x is (q, input_dim) and state an (h, c) pair of (q, hidden) arrays.
-    The arithmetic is `lstm_step`'s own loop body in the op's summation
-    order, so the new h equals a one-step `lstm_step` from the same pair
-    bit for bit.  Returns the new (h, c) pair.
+    The arithmetic is a one-step `lstm_step`'s, products and summation
+    order alike, so the new h equals it bit for bit.  Returns the new
+    (h, c) pair.
     """
     _check_step_inputs("cell_step", x, 2, state, params)
-    w = params.w.value
-    a = x @ w[: params.input_dim]
-    a += params.b.value
-    a += state[0] @ w[params.input_dim :]
+    w4, n_in = _gate_major(params.w.value), params.input_dim
+    a = np.matmul(x, w4[:, :n_in])
+    a += params.b.value.reshape(4, 1, -1)
+    a += np.matmul(state[0], w4[:, n_in:])
     return lstm_cell(a, state[1])
 
 

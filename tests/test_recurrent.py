@@ -272,16 +272,20 @@ def _sigmoid_ref(x):
 
 def _lstm_reference(x, w, b, h0, c0, gh):
     """A plain per-step LSTM forward and BPTT, each gate block activated on
-    its own, in the fused op's summation order.  Returns the hidden rows
-    (T*q, H) and the gradients of w and b for the output gradient gh."""
+    its own, in the fused op's arithmetic order: per step and gate block,
+    (x_t @ w_x + b) + h_{t-1} @ w_h from (q, H) products with that block's
+    columns of w, and in the backward the recurrent product against a
+    contiguous copy of w_h.T.  Returns the hidden rows (T*q, H) and the
+    gradients of w and b for the output gradient gh."""
     steps, q, n_in = x.shape
     hid = h0.shape[1]
     w_x, w_h = w[:n_in], w[n_in:]
     x_rows = x.reshape(steps * q, n_in)
-    pre = (x_rows @ w_x).reshape(steps, q, 4 * hid) + b
+    blocks = [slice(k * hid, (k + 1) * hid) for k in range(4)]
     hs, cs, acts, tanh_cs = [h0], [c0], [], []
     for t in range(steps):
-        a = pre[t] + hs[t] @ w_h
+        a = np.concatenate([x[t] @ w_x[:, sl] + b[sl] + hs[t] @ w_h[:, sl]
+                            for sl in blocks], axis=1)
         i = _sigmoid_ref(a[:, :hid])
         f = _sigmoid_ref(a[:, hid:2 * hid])
         g = np.tanh(a[:, 2 * hid:3 * hid])
@@ -304,7 +308,7 @@ def _lstm_reference(x, w, b, h0, c0, gh):
                                 dh * tanh_cs[t] * (o * (1.0 - o))], axis=1)
         if t:
             dc = dc * f
-            dh = da[t] @ w_h.T + gh[t - 1]
+            dh = da[t] @ np.ascontiguousarray(w_h.T) + gh[t - 1]
     da_rows = np.concatenate(da)
     dw = np.concatenate([x_rows.T @ da_rows,
                          np.concatenate(hs[:steps]).T @ da_rows])
@@ -316,10 +320,16 @@ def _assert_same_bits(got, want):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("q,hidden", [(1, 16), (16, 16), (16, 128)])
+# (q, hidden) -> input width where it is not 8: the dream world model
+# (32, 16) and the v1 checkpoint (2, 4); (66, 128) is an evaluation block
+LOCK_INPUTS = {(32, 16): 4, (2, 4): 3}
+
+
+@pytest.mark.parametrize("q,hidden", [(1, 16), (16, 16), (16, 128), (66, 128),
+                                      (32, 16), (2, 4)])
 def test_fused_op_is_bit_identical_to_per_block_reference(q, hidden):
     rng = np.random.default_rng(21)
-    n_in, steps = 8, 6
+    n_in, steps = LOCK_INPUTS.get((q, hidden), 8), 6
     w = rng.normal(size=(n_in + hidden, 4 * hidden)) * 0.5
     w[:, ::5] *= 200.0                 # pre-activations far past |x| = 40
     w[:, 3::7] = 0.0                   # with x_0 = 0 and h_0 = 0 these
@@ -346,7 +356,7 @@ def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
     row = np.array([-0.0, 0.0, 45.0, -45.0])
     act = np.tile(row, 4)[None]
     c_prev = np.array([[-0.0, 0.0, 1.0, -1.0]])
-    h, c = rc.lstm_cell(act, c_prev)
+    h, c = rc.lstm_cell(act.reshape(4, 1, hidden), c_prev)
     i = f = o = _sigmoid_ref(row)[None]
     g = np.tanh(row)[None]
     want_c = f * c_prev + i * g
@@ -355,3 +365,36 @@ def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
     # the gates are activated in place; g is tanh itself, so -0.0 stays
     for k, want in enumerate((i, f, g, o)):
         _assert_same_bits(act[:, k * hidden:(k + 1) * hidden], want)
+
+
+@pytest.mark.parametrize("hidden", [6, 16])
+@pytest.mark.parametrize("q", [1, 5, 32])
+def test_cell_step_equals_one_step_op(q, hidden):
+    # generation and a batched rollout engine advance (q, in) rows with
+    # cell_step; each must match the op's own first step bit for bit
+    rng = np.random.default_rng(22)
+    params = rc.init_lstm(4, hidden, rng)
+    params.b.value = rng.normal(size=4 * hidden)
+    x = rng.normal(size=(q, 4))
+    state = (rng.normal(size=(q, hidden)) * 0.5, rng.normal(size=(q, hidden)))
+    h, c = rc.cell_step(x, state, params)
+    rows = rc.lstm_step(x[None], state, params)
+    _assert_same_bits(h, rows.value)
+    assert h.shape == c.shape == (q, hidden)
+
+
+def test_activation_tables_are_contiguous_after_a_larger_batch():
+    # an evaluation block (q=66) runs before the next train step (q=16);
+    # the smaller batch must not read a slice of the larger one's tables
+    rng = np.random.default_rng(23)
+    hidden = 8
+    for q in (66, 16):
+        rc.lstm_cell(rng.normal(size=(4, q, hidden)),
+                     rng.normal(size=(q, hidden)))
+    # the pair lstm_cell kept and read at q=16
+    for table, block in zip(rc._GATE_AFFINE[hidden],
+                            ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0])):
+        assert table.shape == (4, 16, hidden)
+        assert table.flags.c_contiguous and not table.flags.writeable
+        want = np.broadcast_to(np.array(block)[:, None, None], table.shape)
+        _assert_same_bits(table, want)
