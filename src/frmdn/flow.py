@@ -8,9 +8,10 @@ s_clamp * tanh.  The log-determinant of the Jacobian is the sum of s_hat
 over transformed coordinates, and layers compose with log-determinants
 adding.
 
-The nets are evaluated in one place, `coupling_nets`.  The forward layer
-is one tape op with a hand-written backward that calls it; the numeric
-inverse calls it too.
+The nets are evaluated in one place, `coupling_nets`, and a layer's
+forward arithmetic in one, `coupling_rows`.  The forward layer is one tape
+op with a hand-written backward built on it, `flow_rows` runs it on plain
+arrays for evaluation, and the numeric inverse calls the nets too.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def make_flow(dim, n_pairs, rng, hidden=DEFAULT_HIDDEN, s_clamp=DEFAULT_S_CLAMP)
 
 
 # ---------------------------------------------------------------------------
-# forward (graph) and inverse (numeric)
+# forward (graph and plain arrays) and inverse (numeric)
 # ---------------------------------------------------------------------------
 
 def coupling_nets(layer, x_pass):
@@ -151,15 +152,16 @@ def coupling_nets(layer, x_pass):
     return layer.s_clamp * ts, t, (hs, ts, ht)
 
 
-def coupling_forward(x, layer):
-    """One coupling layer on a batch node (n, d), as one tape op with
-    parents x and the layer's eight parameters.
+def coupling_rows(xv, layer):
+    """The forward arithmetic of one coupling layer on a float64 array
+    (n, d), shared by the op `coupling_forward` and the tape-free
+    `flow_rows`.
 
-    Returns (y node, per-row log-determinant node of shape (n,)); both are
-    views of one core node holding [y | log-det] as (n, d + 1).
+    Returns (out, rule): out holds [y | per-row log-determinant] as
+    (n, d + 1), and rule(g, x_grad) maps out's gradient to those of x
+    (None unless x_grad) and of the layer's eight parameters.  A caller
+    that needs only values drops the rule.
     """
-    x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
-    xv = x.value
     if xv.ndim != 2 or xv.shape[1] != layer.dim:
         raise dc.ShapeMismatchError("coupling", xv.shape, (layer.dim,))
     n, d = xv.shape
@@ -171,17 +173,17 @@ def coupling_forward(x, layer):
     out[:, pas] = xp
     out[:, trans] = xt * scale + t
     out[:, d] = s_hat.sum(axis=1)
-    params = [node for _, node in layer.parameters()]
-    w1s, _, w2s, _, w1t, _, w2t, _ = (p.value for p in params)
+    w1s, w2s, w1t, w2t = (layer.w1s.value, layer.w2s.value, layer.w1t.value,
+                          layer.w2t.value)
 
-    def rule(g):
+    def rule(g, x_grad):
         g_t = g[:, trans]
         # through s_hat = s_clamp * ts, from y_trans and from the log-det
         g_bs = (g_t * xt * scale + g[:, d:]) * (layer.s_clamp * (1.0 - ts * ts))
         g_as = (g_bs @ w2s.T) * (1.0 - hs * hs)
         g_at = (g_t @ w2t.T) * (1.0 - ht * ht)
         g_x = None
-        if x.requires_grad:
+        if x_grad:
             g_x = np.empty_like(xv)
             g_x[:, pas] = g[:, pas] + g_as @ w1s.T + g_at @ w1t.T
             g_x[:, trans] = g_t * scale
@@ -189,7 +191,22 @@ def coupling_forward(x, layer):
                 g_bs.sum(axis=0), xp.T @ g_at, g_at.sum(axis=0), ht.T @ g_t,
                 g_t.sum(axis=0))
 
-    core = dc.DiffNode(out, [x] + params, "coupling", rule)
+    return out, rule
+
+
+def coupling_forward(x, layer):
+    """One coupling layer on a batch node (n, d), as one tape op with
+    parents x and the layer's eight parameters.
+
+    Returns (y node, per-row log-determinant node of shape (n,)); both are
+    views of one core node holding [y | log-det] as (n, d + 1).
+    """
+    x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
+    out, rule = coupling_rows(x.value, layer)
+    n, d = x.value.shape
+    params = [node for _, node in layer.parameters()]
+    core = dc.DiffNode(out, [x] + params, "coupling",
+                       lambda g: rule(g, x.requires_grad))
     return (dc.output_view(core, np.s_[:, :d], (n, d)),
             dc.output_view(core, np.s_[:, d], (n,)))
 
@@ -214,6 +231,20 @@ def flow_forward(y, stack):
         total = ld if total is None else dc.add(total, ld)
     if total is None:
         total = dc.constant(np.zeros(z.value.shape[0]))
+    return z, total
+
+
+def flow_rows(y, stack):
+    """`flow_forward` on a float64 array (n, d) for a caller that needs no
+    gradient: (z, per-row log-determinant (n,)), equal to the op's values
+    bit for bit and building no graph nodes."""
+    z, total = y, None
+    for layer in stack.layers:
+        out, _ = coupling_rows(z, layer)
+        z, ld = out[:, :layer.dim], out[:, layer.dim]
+        total = ld if total is None else total + ld
+    if total is None:
+        total = np.zeros(z.shape[0])
     return z, total
 
 

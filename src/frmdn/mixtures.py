@@ -9,7 +9,9 @@ the logistic family.
 
 Each family's log density is written once, batched over rows and
 components in `component_log_densities`; the point densities (one point
-or a batch of rows) and the loss-graph op `mixture_log_rows` both call it.
+or a batch of rows) and `mixture_rows` call it.  `mixture_rows` is the
+mixture's whole forward on plain arrays, which the loss-graph op
+`mixture_log_rows` and tape-free evaluation both run.
 
 A logistic component's bin mass sigmoid(hi) - sigmoid(-lo), with
 hi = (z - mu + C/2)/s, lo = (mu - z + C/2)/s and gap = hi + lo = C/s, is
@@ -283,35 +285,29 @@ def logistic_mixture_log_density(y, params, c_width=1.0):
     return _point_log_density(y, params, c_width=c_width)
 
 
-def mixture_log_rows(z, logits, head, c_width=1.0):
-    """Graph op: the (n,) node LSE_k(log_softmax(alpha)_k + comp_k), where
-    comp holds the component log densities of the rows of z.
+def mixture_rows(z, logits, head, c_width=1.0):
+    """The forward arithmetic of `mixture_log_rows` on float64 arrays,
+    shared by the op and the tape-free evaluation path: the (n,) rows
+    LSE_k(log_softmax(alpha)_k + comp_k) of z (n, d) under the head output
+    rows logits (n, K + 2*K*d).
 
-    logits is the (n, K + 2*K*d) head output node; `split_head` reads its
-    coefficient logits, means and scale logits.  Scale logits are clipped
-    to +-EXP_CLAMP and get zero gradient outside that band.  Tied heads add
-    head.u as a parent, with log|det U| computed here.
-
-    The backward is closed-form (Bishop 1994, "Mixture Density Networks"):
-    with r the responsibilities, softmax over k of the summands, the
-    alpha logits receive r - softmax(alpha), and r weights the component
-    gradients.
+    Returns (rows, rule): rule(g) maps the rows' gradient to those of z,
+    of logits and, for a tied head, of head.u.  A caller that needs only
+    values drops the rule.
     """
     k, d = head.k, head.dim
-    a, mu, raw = split_head(logits.value, k, d)
-    parents = [z, logits]
+    a, mu, raw = split_head(logits, k, d)
     family = {"c_width": c_width}
     if head.structure == "tied":
         u = head.u.value
         sign, log_abs_det = np.linalg.slogdet(u)
         if sign == 0.0:
             raise np.linalg.LinAlgError("mixture_log_rows: singular shared matrix")
-        parents.append(head.u)
         family.update(u=u, log_abs_det=log_abs_det)
     log_s = np.clip(raw, -EXP_CLAMP, EXP_CLAMP)
     clipped = log_s != raw
-    comp, comp_grads = component_log_densities(z.value, mu, log_s,
-                                               head.structure, **family)
+    comp, comp_grads = component_log_densities(z, mu, log_s, head.structure,
+                                               **family)
     log_alpha = a - _lse_rows(a)[:, None]
     joint = log_alpha + comp
     rows = _lse_rows(joint)
@@ -319,7 +315,7 @@ def mixture_log_rows(z, logits, head, c_width=1.0):
     def rule(g):
         g = g[:, None]
         w = g * np.exp(joint - rows[:, None])          # g * responsibilities
-        g_logits = np.empty(logits.value.shape)
+        g_logits = np.empty(logits.shape)
         g_alpha, g_mu, g_log_s = split_head(g_logits, k, d)
         g_u = comp_grads(w[:, :, None], g_mu, g_log_s)
         g_z = -np.einsum("nkd->nd", g_mu)      # .sum(axis=1), bit for bit, faster
@@ -329,6 +325,25 @@ def mixture_log_rows(z, logits, head, c_width=1.0):
             return g_z, g_logits
         return g_z, g_logits, g_u + g.sum() * np.linalg.inv(u).T
 
+    return rows, rule
+
+
+def mixture_log_rows(z, logits, head, c_width=1.0):
+    """Graph op: the (n,) node LSE_k(log_softmax(alpha)_k + comp_k), where
+    comp holds the component log densities of the rows of z.
+
+    logits is the (n, K + 2*K*d) head output node; `split_head` reads its
+    coefficient logits, means and scale logits.  Scale logits are clipped
+    to +-EXP_CLAMP and get zero gradient outside that band.  Tied heads add
+    head.u as a parent, with log|det U| computed in `mixture_rows`.
+
+    The backward is closed-form (Bishop 1994, "Mixture Density Networks"):
+    with r the responsibilities, softmax over k of the summands, the
+    alpha logits receive r - softmax(alpha), and r weights the component
+    gradients.
+    """
+    rows, rule = mixture_rows(z.value, logits.value, head, c_width)
+    parents = [z, logits] + ([head.u] if head.structure == "tied" else [])
     return DiffNode(rows, parents, "mixture_log_rows", rule)
 
 

@@ -9,6 +9,13 @@ transformed point, and subtracts the flow's log-determinant:
 With the flow disabled (or zero-initialized) the log-determinant term
 vanishes and the objective is the plain recurrent mixture density NLL.
 Training is teacher-forced: ground-truth observations feed every step.
+
+The loss has two forward paths over the same arithmetic.  `_nll_graph`
+builds the tape for a caller that needs gradients (`train_step` and the
+gradient checks).  `sequence_nll`, and with it `evaluate`, runs on plain
+arrays through each layer's tape-free entry point and builds no graph
+nodes, as generation does; its values equal the graph's bit for bit.
+Both read their inputs through one check, `_loss_inputs`.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from .datasets import (SequenceBatch, read_exact, read_float64, read_key_values,
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
 
-# Target rows per loss graph in `evaluate`: large enough that the matmuls
-# stay efficient, small enough that one block's tape is a few tens of MB.
+# Target rows per block in `evaluate`: large enough that the matmuls stay
+# efficient, small enough that one block's plain arrays (hidden states,
+# head rows and the mixture's (rows, K, d) work arrays) stay a few MB.
 EVAL_ROWS = 2048
 
 
@@ -124,31 +132,43 @@ def build_model(config, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# loss graph
+# loss: the graph and the plain-array forward
 # ---------------------------------------------------------------------------
 
+def _loss_inputs(model, obs, actions):
+    """Check a batch of equal-length windows against the model and return
+    (x, targets): the LSTM input rows (T - 1, q, input_dim), observations
+    joined with actions and t-major, and the next observations as t-major
+    (n, d) rows, n = (T - 1) * q.  Both loss paths read their inputs here,
+    so they accept and reject the same batches."""
+    cfg = model.config
+    _, t, d = obs.shape
+    if t < 2:
+        raise ValueError(f"sequence_nll needs T >= 2, got T={t}")
+    if d != cfg.dim:
+        raise ValueError(f"observation dim {d} does not match model dim {cfg.dim}")
+    action_dim = 0 if actions is None else actions.shape[2]
+    if action_dim != cfg.action_dim:
+        raise ValueError(f"the batch has {action_dim} action values per step, "
+                         f"but the model takes {cfg.action_dim}")
+    x = obs[:, :-1, :]
+    if cfg.action_dim:
+        x = np.concatenate([x, actions[:, :-1, :]], axis=2)
+    targets = obs[:, 1:, :].transpose(1, 0, 2).reshape(-1, d)    # align t-major
+    return x.transpose(1, 0, 2), targets
+
+
 def _nll_graph(model, obs, actions):
-    """Loss graph over a batch of equal-length windows.
+    """Loss graph over a batch of equal-length windows, for a caller that
+    needs gradients.
 
     Returns (root, mixture_term, logdet_term) scalar nodes with
     root = mixture_term + logdet_term.
     """
     cfg = model.config
-    q, t, d = obs.shape
-    if t < 2:
-        raise ValueError(f"sequence_nll needs T >= 2, got T={t}")
-    if d != cfg.dim:
-        raise ValueError(f"observation dim {d} does not match model dim {cfg.dim}")
-    if cfg.action_dim and (actions is None or actions.shape[2] != cfg.action_dim):
-        raise ValueError("batch is missing the action stream the model expects")
-
-    x = obs[:, :-1, :]
-    if cfg.action_dim:
-        x = np.concatenate([x, actions[:, :-1, :]], axis=2)
-    h_all = rc.lstm_step(dc.constant(x.transpose(1, 0, 2)),    # t-major rows
-                         rc.initial_state(q, cfg.hidden), model.lstm)
-
-    targets = obs[:, 1:, :].transpose(1, 0, 2).reshape(-1, d)    # align t-major
+    x, targets = _loss_inputs(model, obs, actions)
+    start = rc.initial_state(x.shape[1], cfg.hidden)
+    h_all = rc.lstm_step(dc.constant(x), start, model.lstm)
     z = dc.constant(targets)
     if model.flow.depth > 0:
         z, logdet_rows = fl.flow_forward(z, model.flow)
@@ -168,13 +188,24 @@ def sequence_nll(model, batch):
 
     The mixture term alone is the quantity comparable across models that
     share a target space; the total additionally charges the flow's volume
-    change.
+    change.  The forward runs on plain arrays and builds no graph nodes:
+    the LSTM through `rc.lstm_unroll`, the flow through `fl.flow_rows` and
+    the mixture through `mx.mixture_rows`, the same arithmetic as the ops
+    of `_nll_graph`, so every value equals the graph's bit for bit.
     """
-    root, mixture, logdet = _nll_graph(model, batch.observations, batch.actions)
-    total = float(root.value)
+    cfg = model.config
+    x, targets = _loss_inputs(model, batch.observations, batch.actions)
+    h = rc.lstm_unroll(x, rc.initial_state(x.shape[1], cfg.hidden), model.lstm)
+    z, logdet_rows = fl.flow_rows(targets, model.flow)
+    logdet = -logdet_rows.mean() if model.flow.depth > 0 else 0.0
+    head = model.head
+    rows, _ = mx.mixture_rows(z, h @ head.w.value + head.b.value, head,
+                              cfg.c_width)
+    mixture = -rows.mean()
+    total = float(mixture + logdet)
     if not np.isfinite(total):
         raise NumericsError("sequence_nll produced a non-finite loss")
-    return LossRecord(total, float(mixture.value), float(logdet.value))
+    return LossRecord(total, float(mixture), float(logdet))
 
 
 def evaluate(model, batch, window=None):
@@ -182,10 +213,11 @@ def evaluate(model, batch, window=None):
     `window` is None).
 
     The windows go through `sequence_nll` in blocks of about EVAL_ROWS
-    target rows, and each block's graph is dropped before the next is
-    built, so memory is bounded by the block rather than the split.  Every
-    window has t - 1 rows, so weighting each block's means by its window
-    count gives the mean over all rows, up to rounding."""
+    target rows.  It builds no graph, and each block's arrays are dropped
+    before the next block runs, so memory is bounded by the block rather
+    than the split.  Every window has t - 1 rows, so weighting each
+    block's means by its window count gives the mean over all rows, up to
+    rounding."""
     if window is None:
         obs, acts = batch.observations, batch.actions
     else:

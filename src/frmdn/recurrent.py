@@ -4,8 +4,9 @@ parameters.
 This module owns the LSTM end to end: its gate layout, the fused
 whole-window op `lstm_step` with its hand-written BPTT backward (Graves
 2013, "Generating Sequences With Recurrent Neural Networks"), and the
-step body `lstm_cell` that the op and tape-free generation (`cell_step`)
-share.  Each entry point checks its shapes once.
+step body `lstm_cell` that the op and the tape-free paths share:
+`cell_step` for generation and `lstm_unroll` for evaluation.  Each entry
+point checks its shapes once.
 
 The parameter `lstm.w` keeps the (input_dim + H, 4H) layout that
 checkpoints store, gate columns ordered (i, f, g, o).  The working arrays
@@ -283,6 +284,19 @@ def cell_step(x, state, params):
     a += params.b.value.reshape(4, 1, -1)
     a += np.matmul(state[0], w4[:, n_in:])
     return lstm_cell(a, state[1])
+
+
+def lstm_unroll(x, state, params):
+    """`lstm_step` on plain arrays for a caller that needs no gradient:
+    the steps of a (T, q, input_dim) batch through `cell_step` from the
+    (h, c) pair `state`, keeping no gates or cell states.  Returns the
+    t-major rows (T*q, H) of h_1..h_T, equal to the op's bit for bit."""
+    steps, q, _ = x.shape
+    hs = np.empty((steps, q, params.hidden))
+    for t in range(steps):
+        state = cell_step(x[t], state, params)
+        hs[t] = state[0]
+    return hs.reshape(steps * q, params.hidden)
 
 
 def head_logits(h, head):

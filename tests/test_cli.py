@@ -197,6 +197,42 @@ def test_eval_prints_both_terms(tmp_path, capsys):
     assert f"nll_total={rec.total!r}" in out
 
 
+def gen_control(tmp_path, name="control.fseq", d=3):
+    path = tmp_path / name
+    assert main(["gen", "--kind", "control", "--q", "4", "--t", "40",
+                 "--d", str(d), "--d-action", "2", "--seed", "2",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_eval_rejects_actions_the_model_does_not_take(tmp_path, capsys):
+    ckpt, control = tmp_path / "m.frmd", gen_control(tmp_path)
+    assert main(train_args(gen_small(tmp_path), ckpt, epochs=1)) == 0
+    capsys.readouterr()
+    code, out, err = run(["eval", "--ckpt", str(ckpt), "--data", str(control),
+                          "--window", "8"], capsys)
+    assert code == 2
+    assert "2 action values per step" in one_error_line(err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("via", ["test-data", "resume"])
+def test_train_rejects_actions_the_model_does_not_take(tmp_path, capsys, via):
+    data, control = gen_small(tmp_path), gen_control(tmp_path)
+    out = tmp_path / "m.frmd"
+    if via == "test-data":
+        argv = train_args(data, out, test_data=control)
+    else:
+        ckpt = tmp_path / "first.frmd"
+        assert main(train_args(data, ckpt, epochs=1)) == 0
+        argv = train_args(control, out, resume=ckpt)
+    capsys.readouterr()
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "2 action values per step" in one_error_line(err)
+    assert not out.exists()
+
+
 def test_sample_writes_rollout_csv(tmp_path, capsys):
     data = gen_small(tmp_path)
     ckpt = tmp_path / "m.frmd"

@@ -190,6 +190,48 @@ def test_sequence_nll_requires_actions_when_configured():
         md.sequence_nll(model, ds.SequenceBatch(np.zeros((1, 4, 2))))
 
 
+@pytest.mark.parametrize("model_actions, batch_actions", [(0, 2), (2, 3)])
+def test_both_loss_paths_reject_an_action_stream_the_model_does_not_take(
+        model_actions, batch_actions):
+    model = md.build_model(tiny_config(action_dim=model_actions), seed=0)
+    batch = ds.SequenceBatch(np.zeros((1, 4, 2)),
+                             np.zeros((1, 4, batch_actions)))
+    want = f"has {batch_actions} action values per step"
+    with pytest.raises(ValueError, match=want):
+        md.sequence_nll(model, batch)
+    with pytest.raises(ValueError, match=want):
+        md._nll_graph(model, batch.observations, batch.actions)
+
+
+def _same_bits(a, b):
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+@pytest.mark.parametrize("structure", ["diagonal", "tied", "logistic"])
+@pytest.mark.parametrize("flow", [False, True], ids=["flow-off", "flow-on"])
+@pytest.mark.parametrize("action_dim", [0, 2])
+def test_plain_forward_equals_the_graph_bit_for_bit(structure, flow,
+                                                    action_dim):
+    # sequence_nll runs the forward on plain arrays; each of its terms must
+    # equal the loss graph's, sign of zero included
+    rng = np.random.default_rng(40)
+    for hidden in (1, 4, 16, 128):
+        cfg = tiny_config(dim=3, components=3, hidden=hidden,
+                          head_structure=structure, flow_enabled=flow,
+                          action_dim=action_dim)
+        model = md.build_model(cfg, seed=hidden)
+        for _, node in model.parameters():
+            node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
+        for q, t in ((1, 2), (2, 5), (66, 32)):
+            obs = rng.normal(size=(q, t, 3))
+            acts = rng.normal(size=(q, t, action_dim)) if action_dim else None
+            graph = [float(node.value)
+                     for node in md._nll_graph(model, obs, acts)]
+            rec = md.sequence_nll(model, ds.SequenceBatch(obs, acts))
+            assert _same_bits([rec.total, rec.mixture, rec.logdet], graph), \
+                (hidden, q, t)
+
+
 # ---------------------------------------------------------------------------
 # blocked evaluation
 # ---------------------------------------------------------------------------
@@ -557,9 +599,21 @@ def test_generation_builds_no_diffnodes(monkeypatch):
     ct.dream_rollout(env, ctrl, np.random.default_rng(13))
     assert created == []
     # the patched constructor sees the nodes a loss graph builds
-    md.sequence_nll(model, ds.SequenceBatch(np.zeros((1, 3, 2)),
-                                            np.zeros((1, 3, 2))))
+    md._nll_graph(model, np.zeros((1, 3, 2)), np.zeros((1, 3, 2)))
     assert "lstm" in [node.op for node in created]
+
+
+def test_evaluation_builds_no_diffnodes(monkeypatch):
+    model = md.build_model(tiny_config(action_dim=2, head_structure="tied"),
+                           seed=14)
+    rng = np.random.default_rng(15)
+    batch = ds.SequenceBatch(rng.normal(size=(3, 12, 2)),
+                             rng.normal(size=(3, 12, 2)))
+    monkeypatch.setattr(md, "EVAL_ROWS", 8)     # three blocks
+    created = record_nodes(monkeypatch)
+    md.evaluate(model, batch, window=5)
+    md.sequence_nll(model, batch)
+    assert created == []
 
 
 def test_train_step_tape_shape(monkeypatch):

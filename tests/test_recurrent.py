@@ -181,8 +181,9 @@ def test_tied_head_carries_identity_shared_matrix():
 # ---------------------------------------------------------------------------
 
 def test_sequence_call_matches_chained_single_steps():
-    # one batched input matmul against one per step: equal to rounding,
-    # never bit for bit
+    # the op multiplies each step's inputs on their own, as cell_step
+    # does, so chained single steps and the tape-free unroll equal its
+    # rows bit for bit
     rng = np.random.default_rng(12)
     obs_dim, act_dim, hidden, steps, q = 3, 2, 7, 9, 4
     params = rc.init_lstm(obs_dim + act_dim, hidden, rng)
@@ -197,8 +198,9 @@ def test_sequence_call_matches_chained_single_steps():
     for t in range(steps):
         state = rc.cell_step(xs[t], state, params)
         stepped.append(state[0])
-    np.testing.assert_allclose(h_rows.value.reshape(steps, q, hidden),
-                               np.stack(stepped), rtol=0, atol=1e-13)
+    _assert_same_bits(np.stack(stepped), h_rows.value.reshape(steps, q, hidden))
+    unrolled = rc.lstm_unroll(xs, rc.initial_state(q, hidden), params)
+    _assert_same_bits(unrolled, h_rows.value)
 
 
 def test_fused_op_gradients_match_central_differences():
