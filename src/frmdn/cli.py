@@ -18,6 +18,7 @@ import numpy as np
 
 from . import control as ct
 from . import datasets as ds
+from . import flow as fl
 from . import mixtures as mx
 from . import model as md
 from .datasets import SequenceBatch
@@ -238,9 +239,13 @@ def cmd_sample(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args):
+    flow_hidden = args.flow_hidden
+    if flow_hidden is None:
+        flow_hidden = fl.DEFAULT_HIDDEN
+    elif args.flow_depth == 0:
+        raise CliError("flow_hidden is set but flow_depth is 0")
     config = md.ModelConfig(dim=args.d, components=args.k, hidden=args.h,
-                            flow_depth=args.flow_depth,
-                            flow_hidden=args.flow_hidden)
+                            flow_depth=args.flow_depth, flow_hidden=flow_hidden)
     model = md.build_model(config, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     for layer in model.flow.layers:
@@ -364,7 +369,8 @@ def build_parser():
     gc.add_argument("--h", type=int, default=8)
     gc.add_argument("--t", type=int, default=4)
     gc.add_argument("--flow-depth", dest="flow_depth", type=int, default=2)
-    gc.add_argument("--flow-hidden", dest="flow_hidden", type=int, default=64)
+    gc.add_argument("--flow-hidden", dest="flow_hidden", type=int,
+                    help=f"coupling net width (default {fl.DEFAULT_HIDDEN})")
     gc.add_argument("--seed", type=int, default=0)
     gc.set_defaults(func=cmd_gradcheck)
 

@@ -240,12 +240,31 @@ def flow_rows(y, stack):
     bit for bit and building no graph nodes."""
     z, total = y, None
     for layer in stack.layers:
-        out, _ = coupling_rows(z, layer)
+        # the rule is dropped at once, so the next layer runs without
+        # this one's hidden activations
+        out = coupling_rows(z, layer)[0]
         z, ld = out[:, :layer.dim], out[:, layer.dim]
         total = ld if total is None else total + ld
     if total is None:
         total = np.zeros(z.shape[0])
     return z, total
+
+
+def row_floats(stack):
+    """float64 values per row that `flow_rows` holds at its peak, 0 for an
+    empty stack.  A layer of width d, net width h and d_t transformed
+    coordinates holds its input rows (d + 1, the previous layer's output),
+    the pass-through and transformed blocks (d), and at its widest either
+    the s net's hidden rows, ts and the t net's hidden layer being formed
+    (3h + d_t), or both hidden layers, ts, t, s_hat, exp(s_hat), its
+    output (d + 1) and two temporaries of the update (2h + d + 1 + 6 d_t).
+    A caller that sizes row chunks by a byte budget reads it."""
+    out = 0
+    for layer in stack.layers:
+        d, d_t = layer.dim, layer.trans_idx.shape[0]
+        h = layer.w1s.value.shape[1]
+        out = max(out, 2 * d + 1 + max(3 * h + d_t, 2 * h + d + 1 + 6 * d_t))
+    return out
 
 
 def flow_inverse(z, stack):

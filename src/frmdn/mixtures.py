@@ -328,6 +328,24 @@ def mixture_rows(z, logits, head, c_width=1.0):
     return rows, rule
 
 
+# (n, K, d) float64 arrays that `mixture_rows` holds at once, per family:
+# the clipped scale logits, z - mu, and the family's work arrays in
+# `component_log_densities` (1/sigma and a product for the diagonal
+# family; U^T(z - mu), D_k and their product for the tied one; 1/s, C/2s,
+# hi, lo and two denominators for the logistic one)
+_WORK_ARRAYS = {"diagonal": 4, "tied": 5, "logistic": 7}
+
+
+def row_floats(k, d, structure):
+    """float64 values per row that `mixture_rows` holds at its peak, its
+    input head rows (K + 2*K*d) included: the family's (n, K, d) work
+    arrays, the clip mask (one byte per value), and two (n, K) arrays and
+    one (n,) row beside them.  A caller that sizes row chunks by a byte
+    budget reads it."""
+    kd = k * d
+    return k + 2 * kd + _WORK_ARRAYS[structure] * kd + -(-kd // 8) + 2 * k + 1
+
+
 def mixture_log_rows(z, logits, head, c_width=1.0):
     """Graph op: the (n,) node LSE_k(log_softmax(alpha)_k + comp_k), where
     comp holds the component log densities of the rows of z.

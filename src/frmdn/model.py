@@ -12,10 +12,12 @@ Training is teacher-forced: ground-truth observations feed every step.
 
 The loss has two forward paths over the same arithmetic.  `_nll_graph`
 builds the tape for a caller that needs gradients (`train_step` and the
-gradient checks).  `sequence_nll`, and with it `evaluate`, runs on plain
-arrays through each layer's tape-free entry point and builds no graph
-nodes, as generation does; its values equal the graph's bit for bit.
-Both read their inputs through one check, `_loss_inputs`.
+gradient checks).  `_forward_nll` runs on plain arrays through each
+layer's tape-free entry point and builds no graph nodes, as generation
+does; `sequence_nll` is it in one chunk, with values equal to the graph's
+bit for bit, and `evaluate` runs it over blocks and row chunks sized by
+EVAL_BYTES.  Both paths read their inputs through one check,
+`_loss_inputs`.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ from .datasets import (SequenceBatch, read_exact, read_float64, read_key_values,
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
 
-# Target rows per block in `evaluate`: large enough that the matmuls stay
-# efficient, small enough that one block's plain arrays (hidden states,
-# head rows and the mixture's (rows, K, d) work arrays) stay a few MB.
-EVAL_ROWS = 2048
+# Byte budget of `evaluate`'s work arrays, about twice a core's L2 cache.
+# The LSTM runs over blocks of windows whose hidden rows fit it, so a small
+# model evaluates a split in one block, and the row-wise tail (head
+# product, flow and mixture) over chunks of rows whose work arrays fit it,
+# so a wide mixture's arrays stay near the cache (cache blocking, Lam,
+# Rothberg & Wolf 1991).  Memory is then set by the budget, not the split.
+EVAL_BYTES = 4 * 1024 * 1024
 
 
 class NumericsError(RuntimeError):
@@ -183,41 +188,82 @@ def _nll_graph(model, obs, actions):
     return root, mixture_term, logdet_term
 
 
-def sequence_nll(model, batch):
-    """Mean NLL per step over a batch, with its two terms.
-
-    The mixture term alone is the quantity comparable across models that
-    share a target space; the total additionally charges the flow's volume
-    change.  The forward runs on plain arrays and builds no graph nodes:
-    the LSTM through `rc.lstm_unroll`, the flow through `fl.flow_rows` and
-    the mixture through `mx.mixture_rows`, the same arithmetic as the ops
-    of `_nll_graph`, so every value equals the graph's bit for bit.
-    """
+def _tail_row_floats(model):
+    """float64 values per target row that the loss tail holds at its peak:
+    the flow's widest layer, or the mixture with its head rows and, when
+    the flow runs, the flow's output rows and log-determinants."""
     cfg = model.config
-    x, targets = _loss_inputs(model, batch.observations, batch.actions)
-    h = rc.lstm_unroll(x, rc.initial_state(x.shape[1], cfg.hidden), model.lstm)
+    mixture = mx.row_floats(cfg.components, cfg.dim, cfg.head_structure)
+    if model.flow.depth > 0:
+        mixture += cfg.dim + 2
+    return max(mixture, fl.row_floats(model.flow))
+
+
+def _tail_rows(model, h, targets):
+    """The row-wise tail of the loss forward on plain arrays: the mixture
+    log density rows of the flowed targets under the head's output for
+    hidden rows h, and the flow's log-determinant rows.  Its arrays,
+    the mixture's backward rule included, are dropped on return, so the
+    next chunk runs without them."""
     z, logdet_rows = fl.flow_rows(targets, model.flow)
-    logdet = -logdet_rows.mean() if model.flow.depth > 0 else 0.0
     head = model.head
     rows, _ = mx.mixture_rows(z, h @ head.w.value + head.b.value, head,
-                              cfg.c_width)
+                              model.config.c_width)
+    return rows, logdet_rows
+
+
+def _forward_nll(model, obs, actions, chunk_rows=None):
+    """The loss forward on plain arrays over a batch of equal-length
+    windows, as mean terms over its rows; it builds no graph nodes.
+
+    The LSTM runs over the whole batch through `rc.lstm_unroll`.  The tail
+    (the head product `h @ head.w + head.b`, `fl.flow_rows` and
+    `mx.mixture_rows`) runs over chunks of `chunk_rows` rows, all rows in
+    one when None, and fills one array of per-row terms that the means
+    read, so chunking moves a mean only where a chunk's products round
+    differently.  With one chunk the arithmetic is the ops' of
+    `_nll_graph`, and every value equals the graph's bit for bit.
+    """
+    cfg = model.config
+    x, targets = _loss_inputs(model, obs, actions)
+    h = rc.lstm_unroll(x, rc.initial_state(x.shape[1], cfg.hidden), model.lstm)
+    n = h.shape[0]
+    rows, logdet_rows = np.empty(n), np.empty(n)
+    step = chunk_rows or n
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        rows[part], logdet_rows[part] = _tail_rows(model, h[part], targets[part])
     mixture = -rows.mean()
+    logdet = -logdet_rows.mean() if model.flow.depth > 0 else 0.0
     total = float(mixture + logdet)
     if not np.isfinite(total):
         raise NumericsError("sequence_nll produced a non-finite loss")
     return LossRecord(total, float(mixture), float(logdet))
 
 
+def sequence_nll(model, batch):
+    """Mean NLL per step over a batch, with its two terms.
+
+    The mixture term alone is the quantity comparable across models that
+    share a target space; the total additionally charges the flow's volume
+    change.  It is `_forward_nll` in one chunk: plain arrays, no graph
+    nodes, and every value equal to `_nll_graph`'s bit for bit.
+    """
+    return _forward_nll(model, batch.observations, batch.actions)
+
+
 def evaluate(model, batch, window=None):
     """NLL on non-overlapping windows of a batch (whole sequences when
     `window` is None).
 
-    The windows go through `sequence_nll` in blocks of about EVAL_ROWS
-    target rows.  It builds no graph, and each block's arrays are dropped
-    before the next block runs, so memory is bounded by the block rather
-    than the split.  Every window has t - 1 rows, so weighting each
-    block's means by its window count gives the mean over all rows, up to
-    rounding."""
+    The windows go through `_forward_nll` in blocks sized by EVAL_BYTES:
+    as few blocks as keep each block's hidden rows within the budget, with
+    window counts that differ by at most one, and each block's tail in
+    chunks of rows whose work arrays fit the budget (`_tail_row_floats`).
+    Each block's arrays are dropped before the next block runs, so memory
+    is bounded by the budget rather than the split.  Every window has
+    t - 1 rows, so weighting each block's means by its window count gives
+    the mean over all rows, up to rounding."""
     if window is None:
         obs, acts = batch.observations, batch.actions
     else:
@@ -225,15 +271,18 @@ def evaluate(model, batch, window=None):
     n, t = obs.shape[:2]
     if n == 0:
         raise ValueError("evaluate needs at least one sequence")
-    per_block = max(1, EVAL_ROWS // max(1, t - 1))
+    window_bytes = 8 * max(1, t - 1) * model.config.hidden
+    blocks = -(-n // max(1, EVAL_BYTES // window_bytes))
+    chunk_rows = max(1, EVAL_BYTES // (8 * _tail_row_floats(model)))
     total = mixture = logdet = 0.0
-    for lo in range(0, n, per_block):
-        part = SequenceBatch(obs[lo:lo + per_block],
-                             None if acts is None else acts[lo:lo + per_block])
-        rec = sequence_nll(model, part)
-        total += rec.total * part.q
-        mixture += rec.mixture * part.q
-        logdet += rec.logdet * part.q
+    for b in range(blocks):
+        lo, hi = b * n // blocks, (b + 1) * n // blocks
+        rec = _forward_nll(model, obs[lo:hi],
+                           None if acts is None else acts[lo:hi], chunk_rows)
+        q = hi - lo
+        total += rec.total * q
+        mixture += rec.mixture * q
+        logdet += rec.logdet * q
     return LossRecord(total / n, mixture / n, logdet / n)
 
 

@@ -219,9 +219,11 @@ def _gate_major(rows):
     return rows.reshape(n, 4, width // 4).transpose(1, 0, 2)
 
 
-# hidden size -> read-only (4, q, H) scale and shift tables of the
-# activation pass, for the row count q of the latest step
+# (q, H) -> the read-only scale and shift tables of `lstm_cell`, least
+# recently used first: the newest pair is always kept, and older ones while
+# all kept pairs fit in _GATE_AFFINE_BYTES
 _GATE_AFFINE = {}
+_GATE_AFFINE_BYTES = 1024 * 1024
 
 
 def _gate_affine(q, hid):
@@ -229,15 +231,22 @@ def _gate_affine(q, hid):
     blocks of 0.5, 0.5, 1, 0.5 and of 1, 1, -0.0, 1.  Whole contiguous
     arrays, since numpy runs a same-shape ufunc at about twice the speed
     of a broadcast one and a slice of a larger gate-major table would not
-    be contiguous; rebuilt when q changes, so one pair per hidden size is
-    kept."""
-    tables = _GATE_AFFINE.get(hid)
-    if tables is None or tables[0].shape[1] != q:
+    be contiguous.  Kept per (q, H), so callers that alternate row counts
+    (train steps, evaluation blocks, generation) do not rebuild them, and
+    within a byte bound, so a large evaluation block's pair is dropped
+    once the train steps resume rather than held for good."""
+    tables = _GATE_AFFINE.pop((q, hid), None)
+    if tables is None:
         tables = tuple(np.repeat(np.array(blocks), q * hid).reshape(4, q, hid)
                        for blocks in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
         for t in tables:
             t.flags.writeable = False
-        _GATE_AFFINE[hid] = tables
+        kept = 2 * tables[0].nbytes
+        for key in reversed(list(_GATE_AFFINE)):
+            kept += 2 * _GATE_AFFINE[key][0].nbytes
+            if kept > _GATE_AFFINE_BYTES:
+                del _GATE_AFFINE[key]
+    _GATE_AFFINE[(q, hid)] = tables
     return tables
 
 

@@ -283,6 +283,18 @@ def test_gradcheck_rejects_zero_width_coupling_nets(capsys):
     assert out == ""
 
 
+def test_gradcheck_rejects_a_flow_width_without_a_flow(capsys):
+    # at flow depth 0 there are no coupling nets for --flow-hidden to size
+    code, out, err = run(["gradcheck", "--d", "2", "--k", "1", "--h", "4",
+                          "--flow-depth", "0", "--flow-hidden", "5"], capsys)
+    assert code == 2
+    assert one_error_line(err) == "error: flow_hidden is set but flow_depth is 0"
+    assert out == ""
+    code, out, _ = run(["gradcheck", "--d", "2", "--k", "1", "--h", "4",
+                        "--flow-depth", "0"], capsys)
+    assert code == 0 and "max_relative_error=" in out
+
+
 def test_paramcount_table_row(capsys):
     code, out, _ = run(["paramcount", "--k", "5", "--d", "32",
                         "--structure", "diagonal"], capsys)

@@ -237,15 +237,16 @@ def test_plain_forward_equals_the_graph_bit_for_bit(structure, flow,
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q, window, block_rows, action_dim", [
-    (7, 5, 16, 0),       # 21 windows in blocks of 4: a partial last block
+    (7, 5, 16, 0),       # 21 windows, at most 4 a block: 6 blocks of 3 or 4
     (2, 5, 200, 0),      # 6 windows, fewer than one block of 50
     (5, 6, 10, 2),       # 10 windows with actions joined, blocks of 2
-    (5, None, 30, 0),    # 5 whole sequences in blocks of 2
+    (5, None, 30, 0),    # 5 whole sequences in blocks of 1 or 2
 ])
 def test_evaluate_matches_one_graph_over_all_windows(monkeypatch, q, window,
                                                      block_rows, action_dim):
     rng = np.random.default_rng(30)
-    model = md.build_model(tiny_config(action_dim=action_dim), seed=31)
+    cfg = tiny_config(action_dim=action_dim)
+    model = md.build_model(cfg, seed=31)
     randomize_model_flow(model, rng)
     obs = rng.normal(size=(q, 16, 2))
     acts = rng.normal(size=(q, 16, action_dim)) if action_dim else None
@@ -256,7 +257,8 @@ def test_evaluate_matches_one_graph_over_all_windows(monkeypatch, q, window,
         whole = ds.SequenceBatch(*ds.slice_windows(batch, window))
     one = md.sequence_nll(model, whole)
 
-    monkeypatch.setattr(md, "EVAL_ROWS", block_rows)
+    # a budget of `block_rows` hidden rows per block
+    monkeypatch.setattr(md, "EVAL_BYTES", 8 * cfg.hidden * block_rows)
     blocked = md.evaluate(model, batch, window)
     for a, b in ((blocked.total, one.total), (blocked.mixture, one.mixture),
                  (blocked.logdet, one.logdet)):
@@ -264,25 +266,124 @@ def test_evaluate_matches_one_graph_over_all_windows(monkeypatch, q, window,
     assert blocked.logdet != 0.0
 
 
-def test_evaluate_memory_does_not_grow_with_the_split():
+def record_forward_calls(monkeypatch):
+    """Patch `md._forward_nll` to append (windows, chunk_rows) of every
+    call to the returned list."""
+    calls = []
+    forward = md._forward_nll
+
+    def recording(model, obs, actions, chunk_rows=None):
+        calls.append((obs.shape[0], chunk_rows))
+        return forward(model, obs, actions, chunk_rows)
+
+    monkeypatch.setattr(md, "_forward_nll", recording)
+    return calls
+
+
+@pytest.mark.parametrize("structure", ["diagonal", "tied", "logistic"])
+@pytest.mark.parametrize("flow", [False, True], ids=["flow-off", "flow-on"])
+@pytest.mark.parametrize("action_dim", [0, 2])
+def test_blocked_and_chunked_evaluate_equals_one_forward(monkeypatch, structure,
+                                                         flow, action_dim):
+    # a budget of five and a half tail rows: 41 windows in several LSTM
+    # blocks, each with its tail in chunks of five rows; the block sizes
+    # differ by one window of 7 rows, so some block ends in a partial chunk
+    rng = np.random.default_rng(36)
+    cfg = tiny_config(dim=3, components=3, hidden=4, head_structure=structure,
+                      flow_enabled=flow, action_dim=action_dim)
+    model = md.build_model(cfg, seed=37)
+    for _, node in model.parameters():
+        node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
+    window = 8
+    obs = rng.normal(size=(41, window + 3, 3))
+    acts = rng.normal(size=obs.shape[:2] + (action_dim,)) if action_dim else None
+    batch = ds.SequenceBatch(obs, acts)
+    one = md.sequence_nll(model, ds.SequenceBatch(*ds.slice_windows(batch,
+                                                                    window)))
+
+    monkeypatch.setattr(md, "EVAL_BYTES",
+                        int(8 * md._tail_row_floats(model) * 5.5))
+    calls = record_forward_calls(monkeypatch)
+    blocked = md.evaluate(model, batch, window)
+    assert len(calls) >= 2 and sum(q for q, _ in calls) == 41
+    rows = [q * (window - 1) for q, _ in calls]
+    assert {chunk for _, chunk in calls} == {5}
+    assert all(r > 5 for r in rows) and any(r % 5 for r in rows)
+    for a, b in ((blocked.total, one.total), (blocked.mixture, one.mixture),
+                 (blocked.logdet, one.logdet)):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("structure", ["diagonal", "tied", "logistic"])
+@pytest.mark.parametrize("flow", [(False, 1, 64), (True, 1, 4), (True, 2, 64)],
+                         ids=["flow-off", "flow-narrow", "flow-wide"])
+def test_tail_row_floats_match_what_the_tail_allocates(structure, flow):
+    # the tail's peak grows with its chunk by the counted floats per row:
+    # tracemalloc over one block at two chunk sizes, within 15%
     import tracemalloc
 
-    window = 32
-    model = md.build_model(tiny_config(dim=4, components=3, hidden=32), seed=32)
-    one_block = md.EVAL_ROWS // (window - 1)
+    enabled, depth, width = flow
+    for k, d in ((2, 2), (5, 8), (16, 16), (2, 33)):
+        cfg = md.ModelConfig(dim=d, components=k, hidden=8, flow_depth=depth,
+                             flow_enabled=enabled, flow_hidden=width,
+                             head_structure=structure)
+        model = md.build_model(cfg, seed=40)
+        rng = np.random.default_rng(41)
+        for _, node in model.parameters():
+            node.value = node.value + 0.1 * rng.normal(size=node.value.shape)
+        obs = rng.normal(size=(40, 26, d))        # 1000 rows
+        md._forward_nll(model, obs, None)         # builds the gate tables
+        peaks = []
+        for chunk in (250, 500):
+            tracemalloc.start()
+            try:
+                md._forward_nll(model, obs, None, chunk)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / 250 / 8
+        assert per_row == pytest.approx(md._tail_row_floats(model), rel=0.15), \
+            (k, d)
+
+
+def _evaluate_peak(model, batch, window):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        md.evaluate(model, batch, window)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_does_not_grow_with_the_split():
+    window, hidden = 32, 32
+    model = md.build_model(tiny_config(dim=4, components=3, hidden=hidden),
+                           seed=32)
+    # the windows whose hidden rows fill the budget
+    one_block = md.EVAL_BYTES // (8 * hidden * (window - 1))
 
     def peak(n_windows):
         batch = ds.gen_correlated_ar(n_windows, window, 4, rho=0.8, corr=0.5,
                                      seed=33)
-        tracemalloc.start()
-        try:
-            md.evaluate(model, batch, window)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _evaluate_peak(model, batch, window)
 
     small, large = peak(one_block), peak(8 * one_block)
     assert large < 2 * small, (small, large)
+
+
+def test_evaluate_memory_of_a_wide_mixture_stays_within_the_budget():
+    # one block of 132 windows, whose (rows, K, d) mixture arrays in one
+    # piece would take about 38 MiB; the tail's chunks keep them within
+    # the budget, next to the block's hidden rows and targets
+    cfg = md.ModelConfig(dim=16, components=16, hidden=16, flow_depth=2,
+                         head_structure="logistic")
+    model = md.build_model(cfg, seed=38)
+    batch = ds.SequenceBatch(
+        np.random.default_rng(39).normal(size=(132, 32, 16)))
+    peak = _evaluate_peak(model, batch, None)
+    assert peak < 2 * md.EVAL_BYTES, peak
 
 
 def test_evaluate_rejects_an_empty_batch():
@@ -302,7 +403,8 @@ def test_evaluate_again_reuses_freed_memory():
     cfg = md.ModelConfig(dim=16, components=16, hidden=16, flow_depth=2,
                          head_structure="logistic")
     model = md.build_model(cfg, seed=34)
-    n = 4 * (md.EVAL_ROWS // 31)
+    # four tail chunks
+    n = -(-4 * md.EVAL_BYTES // (8 * md._tail_row_floats(model) * 31))
     batch = ds.SequenceBatch(np.random.default_rng(35).normal(size=(n, 32, 16)))
     md.evaluate(model, batch)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -609,7 +711,8 @@ def test_evaluation_builds_no_diffnodes(monkeypatch):
     rng = np.random.default_rng(15)
     batch = ds.SequenceBatch(rng.normal(size=(3, 12, 2)),
                              rng.normal(size=(3, 12, 2)))
-    monkeypatch.setattr(md, "EVAL_ROWS", 8)     # three blocks
+    # blocks of two 4-row windows: three blocks
+    monkeypatch.setattr(md, "EVAL_BYTES", 8 * model.config.hidden * 8)
     created = record_nodes(monkeypatch)
     md.evaluate(model, batch, window=5)
     md.sequence_nll(model, batch)

@@ -394,9 +394,33 @@ def test_activation_tables_are_contiguous_after_a_larger_batch():
         rc.lstm_cell(rng.normal(size=(4, q, hidden)),
                      rng.normal(size=(q, hidden)))
     # the pair lstm_cell kept and read at q=16
-    for table, block in zip(rc._GATE_AFFINE[hidden],
+    for table, block in zip(rc._GATE_AFFINE[(16, hidden)],
                             ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0])):
         assert table.shape == (4, 16, hidden)
         assert table.flags.c_contiguous and not table.flags.writeable
         want = np.broadcast_to(np.array(block)[:, None, None], table.shape)
         _assert_same_bits(table, want)
+
+
+def test_activation_tables_are_kept_per_row_count_within_a_byte_bound():
+    # train steps, evaluation blocks and generation alternate row counts:
+    # small pairs stay, and a pair too large to keep beside the others is
+    # dropped once a newer one is built
+    rng = np.random.default_rng(24)
+    hidden = 8
+
+    def step(q):
+        rc.lstm_cell(rng.normal(size=(4, q, hidden)),
+                     rng.normal(size=(q, hidden)))
+        return rc._GATE_AFFINE[(q, hidden)]
+
+    pairs = {q: step(q) for q in (66, 16, 1)}
+    for q in (66, 16, 1, 16, 66):
+        assert step(q) is pairs[q]
+    large = rc._GATE_AFFINE_BYTES // (2 * 4 * hidden * 8)     # fills the bound
+    assert step(large) is step(large)
+    assert (66, hidden) not in rc._GATE_AFFINE
+    step(16)
+    assert (large, hidden) not in rc._GATE_AFFINE
+    assert sum(2 * t[0].nbytes for t in rc._GATE_AFFINE.values()) \
+        <= rc._GATE_AFFINE_BYTES
