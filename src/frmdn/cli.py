@@ -32,18 +32,25 @@ class CliError(Exception):
 # gen
 # ---------------------------------------------------------------------------
 
+# kind -> its generator and the parameters only it takes, as (name, type,
+# default); `gen` declares each parameter as a flag with default None
+GEN_KINDS = {
+    "ar": (ds.gen_correlated_ar, (("rho", float, 0.9), ("corr", float, 0.8))),
+    "modes": (ds.gen_switching_modes, (("modes", int, 2),)),
+    "control": (ds.gen_control_task, (("d_action", int, 2),)),
+}
+
+
 def cmd_gen(args):
-    if args.kind == "ar":
-        batch = ds.gen_correlated_ar(args.q, args.t, args.d, args.rho,
-                                     args.corr, args.seed)
-    elif args.kind == "modes":
-        batch = ds.gen_switching_modes(args.q, args.t, args.d, args.modes,
-                                       args.seed)
-    elif args.kind == "control":
-        batch = ds.gen_control_task(args.q, args.t, args.d, args.d_action,
-                                    args.seed)
-    else:
-        raise CliError(f"unknown dataset kind {args.kind!r}")
+    for kind, (_, params) in GEN_KINDS.items():
+        for name, _, _ in params:
+            if kind != args.kind and getattr(args, name) is not None:
+                raise CliError(f"--{name.replace('_', '-')} applies to "
+                               f"--kind {kind}, not {args.kind}")
+    make, params = GEN_KINDS[args.kind]
+    values = {name: default if getattr(args, name) is None
+              else getattr(args, name) for name, _, default in params}
+    batch = make(args.q, args.t, args.d, seed=args.seed, **values)
     ds.save_fseq(args.out, batch)
     if args.csv:
         ds.export_csv(batch, args.csv)
@@ -321,14 +328,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("--kind", required=True, choices=["ar", "modes", "control"])
+    gen.add_argument("--kind", required=True, choices=list(GEN_KINDS))
     gen.add_argument("--q", type=int, default=64)
     gen.add_argument("--t", type=int, default=256)
     gen.add_argument("--d", type=int, default=8)
-    gen.add_argument("--rho", type=float, default=0.9)
-    gen.add_argument("--corr", type=float, default=0.8)
-    gen.add_argument("--modes", type=int, default=2)
-    gen.add_argument("--d-action", dest="d_action", type=int, default=2)
+    for kind, (_, params) in GEN_KINDS.items():
+        for name, kind_type, default in params:
+            gen.add_argument("--" + name.replace("_", "-"), type=kind_type,
+                             help=f"--kind {kind} only (default {default})")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--csv", default=None, help="also export CSV here")

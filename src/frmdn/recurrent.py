@@ -15,11 +15,24 @@ array whose four gate blocks are each a contiguous (q, H) array, so the
 cell and the BPTT rule do their elementwise work on contiguous blocks
 (the layout choices of Appleyard et al. 2016, "Optimizing Performance of
 Recurrent Neural Networks on GPUs").  Each block comes from (q, H)
-products with a strided view of its gate's columns of w, so no weights
-are copied per step or per call.  The backward writes each step's gate
-gradients back into (q, 4H) rows in parameter layout for the weight
-products, and runs the recurrent product against one contiguous copy of
-w_h.T per call.
+products with its gate's block of w.
+
+Constant work per step moves into the weights once per call, as in the
+same paper: the whole-sequence paths, `lstm_step` and `lstm_unroll`,
+build one gate-major copy of w and b whose sigmoid gates' (i, f, o)
+columns are halved, so each step's tanh reads its argument straight
+from the products (sigmoid(a) = 0.5 * (1 + tanh(a * 0.5))).  Halving is
+exact, barring subnormal values, so every value stays bit for bit what
+the unhalved sums give.  `cell_step` advances one step with the
+unscaled weights and lets `lstm_cell` halve the sum.  `lstm_cell` runs
+its activation pass through same-shape (4, q, H) tables for steps of up
+to `_TABLE_GATES` values (train steps, generation, small evaluation
+blocks) and through scalar ops on gate views above it, so a large
+evaluation block builds no tables to crowd the L2 cache.  `lstm_unroll`
+runs its own loop, with reused step buffers, rather than stepping
+`cell_step`.  The backward writes each step's gate gradients back into
+(q, 4H) rows in parameter layout for the weight products, and runs the
+recurrent product against one contiguous copy of w_h.T per call.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -143,16 +156,16 @@ def lstm_step(x, state, params):
     if steps < 1:
         raise dc.ShapeMismatchError("lstm_step", xv.shape)
     hid, wv = params.hidden, params.w.value
-    w4 = _gate_major(wv)
+    w4, b4 = _halved_weights(params)
     w_x4, w_h4 = w4[:, :n_in], w4[:, n_in:]
 
     # gates[t] holds the (i, f, g, o) of step t as one contiguous
     # (4, q, H) block, gate by gate: first x_t @ w_x + b from one
-    # (q, H) product per step and gate, then the pre-activation, then the
-    # activations; hc stacks h_0..h_T then c_0..c_T, and the output is a
-    # view of its h_1..h_T
+    # (q, H) product per step and gate, then the pre-activation, i, f and
+    # o halved, then the activations; hc stacks h_0..h_T then c_0..c_T,
+    # and the output is a view of its h_1..h_T
     gates = np.matmul(xv[:, None], w_x4)
-    gates += params.b.value.reshape(4, 1, -1)
+    gates += b4
     hc = np.empty((2 * (steps + 1), q, hid))
     hs, cs = hc[: steps + 1], hc[steps + 1 :]
     hs[0], cs[0] = state
@@ -166,9 +179,12 @@ def lstm_step(x, state, params):
     def rule(gh):
         gh = gh.reshape(steps, q, hid)   # at h_1..h_T
         # activation slopes of every step at once: s(1 - s) for the
-        # sigmoid gates, 1 - g^2 for the cell input and 1 - tanh(c)^2
-        slope = 1.0 - gates
-        slope *= gates
+        # sigmoid gates i, f and o, 1 - g^2 for the cell input and
+        # 1 - tanh(c)^2
+        slope = np.empty_like(gates)
+        for k in (slice(0, 2), 3):
+            np.subtract(1.0, gates[:, k], out=slope[:, k])
+            slope[:, k] *= gates[:, k]
         g_all, slope_g = gates[:, 2], slope[:, 2]
         np.multiply(g_all, g_all, out=slope_g)
         np.subtract(1.0, slope_g, out=slope_g)
@@ -219,11 +235,34 @@ def _gate_major(rows):
     return rows.reshape(n, 4, width // 4).transpose(1, 0, 2)
 
 
+# per gate block (i, f, g, o): the factor that turns a pre-activation into
+# the argument of its tanh, since sigmoid(a) = 0.5 * (1 + tanh(a * 0.5))
+_TANH_ARG = np.array([0.5, 0.5, 1.0, 0.5])[:, None, None]
+
+
+def _halved_weights(params):
+    """Gate-major copies of lstm.w, (4, input_dim + H, H), and lstm.b,
+    (4, 1, H), whose i, f and o blocks are multiplied by 0.5, so the
+    products and sums of a step give `lstm_cell` its half-scaled input.
+    Each scaling is by a power of two, so the pre-activation is the
+    unscaled one's times 0.5 bit for bit (barring subnormal values)."""
+    return (_gate_major(params.w.value) * _TANH_ARG,
+            params.b.value.reshape(4, 1, -1) * _TANH_ARG)
+
+
+# the largest step, in gate values 4 * q * H, whose activation pass reads
+# same-shape tables.  Measured with one BLAS thread on a 2-vCPU host, the
+# two table passes beat the four scalar ops on gate views by 3x at batch 1
+# and by 1.14x at 8192 values (train steps at q = 16, H = 128), and lose
+# from 16384 values on (0.9x; 0.67x at the acceptance evaluation blocks,
+# q = 128, H = 128)
+_TABLE_GATES = 4 * 16 * 128
+
 # (q, H) -> the read-only scale and shift tables of `lstm_cell`, least
 # recently used first: the newest pair is always kept, and older ones while
-# all kept pairs fit in _GATE_AFFINE_BYTES
+# all kept pairs fit in _GATE_AFFINE_BYTES, room for two of the largest
 _GATE_AFFINE = {}
-_GATE_AFFINE_BYTES = 1024 * 1024
+_GATE_AFFINE_BYTES = 2 * 2 * 8 * _TABLE_GATES
 
 
 def _gate_affine(q, hid):
@@ -233,8 +272,8 @@ def _gate_affine(q, hid):
     of a broadcast one and a slice of a larger gate-major table would not
     be contiguous.  Kept per (q, H), so callers that alternate row counts
     (train steps, evaluation blocks, generation) do not rebuild them, and
-    within a byte bound, so a large evaluation block's pair is dropped
-    once the train steps resume rather than held for good."""
+    within a byte bound, so pairs of row counts no longer in use are
+    dropped rather than held for good."""
     tables = _GATE_AFFINE.pop((q, hid), None)
     if tables is None:
         tables = tuple(np.repeat(np.array(blocks), q * hid).reshape(4, q, hid)
@@ -250,27 +289,40 @@ def _gate_affine(q, hid):
     return tables
 
 
-def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
-    """The body of one LSTM step, shared by `lstm_step` and `cell_step`.
+def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None, halved=True):
+    """The body of one LSTM step, shared by `lstm_step`, `lstm_unroll`
+    and `cell_step`.
 
     a is the step's gate-major pre-activation x_t @ w_x + b +
     h_{t-1} @ w_h, summed in that order: a C-contiguous (4, q, H) array
-    whose blocks a[0..3] are i, f, g and o.  All four are activated in
-    place in one contiguous pass, scale * (tanh(scale * a) + shift) per
-    element: i, f and o get sigmoid as 0.5 * (1 + tanh(a * 0.5)), with no
-    exp to overflow on either tail, and g gets tanh(a), since a * 1 is
-    exact and adding -0.0 keeps every value, the sign of zero too (+0.0
-    would turn -0.0 into +0.0).  The products f * c_{t-1}, i * g and
-    o * tanh(c_t) then read whole blocks.  Writes c_t, tanh(c_t) and h_t
-    into `c`, `tanh_c` and `h` when given, else into new arrays, and
+    whose blocks a[0..3] are i, f, g and o.  When `halved`, the i, f and
+    o blocks arrive half-scaled, as 0.5 * a, from `_halved_weights`;
+    else the cell first multiplies them by 0.5.  All four are then
+    activated in place: tanh over the whole array, and i, f and o become
+    (t + 1) * 0.5, their sigmoid with no exp to overflow on either tail.
+    Up to _TABLE_GATES values each pass reads the contiguous
+    `_gate_affine` tables, where g's block is multiplied by 1 and adds
+    -0.0, which keeps every value, the sign of zero too (+0.0 would turn
+    -0.0 into +0.0); above it, scalar ops on the a[:2] and a[3] views do
+    the work and no tables are built.  The products f * c_{t-1}, i * g
+    and o * tanh(c_t) then read whole blocks.  Writes c_t, tanh(c_t) and
+    h_t into `c`, `tanh_c` and `h` when given, else into new arrays, and
     returns (h_t, c_t).
     """
-    _, q, hid = a.shape
-    scale, shift = _gate_affine(q, hid)
-    a *= scale
-    np.tanh(a, out=a)
-    a += shift
-    a *= scale
+    if a.size <= _TABLE_GATES:
+        scale, shift = _gate_affine(*a.shape[1:])
+        if not halved:
+            a *= scale
+        np.tanh(a, out=a)
+        a += shift
+        a *= scale
+    else:
+        if not halved:
+            a *= _TANH_ARG
+        np.tanh(a, out=a)
+        for sig in (a[:2], a[3]):
+            sig += 1.0
+            sig *= 0.5
     i, f, g, o = a
     c = np.multiply(f, c_prev, out=c)
     tanh_c = np.multiply(i, g, out=tanh_c)
@@ -283,29 +335,43 @@ def cell_step(x, state, params):
     """Advance the cell one step on plain arrays, building no graph nodes.
 
     x is (q, input_dim) and state an (h, c) pair of (q, hidden) arrays.
-    The arithmetic is a one-step `lstm_step`'s, products and summation
-    order alike, so the new h equals it bit for bit.  Returns the new
-    (h, c) pair.
+    The products and summation order are a one-step `lstm_step`'s, with
+    the unscaled weights, so no weights are copied per step, and
+    `lstm_cell` halves the sum; the new h equals the op's bit for bit.
+    Returns the new (h, c) pair.
     """
     _check_step_inputs("cell_step", x, 2, state, params)
     w4, n_in = _gate_major(params.w.value), params.input_dim
     a = np.matmul(x, w4[:, :n_in])
     a += params.b.value.reshape(4, 1, -1)
     a += np.matmul(state[0], w4[:, n_in:])
-    return lstm_cell(a, state[1])
+    return lstm_cell(a, state[1], halved=False)
 
 
 def lstm_unroll(x, state, params):
     """`lstm_step` on plain arrays for a caller that needs no gradient:
-    the steps of a (T, q, input_dim) batch through `cell_step` from the
-    (h, c) pair `state`, keeping no gates or cell states.  Returns the
-    t-major rows (T*q, H) of h_1..h_T, equal to the op's bit for bit."""
-    steps, q, _ = x.shape
-    hs = np.empty((steps, q, params.hidden))
+    the steps of a (T, q, input_dim) batch from the (h, c) pair `state`,
+    keeping no gates or cell states.  Each step writes both products into
+    reused (4, q, H) buffers, adds a same-shape bias block built once per
+    call between them, and writes h_t straight into its output rows.
+    Returns the t-major rows (T*q, H) of h_1..h_T, equal to the op's bit
+    for bit."""
+    _check_step_inputs("lstm_unroll", x, 3, state, params)
+    steps, q, n_in = x.shape
+    hid = params.hidden
+    w4, b4 = _halved_weights(params)
+    w_x4, w_h4 = w4[:, :n_in], w4[:, n_in:]
+    bias = np.broadcast_to(b4, (4, q, hid)).copy()
+    a, rec = np.empty((2, 4, q, hid))
+    cells, tanh_c = np.empty((2, q, hid)), np.empty((q, hid))
+    hs = np.empty((steps, q, hid))
+    h, c = state
     for t in range(steps):
-        state = cell_step(x[t], state, params)
-        hs[t] = state[0]
-    return hs.reshape(steps * q, params.hidden)
+        np.matmul(x[t], w_x4, out=a)
+        a += bias
+        a += np.matmul(h, w_h4, out=rec)
+        h, c = lstm_cell(a, c, cells[t % 2], tanh_c, hs[t])
+    return hs.reshape(steps * q, hid)
 
 
 def head_logits(h, head):

@@ -6,7 +6,7 @@ import pytest
 
 from frmdn import datasets as ds
 from frmdn import model as md
-from frmdn.cli import main
+from frmdn.cli import GEN_KINDS, main
 
 
 def run(argv, capsys):
@@ -66,6 +66,41 @@ def test_gen_is_byte_reproducible(tmp_path, capsys):
     a = gen_small(tmp_path, "a.fseq")
     b = gen_small(tmp_path, "b.fseq")
     assert a.read_bytes() == b.read_bytes()
+
+
+GEN_FLAGS = [("--q", "3"), ("--t", "9"), ("--d", "3"), ("--seed", "5")] + [
+    ("--" + name.replace("_", "-"),
+     str(default + 1 if kind_type is int else default / 2))
+    for _, params in GEN_KINDS.values() for name, kind_type, default in params]
+
+
+@pytest.mark.parametrize("flag, value", GEN_FLAGS)
+@pytest.mark.parametrize("kind", list(GEN_KINDS))
+def test_gen_flag_changes_the_output_or_exits_2(tmp_path, capsys, kind, flag,
+                                                value):
+    base = ["gen", "--kind", kind, "--q", "2", "--t", "8", "--d", "2"]
+    plain, out = tmp_path / "plain.fseq", tmp_path / "flag.fseq"
+    assert main(base + ["--out", str(plain)]) == 0
+    code, _, err = run(base + [flag, value, "--out", str(out)], capsys)
+    others = {"--" + name.replace("_", "-")
+              for other, (_, params) in GEN_KINDS.items() if other != kind
+              for name, _, _ in params}
+    if flag not in others:
+        assert code == 0 and out.read_bytes() != plain.read_bytes()
+    else:
+        assert code == 2 and not out.exists()
+        assert one_error_line(err).startswith(f"error: {flag} applies to --kind")
+
+
+@pytest.mark.parametrize("kind", list(GEN_KINDS))
+def test_gen_kind_defaults_equal_their_flags(tmp_path, kind):
+    base = ["gen", "--kind", kind, "--q", "2", "--t", "8", "--d", "2"]
+    explicit = [part for name, _, default in GEN_KINDS[kind][1]
+                for part in ("--" + name.replace("_", "-"), str(default))]
+    plain, out = tmp_path / "plain.fseq", tmp_path / "explicit.fseq"
+    assert main(base + ["--out", str(plain)]) == 0
+    assert main(base + explicit + ["--out", str(out)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_unknown_flags_exit_2(tmp_path):

@@ -1,0 +1,30 @@
+"""The golden run (tests/data/golden_run.py) against its committed
+manifest: every command's exit code and stdout lines and every written
+file's SHA-256 must match, so a change that moves bits by accident fails
+here.  The digests depend on numpy and the BLAS build, which a failure
+names."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).parent / "data" / "golden_run.py"
+_spec = importlib.util.spec_from_file_location("golden_run", SCRIPT)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def test_golden_run_matches_the_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = golden.record()
+    want = json.loads(golden.MANIFEST.read_text())
+    where = (f"manifest recorded with numpy {want['numpy']}, {want['blas']}; "
+             f"this run has numpy {got['numpy']}, {got['blas']}")
+    moved = [" ".join(c["argv"][:3]) for c, w in
+             zip(got["commands"], want["commands"]) if c != w]
+    assert got["commands"] == want["commands"], f"{where}; moved: {moved}"
+    moved = sorted(name for name in got["files"].keys() | want["files"].keys()
+                   if got["files"].get(name) != want["files"].get(name))
+    assert not moved, f"{where}; moved: {moved}"
+    # a 1 + 1 epoch resume writes the 2-epoch run's checkpoint
+    assert got["files"]["resume_2.frmd"] == got["files"]["diagonal.frmd"]

@@ -354,19 +354,25 @@ def test_fused_op_is_bit_identical_to_per_block_reference(q, hidden):
 
 
 def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
+    # lstm_cell takes the i, f and o pre-activations half-scaled; a step
+    # of one row runs through the tables, and a step above _TABLE_GATES
+    # values through scalar ops on the gate views
     hidden = 4
     row = np.array([-0.0, 0.0, 45.0, -45.0])
-    act = np.tile(row, 4)[None]
-    c_prev = np.array([[-0.0, 0.0, 1.0, -1.0]])
-    h, c = rc.lstm_cell(act.reshape(4, 1, hidden), c_prev)
-    i = f = o = _sigmoid_ref(row)[None]
-    g = np.tanh(row)[None]
-    want_c = f * c_prev + i * g
-    _assert_same_bits(c, want_c)
-    _assert_same_bits(h, o * np.tanh(want_c))
-    # the gates are activated in place; g is tanh itself, so -0.0 stays
-    for k, want in enumerate((i, f, g, o)):
-        _assert_same_bits(act[:, k * hidden:(k + 1) * hidden], want)
+    i = f = o = _sigmoid_ref(row)
+    g = np.tanh(row)
+    for q in (1, rc._TABLE_GATES // (4 * hidden) + 1):
+        act = np.stack([np.tile(block, (q, 1))
+                        for block in (row * 0.5, row * 0.5, row, row * 0.5)])
+        c_prev = np.tile([-0.0, 0.0, 1.0, -1.0], (q, 1))
+        h, c = rc.lstm_cell(act, c_prev)
+        want_c = f * c_prev + i * g
+        _assert_same_bits(c, want_c)
+        _assert_same_bits(h, o * np.tanh(want_c))
+        # the gates are activated in place; g is tanh itself, so -0.0 stays
+        for block, want in zip(act, (i, f, g, o)):
+            _assert_same_bits(block, np.tile(want, (q, 1)))
+    assert (q, hidden) not in rc._GATE_AFFINE
 
 
 @pytest.mark.parametrize("hidden", [6, 16])
@@ -383,6 +389,26 @@ def test_cell_step_equals_one_step_op(q, hidden):
     rows = rc.lstm_step(x[None], state, params)
     _assert_same_bits(h, rows.value)
     assert h.shape == c.shape == (q, hidden)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_both_activation_paths_equal_the_op(side):
+    # a step of q * 4H values at the table limit runs on tables and one
+    # row more runs on the gate views; on either side the evaluation
+    # unroll equals the op's rows and cell_step its first step, bit for bit
+    rng = np.random.default_rng(25)
+    hidden, n_in, steps = 16, 3, 4
+    q = rc._TABLE_GATES // (4 * hidden) + side
+    params = rc.init_lstm(n_in, hidden, rng)
+    params.b.value = rng.normal(size=4 * hidden)
+    x = rng.normal(size=(steps, q, n_in))
+    state = (rng.normal(size=(q, hidden)) * 0.5, rng.normal(size=(q, hidden)))
+    rc._GATE_AFFINE.clear()
+    rows = rc.lstm_step(x, state, params).value
+    _assert_same_bits(rc.lstm_unroll(x, state, params), rows)
+    h, _ = rc.cell_step(x[0], state, params)
+    _assert_same_bits(h, rows[:q])
+    assert ((q, hidden) in rc._GATE_AFFINE) == (side == 0)
 
 
 def test_activation_tables_are_contiguous_after_a_larger_batch():
@@ -417,8 +443,9 @@ def test_activation_tables_are_kept_per_row_count_within_a_byte_bound():
     pairs = {q: step(q) for q in (66, 16, 1)}
     for q in (66, 16, 1, 16, 66):
         assert step(q) is pairs[q]
-    large = rc._GATE_AFFINE_BYTES // (2 * 4 * hidden * 8)     # fills the bound
+    large = rc._TABLE_GATES // (4 * hidden)    # the largest step on tables
     assert step(large) is step(large)
+    assert step(large - 1) is step(large - 1)  # two such pairs fill the bound
     assert (66, hidden) not in rc._GATE_AFFINE
     step(16)
     assert (large, hidden) not in rc._GATE_AFFINE
