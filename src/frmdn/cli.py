@@ -32,25 +32,16 @@ class CliError(Exception):
 # gen
 # ---------------------------------------------------------------------------
 
-# kind -> its generator and the parameters only it takes, as (name, type,
-# default); `gen` declares each parameter as a flag with default None
-GEN_KINDS = {
-    "ar": (ds.gen_correlated_ar, (("rho", float, 0.9), ("corr", float, 0.8))),
-    "modes": (ds.gen_switching_modes, (("modes", int, 2),)),
-    "control": (ds.gen_control_task, (("d_action", int, 2),)),
-}
-
-
 def cmd_gen(args):
-    for kind, (_, params) in GEN_KINDS.items():
-        for name, _, _ in params:
+    for kind, spec in ds.GEN_KINDS.items():
+        for name, _, _ in spec.params:
             if kind != args.kind and getattr(args, name) is not None:
                 raise CliError(f"--{name.replace('_', '-')} applies to "
                                f"--kind {kind}, not {args.kind}")
-    make, params = GEN_KINDS[args.kind]
+    spec = ds.GEN_KINDS[args.kind]
     values = {name: default if getattr(args, name) is None
-              else getattr(args, name) for name, _, default in params}
-    batch = make(args.q, args.t, args.d, seed=args.seed, **values)
+              else getattr(args, name) for name, _, default in spec.params}
+    batch = spec.make(args.q, args.t, args.d, seed=args.seed, **values)
     ds.save_fseq(args.out, batch)
     if args.csv:
         ds.export_csv(batch, args.csv)
@@ -328,12 +319,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    gen.add_argument("--kind", required=True, choices=list(GEN_KINDS))
+    gen.add_argument("--kind", required=True, choices=list(ds.GEN_KINDS))
     gen.add_argument("--q", type=int, default=64)
     gen.add_argument("--t", type=int, default=256)
     gen.add_argument("--d", type=int, default=8)
-    for kind, (_, params) in GEN_KINDS.items():
-        for name, kind_type, default in params:
+    for kind, spec in ds.GEN_KINDS.items():
+        for name, kind_type, default in spec.params:
             gen.add_argument("--" + name.replace("_", "-"), type=kind_type,
                              help=f"--kind {kind} only (default {default})")
     gen.add_argument("--seed", type=int, default=0)

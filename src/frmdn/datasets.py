@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,20 @@ def gen_control_task(q, t, d, d_action, seed, noise_std=0.1, action_scale=1.0):
 def control_entropy_rate(d, noise_std=0.1):
     """Exact conditional entropy per step of gen_control_task."""
     return 0.5 * d * math.log(2.0 * math.pi * math.e * noise_std**2)
+
+
+# kind -> its generator, the parameters only it takes as (name, type,
+# default), which `frmdn gen` declares as flags, and its entropy-rate floor:
+# (nats per step, standard error) as a function of d and those parameters
+GenKind = namedtuple("GenKind", "make params floor")
+GEN_KINDS = {
+    "ar": GenKind(gen_correlated_ar, (("rho", float, 0.9), ("corr", float, 0.8)),
+                  lambda d, rho, corr: (ar_entropy_rate(d, corr), 0.0)),
+    "modes": GenKind(gen_switching_modes, (("modes", int, 2),),
+                     lambda d, modes: switching_entropy_rate_mc(d, modes, seed=0)),
+    "control": GenKind(gen_control_task, (("d_action", int, 2),),
+                       lambda d, d_action: (control_entropy_rate(d), 0.0)),
+}
 
 
 # ---------------------------------------------------------------------------

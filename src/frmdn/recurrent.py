@@ -30,9 +30,10 @@ to `_TABLE_GATES` values (train steps, generation, small evaluation
 blocks) and through scalar ops on gate views above it, so a large
 evaluation block builds no tables to crowd the L2 cache.  `lstm_unroll`
 runs its own loop, with reused step buffers, rather than stepping
-`cell_step`.  The backward writes each step's gate gradients back into
-(q, 4H) rows in parameter layout for the weight products, and runs the
-recurrent product against one contiguous copy of w_h.T per call.
+`cell_step`.  The BPTT rule is gate-major too: it keeps the gate
+gradients in one (4, T, q, H) array, forms each step's slopes on that
+step's blocks, and runs the recurrent and weight products per gate,
+summing the four recurrent products in i, f, g, o order.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -178,51 +179,52 @@ def lstm_step(x, state, params):
 
     def rule(gh):
         gh = gh.reshape(steps, q, hid)   # at h_1..h_T
-        # activation slopes of every step at once: s(1 - s) for the
-        # sigmoid gates i, f and o, 1 - g^2 for the cell input and
-        # 1 - tanh(c)^2
-        slope = np.empty_like(gates)
-        for k in (slice(0, 2), 3):
-            np.subtract(1.0, gates[:, k], out=slope[:, k])
-            slope[:, k] *= gates[:, k]
-        g_all, slope_g = gates[:, 2], slope[:, 2]
-        np.multiply(g_all, g_all, out=slope_g)
-        np.subtract(1.0, slope_g, out=slope_g)
-        slope_c = tanh_c * tanh_c
-        np.subtract(1.0, slope_c, out=slope_c)
-        # step t's gate gradients are formed block by block in dgate and,
-        # times the slopes, written into its (q, 4H) rows of da in
-        # parameter layout, which the weight products below read; the
-        # recurrent product runs NN against one contiguous copy of w_h.T
-        da = np.empty((steps, q, 4 * hid))
-        w_x, w_h = wv[:n_in], wv[n_in:]
-        w_h_t = np.ascontiguousarray(w_h.T)
-        dgate = np.empty((4, q, hid))
+        # da[:, t] holds step t's gate gradients, one contiguous (q, H)
+        # block per gate; the recurrent product runs per gate against one
+        # contiguous (4, H, H) copy of w_h's gate blocks transposed
+        wg = _gate_major(wv)
+        w_h_t = np.ascontiguousarray(wg[:, n_in:].transpose(0, 2, 1))
+        da = np.empty((4, steps, q, hid))
+        dgate, slope, rec = np.empty((3, 4, q, hid))
         di, df, dg, do = dgate
-        dh = gh[-1]
+        slope_g = slope[2]
+        dh, dh_next = gh[-1], np.empty((q, hid))
         dcell = np.zeros((q, hid))       # c_T reaches no output
-        tmp = np.empty((q, hid))
+        tmp, slope_c = np.empty((2, q, hid))
         for t in range(steps - 1, -1, -1):
-            i, f, g, o = gates[t]
+            s, tc, da_t = gates[t], tanh_c[t], da[:, t]
+            i, f, g, o = s
+            # step t's slopes while its blocks are in cache: s(1 - s) on
+            # all four blocks, then 1 - g^2 on g's, and 1 - tanh(c)^2
+            np.subtract(1.0, s, out=slope)
+            slope *= s
+            np.multiply(g, g, out=slope_g)
+            np.subtract(1.0, slope_g, out=slope_g)
+            np.multiply(tc, tc, out=slope_c)
+            np.subtract(1.0, slope_c, out=slope_c)
             np.multiply(dh, o, out=tmp)
-            tmp *= slope_c[t]
+            tmp *= slope_c
             dcell += tmp
             np.multiply(dcell, g, out=di)
             np.multiply(dcell, cs[t], out=df)
             np.multiply(dcell, i, out=dg)
-            np.multiply(dh, tanh_c[t], out=do)
-            np.multiply(dgate, slope[t], out=_gate_major(da[t]))
+            np.multiply(dh, tc, out=do)
+            np.multiply(dgate, slope, out=da_t)
             if t:
                 dcell *= f
-                dh = da[t] @ w_h_t
+                np.matmul(da_t, w_h_t, out=rec)
+                dh = rec.sum(axis=0, out=dh_next)   # i, f, g, o in order
                 dh += gh[t - 1]
-        da_rows = da.reshape(steps * q, 4 * hid)
-        x_rows = xv.reshape(steps * q, n_in)
+        # per-gate products over all T*q rows: dw's written into its
+        # gate-major view, dx's summed in i, f, g, o order
+        da = da.reshape(4, steps * q, hid)
         dw = np.empty_like(wv)
-        dw[:n_in] = x_rows.T @ da_rows
-        dw[n_in:] = hs[:steps].reshape(steps * q, hid).T @ da_rows
-        dx = (da_rows @ w_x.T).reshape(xv.shape) if x.requires_grad else None
-        return dx, dw, da_rows.sum(axis=0)
+        dw4 = _gate_major(dw)
+        np.matmul(xv.reshape(steps * q, n_in).T, da, out=dw4[:, :n_in])
+        np.matmul(hs[:steps].reshape(steps * q, hid).T, da, out=dw4[:, n_in:])
+        dx = (np.matmul(da, wg[:, :n_in].transpose(0, 2, 1)).sum(axis=0)
+              .reshape(xv.shape) if x.requires_grad else None)
+        return dx, dw, da.sum(axis=1).reshape(4 * hid)
 
     return dc.DiffNode(hs[1:].reshape(steps * q, hid),
                        (x, params.w, params.b), "lstm", rule)

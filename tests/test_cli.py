@@ -6,7 +6,8 @@ import pytest
 
 from frmdn import datasets as ds
 from frmdn import model as md
-from frmdn.cli import GEN_KINDS, main
+from frmdn.cli import main
+from frmdn.datasets import GEN_KINDS
 
 
 def run(argv, capsys):
@@ -71,7 +72,7 @@ def test_gen_is_byte_reproducible(tmp_path, capsys):
 GEN_FLAGS = [("--q", "3"), ("--t", "9"), ("--d", "3"), ("--seed", "5")] + [
     ("--" + name.replace("_", "-"),
      str(default + 1 if kind_type is int else default / 2))
-    for _, params in GEN_KINDS.values() for name, kind_type, default in params]
+    for spec in GEN_KINDS.values() for name, kind_type, default in spec.params]
 
 
 @pytest.mark.parametrize("flag, value", GEN_FLAGS)
@@ -83,8 +84,8 @@ def test_gen_flag_changes_the_output_or_exits_2(tmp_path, capsys, kind, flag,
     assert main(base + ["--out", str(plain)]) == 0
     code, _, err = run(base + [flag, value, "--out", str(out)], capsys)
     others = {"--" + name.replace("_", "-")
-              for other, (_, params) in GEN_KINDS.items() if other != kind
-              for name, _, _ in params}
+              for other, spec in GEN_KINDS.items() if other != kind
+              for name, _, _ in spec.params}
     if flag not in others:
         assert code == 0 and out.read_bytes() != plain.read_bytes()
     else:
@@ -95,7 +96,7 @@ def test_gen_flag_changes_the_output_or_exits_2(tmp_path, capsys, kind, flag,
 @pytest.mark.parametrize("kind", list(GEN_KINDS))
 def test_gen_kind_defaults_equal_their_flags(tmp_path, kind):
     base = ["gen", "--kind", kind, "--q", "2", "--t", "8", "--d", "2"]
-    explicit = [part for name, _, default in GEN_KINDS[kind][1]
+    explicit = [part for name, _, default in GEN_KINDS[kind].params
                 for part in ("--" + name.replace("_", "-"), str(default))]
     plain, out = tmp_path / "plain.fseq", tmp_path / "explicit.fseq"
     assert main(base + ["--out", str(plain)]) == 0

@@ -200,3 +200,10 @@ def test_slice_windows_shapes_and_content():
     np.testing.assert_array_equal(obs[1], batch.observations[0, 32:64])
     with pytest.raises(ValueError, match="shorter"):
         ds.slice_windows(batch, 71)
+
+
+@pytest.mark.parametrize("kind", list(ds.GEN_KINDS))
+def test_gen_kind_floor_is_finite_at_its_defaults(kind):
+    spec = ds.GEN_KINDS[kind]
+    floor, se = spec.floor(2, **{name: default for name, _, default in spec.params})
+    assert math.isfinite(floor) and math.isfinite(se) and se >= 0.0

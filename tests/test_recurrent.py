@@ -272,13 +272,19 @@ def _sigmoid_ref(x):
     return 0.5 * (1.0 + np.tanh(x / 2))
 
 
-def _lstm_reference(x, w, b, h0, c0, gh):
+def _lstm_reference(x, w, b, h0, c0, gh, rows=False):
     """A plain per-step LSTM forward and BPTT, each gate block activated on
     its own, in the fused op's arithmetic order: per step and gate block,
     (x_t @ w_x + b) + h_{t-1} @ w_h from (q, H) products with that block's
-    columns of w, and in the backward the recurrent product against a
-    contiguous copy of w_h.T.  Returns the hidden rows (T*q, H) and the
-    gradients of w and b for the output gradient gh."""
+    columns of w.  The backward runs the recurrent product per gate block
+    against a contiguous copy of that block of w_h transposed and sums the
+    four products in i, f, g, o order, and takes each block's weight and
+    bias gradients from its own products and sums over all rows.  With
+    `rows`, the backward instead uses the earlier row layout: one product
+    of the (q, 4H) gate gradient rows with a contiguous copy of w_h.T, and
+    weight products and sums over the (T*q, 4H) rows.  Returns the hidden
+    rows (T*q, H) and the gradients of w and b for the output gradient
+    gh."""
     steps, q, n_in = x.shape
     hid = h0.shape[1]
     w_x, w_h = w[:n_in], w[n_in:]
@@ -300,21 +306,33 @@ def _lstm_reference(x, w, b, h0, c0, gh):
 
     gh = gh.reshape(steps, q, hid)
     dh, dc = gh[-1], 0.0
-    da = [None] * steps
+    da = [None] * steps      # per step, the four (q, H) gate blocks
     for t in range(steps - 1, -1, -1):
         i, f, g, o = acts[t]
         dc = dc + dh * o * (1.0 - tanh_cs[t] * tanh_cs[t])
-        da[t] = np.concatenate([dc * g * (i * (1.0 - i)),
-                                dc * cs[t] * (f * (1.0 - f)),
-                                dc * i * (1.0 - g * g),
-                                dh * tanh_cs[t] * (o * (1.0 - o))], axis=1)
+        da[t] = [dc * g * (i * (1.0 - i)),
+                 dc * cs[t] * (f * (1.0 - f)),
+                 dc * i * (1.0 - g * g),
+                 dh * tanh_cs[t] * (o * (1.0 - o))]
         if t:
             dc = dc * f
-            dh = da[t] @ np.ascontiguousarray(w_h.T) + gh[t - 1]
-    da_rows = np.concatenate(da)
-    dw = np.concatenate([x_rows.T @ da_rows,
-                         np.concatenate(hs[:steps]).T @ da_rows])
-    return np.concatenate(hs[1:]), dw, da_rows.sum(axis=0)
+            if rows:
+                dh = np.concatenate(da[t], axis=1) @ np.ascontiguousarray(w_h.T)
+            else:
+                r = [da_k @ np.ascontiguousarray(w_h[:, sl].T)
+                     for da_k, sl in zip(da[t], blocks)]
+                dh = r[0] + r[1] + r[2] + r[3]
+            dh = dh + gh[t - 1]
+    h_rows = np.concatenate(hs[:steps])
+    if rows:
+        da_rows = np.concatenate([np.concatenate(d, axis=1) for d in da])
+        dw = np.concatenate([x_rows.T @ da_rows, h_rows.T @ da_rows])
+        return np.concatenate(hs[1:]), dw, da_rows.sum(axis=0)
+    da_blocks = [np.concatenate([d[k] for d in da]) for k in range(4)]
+    dw = np.concatenate([np.concatenate([x_rows.T @ d for d in da_blocks], axis=1),
+                         np.concatenate([h_rows.T @ d for d in da_blocks], axis=1)])
+    db = np.concatenate([d.sum(axis=0) for d in da_blocks])
+    return np.concatenate(hs[1:]), dw, db
 
 
 def _assert_same_bits(got, want):
@@ -325,11 +343,12 @@ def _assert_same_bits(got, want):
 # (q, hidden) -> input width where it is not 8: the dream world model
 # (32, 16) and the v1 checkpoint (2, 4); (66, 128) is an evaluation block
 LOCK_INPUTS = {(32, 16): 4, (2, 4): 3}
+LOCK_SHAPES = [(1, 16), (16, 16), (16, 128), (66, 128), (32, 16), (2, 4)]
 
 
-@pytest.mark.parametrize("q,hidden", [(1, 16), (16, 16), (16, 128), (66, 128),
-                                      (32, 16), (2, 4)])
-def test_fused_op_is_bit_identical_to_per_block_reference(q, hidden):
+def _lock_case(q, hidden):
+    """Weights, inputs, a zero start state and an output gradient whose
+    pre-activations reach far past |x| = 40 and include exact zeros."""
     rng = np.random.default_rng(21)
     n_in, steps = LOCK_INPUTS.get((q, hidden), 8), 6
     w = rng.normal(size=(n_in + hidden, 4 * hidden)) * 0.5
@@ -341,16 +360,73 @@ def test_fused_op_is_bit_identical_to_per_block_reference(q, hidden):
     x[0] = 0.0
     h0, c0 = np.zeros((q, hidden)), np.zeros((q, hidden))
     gh = rng.normal(size=(steps * q, hidden))
-
     pre = x.reshape(steps * q, n_in) @ w[:n_in] + b
     assert np.abs(pre).max() > 40.0 and np.any(pre == 0.0)
-    wn, bn = dc.parameter(w), dc.parameter(b)
-    out = rc.lstm_step(x, (h0, c0), rc.LstmParams(wn, bn, n_in, hidden))
+    return x, w, b, h0, c0, gh
+
+
+def _op_gradients(x, w, b, h0, c0, gh):
+    """The op's hidden rows and its gradients of w and b for gh."""
+    n_in, hidden = x.shape[2], h0.shape[1]
+    params = rc.LstmParams(dc.parameter(w), dc.parameter(b), n_in, hidden)
+    out = rc.lstm_step(x, (h0, c0), params)
     _, dw, db = out._rule(gh)
-    want_h, want_dw, want_db = _lstm_reference(x, w, b, h0, c0, gh)
-    _assert_same_bits(out.value, want_h)
+    return out.value, dw, db
+
+
+@pytest.mark.parametrize("q,hidden", LOCK_SHAPES)
+def test_fused_op_is_bit_identical_to_per_block_reference(q, hidden):
+    case = _lock_case(q, hidden)
+    got_h, dw, db = _op_gradients(*case)
+    want_h, want_dw, want_db = _lstm_reference(*case)
+    _assert_same_bits(got_h, want_h)
     _assert_same_bits(dw, want_dw)
     _assert_same_bits(db, want_db)
+
+
+@pytest.mark.parametrize("q,hidden", LOCK_SHAPES)
+def test_fused_op_gradients_only_reorder_the_row_layout_sums(q, hidden):
+    # the gate-major backward sums its products in another order than the
+    # (q, 4H) row layout did, and moves no gradient further than that
+    case = _lock_case(q, hidden)
+    _, dw, db = _op_gradients(*case)
+    _, rows_dw, rows_db = _lstm_reference(*case, rows=True)
+    for got, want in ((dw, rows_dw), (db, rows_db)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_fused_op_directional_derivatives_at_the_acceptance_shape():
+    # central differences along one random unit direction per input, at
+    # the acceptance train step (T = 31, q = 16, H = 128, 8 inputs); x
+    # needs a gradient here, so the per-gate dx products run too
+    rng = np.random.default_rng(26)
+    steps, q, hidden, n_in = 31, 16, 128, 8
+    params = rc.init_lstm(n_in, hidden, rng)
+    params.b.value = rng.normal(size=4 * hidden) * 0.5
+    arrays = [rng.normal(size=(steps, q, n_in)), params.w.value, params.b.value]
+    h0 = rng.normal(size=(q, hidden)) * 0.5
+    c0 = rng.normal(size=(q, hidden))
+    left = rng.normal(size=(2, steps * q))
+
+    def loss(nodes):
+        out = rc.lstm_step(nodes[0], (h0, c0),
+                           rc.LstmParams(nodes[1], nodes[2], n_in, hidden))
+        return probe(dc.matmul(dc.constant(left), out))
+
+    leaves = [dc.parameter(a) for a in arrays]
+    grads = dc.backward(loss(leaves), params=leaves)
+    step = 1e-5
+    for k, (leaf, arr) in enumerate(zip(leaves, arrays)):
+        v = rng.standard_normal(arr.shape)
+        v /= np.linalg.norm(v)
+        analytic = float((grads[leaf] * v).sum())
+        moved = list(arrays)
+        moved[k] = arr + step * v
+        hi = float(loss([dc.constant(a) for a in moved]).value)
+        moved[k] = arr - step * v
+        lo = float(loss([dc.constant(a) for a in moved]).value)
+        numeric = (hi - lo) / (2 * step)
+        assert abs(analytic - numeric) <= 1e-6 * max(1.0, abs(numeric)), k
 
 
 def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
