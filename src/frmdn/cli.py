@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import NamedTuple
@@ -28,11 +29,26 @@ class CliError(Exception):
     """Validation failure surfaced as exit code 2."""
 
 
+def _check_outputs(args, *names):
+    """Reject an output flag whose path could not be written, before any
+    work: its directory must exist and it must not name a directory."""
+    for name in names:
+        path = getattr(args, name)
+        if path is None:
+            continue
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise CliError(f"--{name} {path!r} does not name a file")
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise CliError(f"--{name} {path!r}: no directory {folder}")
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args):
+    _check_outputs(args, "out", "csv")
     for kind, spec in ds.GEN_KINDS.items():
         for name, _, _ in spec.params:
             if kind != args.kind and getattr(args, name) is not None:
@@ -159,6 +175,7 @@ def _write_log(path, args, columns, rows):
 
 
 def cmd_train(args):
+    _check_outputs(args, "out", "log")
     train = ds.load_fseq(args.data)
     test = ds.load_fseq(args.test_data) if args.test_data else None
     model, extra, opt_arrays = (md.load_checkpoint(args.resume)
@@ -211,6 +228,7 @@ def cmd_eval(args):
 def cmd_sample(args):
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
+    _check_outputs(args, "out")
     model, _, _ = md.load_checkpoint(args.ckpt)
     rng = np.random.default_rng(args.seed)
     cfg = model.config
@@ -287,6 +305,7 @@ def _check_dream_counts(args):
 
 def cmd_dream(args):
     _check_dream_counts(args)
+    _check_outputs(args, "log")
     task = ct.build_dream_task(seed=args.seed, hidden=args.hidden,
                                horizon=args.horizon,
                                train_epochs=args.train_epochs)

@@ -161,7 +161,9 @@ def _refresh_eigensystem(state):
 
 def cmaes_minimize(fn, x0, sigma0, lam=None, max_evals=10_000, target=None,
                    seed=0, callback=None):
-    """Convenience loop; returns (best_x, best_f, evaluations)."""
+    """The ask/evaluate/tell loop, one fitness call per candidate, until
+    `max_evals` evaluations or a best fitness below `target`; `callback`
+    sees each told generation.  Returns (best_x, best_f, evaluations)."""
     state = cmaes_init(x0, sigma0, lam)
     rng = np.random.default_rng(seed)
     best_x = state.mean.copy()

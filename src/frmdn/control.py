@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recurrent as rc
-from .cmaes import cmaes_ask, cmaes_init, cmaes_tell
+from .cmaes import cmaes_minimize
 from .datasets import gen_control_task
 from .model import (FrmdnModel, ModelConfig, TrainSettings, build_model,
                     generate_step, train_model)
@@ -181,35 +181,30 @@ def build_dream_task(seed=0, dim=2, action_dim=2, hidden=16, horizon=64,
 
 def train_controller(task, generations, popsize=16, sigma0=0.5, seed=0,
                      episodes_per_candidate=1):
-    """CMA-ES loop over dream fitness.
+    """CMA-ES over dream fitness, `generations` populations of `popsize`.
 
     Returns (controller, history) where history rows carry the generation's
     mean and best population reward.
     """
     if generations < 1:
         raise ValueError(f"generations must be at least 1, got {generations}")
-    state = cmaes_init(np.zeros(task.n_params), sigma0, lam=popsize)
-    ask_rng = np.random.default_rng([seed, 1])
     episode_seeds = [int(s) for s in np.random.default_rng([seed, 2]).integers(
         0, 2**31, episodes_per_candidate)]
     history = []
-    best_vec = state.mean.copy()
-    best_reward = -math.inf
-    for gen in range(generations):
-        candidates = cmaes_ask(state, ask_rng)
-        fitness = evaluate_population(task.env, candidates,
-                                      episodes_per_candidate, episode_seeds)
-        cmaes_tell(state, candidates, fitness)
+
+    def record(state, candidates, fitness):
         rewards = -fitness
-        gen_best = int(np.argmax(rewards))
-        if rewards[gen_best] > best_reward:
-            best_reward = float(rewards[gen_best])
-            best_vec = candidates[gen_best].copy()
         history.append({
-            "generation": gen,
+            "generation": len(history),
             "mean_reward": float(rewards.mean()),
             "best_reward": float(rewards.max()),
         })
+
+    best_vec, _, _ = cmaes_minimize(
+        lambda v: evaluate_population(task.env, v[None],
+                                      episodes_per_candidate, episode_seeds)[0],
+        np.zeros(task.n_params), sigma0, lam=popsize,
+        max_evals=generations * popsize, seed=[seed, 1], callback=record)
     ctrl = LinearController.from_vector(best_vec, task.obs_dim, task.hidden,
                                         task.action_dim)
     return ctrl, history

@@ -3,10 +3,12 @@ parameters.
 
 This module owns the LSTM end to end: its gate layout, the fused
 whole-window op `lstm_step` with its hand-written BPTT backward (Graves
-2013, "Generating Sequences With Recurrent Neural Networks"), and the
-step body `lstm_cell` that the op and the tape-free paths share:
-`cell_step` for generation and `lstm_unroll` for evaluation.  Each entry
-point checks its shapes once.
+2013, "Generating Sequences With Recurrent Neural Networks"), the
+tape-free unroll `lstm_unroll` for evaluation, and `cell_step`, one step
+for generation.  `lstm_step` and `lstm_unroll` run one step loop,
+`_lstm_loop`, which keeps each step's gates, c and tanh(c) only when the
+BPTT rule needs them; every step of either path, and `cell_step`, runs
+the one step body `lstm_cell`.  Each entry point checks its shapes once.
 
 The parameter `lstm.w` keeps the (input_dim + H, 4H) layout that
 checkpoints store, gate columns ordered (i, f, g, o).  The working arrays
@@ -18,22 +20,21 @@ Recurrent Neural Networks on GPUs").  Each block comes from (q, H)
 products with its gate's block of w.
 
 Constant work per step moves into the weights once per call, as in the
-same paper: the whole-sequence paths, `lstm_step` and `lstm_unroll`,
-build one gate-major copy of w and b whose sigmoid gates' (i, f, o)
-columns are halved, so each step's tanh reads its argument straight
-from the products (sigmoid(a) = 0.5 * (1 + tanh(a * 0.5))).  Halving is
-exact, barring subnormal values, so every value stays bit for bit what
-the unhalved sums give.  `cell_step` advances one step with the
-unscaled weights and lets `lstm_cell` halve the sum.  `lstm_cell` runs
-its activation pass through same-shape (4, q, H) tables for steps of up
-to `_TABLE_GATES` values (train steps, generation, small evaluation
-blocks) and through scalar ops on gate views above it, so a large
-evaluation block builds no tables to crowd the L2 cache.  `lstm_unroll`
-runs its own loop, with reused step buffers, rather than stepping
-`cell_step`.  The BPTT rule is gate-major too: it keeps the gate
-gradients in one (4, T, q, H) array, forms each step's slopes on that
-step's blocks, and runs the recurrent and weight products per gate,
-summing the four recurrent products in i, f, g, o order.
+same paper: the step loop builds one gate-major copy of w and b whose
+sigmoid gates' (i, f, o) columns are halved, so each step's tanh reads
+its argument straight from the products (sigmoid(a) = 0.5 * (1 + tanh(a
+* 0.5))).  Halving is exact, barring subnormal values, so every value
+stays bit for bit what the unhalved sums give.  `cell_step` advances one
+step with the unscaled weights and lets `lstm_cell` halve the sum.
+`lstm_cell` runs its activation pass through same-shape (4, q, H) tables
+for steps of up to `_TABLE_GATES` values (train steps, generation, small
+evaluation blocks), kept for the last four (q, H) by
+`functools.lru_cache`, and through scalar ops on gate views above it, so
+a large evaluation block builds no tables to crowd the L2 cache.  The
+BPTT rule is gate-major too: it keeps the gate gradients in one (4, T,
+q, H) array, forms each step's slopes on that step's blocks, and runs the
+recurrent and weight products per gate, summing the four recurrent
+products in i, f, g, o order.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -43,6 +44,7 @@ ranges for any hidden state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,25 +159,7 @@ def lstm_step(x, state, params):
     if steps < 1:
         raise dc.ShapeMismatchError("lstm_step", xv.shape)
     hid, wv = params.hidden, params.w.value
-    w4, b4 = _halved_weights(params)
-    w_x4, w_h4 = w4[:, :n_in], w4[:, n_in:]
-
-    # gates[t] holds the (i, f, g, o) of step t as one contiguous
-    # (4, q, H) block, gate by gate: first x_t @ w_x + b from one
-    # (q, H) product per step and gate, then the pre-activation, i, f and
-    # o halved, then the activations; hc stacks h_0..h_T then c_0..c_T,
-    # and the output is a view of its h_1..h_T
-    gates = np.matmul(xv[:, None], w_x4)
-    gates += b4
-    hc = np.empty((2 * (steps + 1), q, hid))
-    hs, cs = hc[: steps + 1], hc[steps + 1 :]
-    hs[0], cs[0] = state
-    tanh_c = np.empty((steps, q, hid))
-    rec = np.empty((4, q, hid))
-    for t in range(steps):
-        a = gates[t]
-        a += np.matmul(hs[t], w_h4, out=rec)
-        lstm_cell(a, cs[t], cs[t + 1], tanh_c[t], hs[t + 1])
+    hs, cs, gates, tanh_c = _lstm_loop(xv, state, params, keep=True)
 
     def rule(gh):
         gh = gh.reshape(steps, q, hid)   # at h_1..h_T
@@ -230,6 +214,42 @@ def lstm_step(x, state, params):
                        (x, params.w, params.b), "lstm", rule)
 
 
+def _lstm_loop(x, state, params, keep):
+    """The one step loop of `lstm_step` and `lstm_unroll`: the steps of a
+    (T, q, input_dim) array from the (h, c) pair `state`, each through
+    `lstm_cell` with `_halved_weights`.  Returns (hs, cs, gates, tanh_c),
+    hs holding h_0..h_T.  With `keep`, for the BPTT rule, gates[t],
+    cs[t + 1] and tanh_c[t] hold step t's gates, c_t and tanh(c_t), and
+    the input products of all steps are formed before the loop; without
+    it one gate block, two cell blocks and one tanh(c) block are reused,
+    and each step forms its input product and adds a same-shape bias
+    block.  Both give the same bits."""
+    steps, q, n_in = x.shape
+    hid = params.hidden
+    w4, b4 = _halved_weights(params)
+    w_x4, w_h4 = w4[:, :n_in], w4[:, n_in:]
+    kept = steps if keep else 1          # steps whose gates stay in `gates`
+    if keep:
+        gates = np.matmul(x[:, None], w_x4)
+        gates += b4
+    else:
+        gates = np.empty((1, 4, q, hid))
+        bias = np.broadcast_to(b4, (4, q, hid)).copy()
+    hs, cs = np.empty((steps + 1, q, hid)), np.empty((kept + 1, q, hid))
+    hs[0], cs[0] = state
+    tanh_c = np.empty((kept, q, hid))
+    rec = np.empty((4, q, hid))
+    for t in range(steps):
+        a = gates[t % kept]
+        if not keep:
+            np.matmul(x[t], w_x4, out=a)
+            a += bias
+        a += np.matmul(hs[t], w_h4, out=rec)
+        lstm_cell(a, cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)],
+                  tanh_c[t % kept], hs[t + 1])
+    return hs, cs, gates, tanh_c
+
+
 def _gate_major(rows):
     """The (4, n, H) gate-major view of (n, 4H) rows in parameter layout:
     block k holds gate k's H columns of every row."""
@@ -260,34 +280,21 @@ def _halved_weights(params):
 # q = 128, H = 128)
 _TABLE_GATES = 4 * 16 * 128
 
-# (q, H) -> the read-only scale and shift tables of `lstm_cell`, least
-# recently used first: the newest pair is always kept, and older ones while
-# all kept pairs fit in _GATE_AFFINE_BYTES, room for two of the largest
-_GATE_AFFINE = {}
-_GATE_AFFINE_BYTES = 2 * 2 * 8 * _TABLE_GATES
 
-
+@functools.lru_cache(maxsize=4)
 def _gate_affine(q, hid):
-    """The (4, q, H) scale and shift of `lstm_cell`'s activation pass,
-    blocks of 0.5, 0.5, 1, 0.5 and of 1, 1, -0.0, 1.  Whole contiguous
-    arrays, since numpy runs a same-shape ufunc at about twice the speed
-    of a broadcast one and a slice of a larger gate-major table would not
-    be contiguous.  Kept per (q, H), so callers that alternate row counts
-    (train steps, evaluation blocks, generation) do not rebuild them, and
-    within a byte bound, so pairs of row counts no longer in use are
-    dropped rather than held for good."""
-    tables = _GATE_AFFINE.pop((q, hid), None)
-    if tables is None:
-        tables = tuple(np.repeat(np.array(blocks), q * hid).reshape(4, q, hid)
-                       for blocks in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
-        for t in tables:
-            t.flags.writeable = False
-        kept = 2 * tables[0].nbytes
-        for key in reversed(list(_GATE_AFFINE)):
-            kept += 2 * _GATE_AFFINE[key][0].nbytes
-            if kept > _GATE_AFFINE_BYTES:
-                del _GATE_AFFINE[key]
-    _GATE_AFFINE[(q, hid)] = tables
+    """The read-only (4, q, H) scale and shift of `lstm_cell`'s activation
+    pass, blocks of 0.5, 0.5, 1, 0.5 and of 1, 1, -0.0, 1.  Whole
+    contiguous arrays, since numpy runs a same-shape ufunc at about twice
+    the speed of a broadcast one and a slice of a larger gate-major table
+    would not be contiguous.  Cached for the last four (q, H), so callers
+    that alternate row counts (train steps, evaluation blocks, generation)
+    do not rebuild them; a pair serves steps of up to _TABLE_GATES values,
+    so it takes at most 128 KiB and the cache at most 512 KiB."""
+    tables = tuple(np.repeat(np.array(blocks), q * hid).reshape(4, q, hid)
+                   for blocks in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
+    for t in tables:
+        t.flags.writeable = False
     return tables
 
 
@@ -353,27 +360,12 @@ def cell_step(x, state, params):
 def lstm_unroll(x, state, params):
     """`lstm_step` on plain arrays for a caller that needs no gradient:
     the steps of a (T, q, input_dim) batch from the (h, c) pair `state`,
-    keeping no gates or cell states.  Each step writes both products into
-    reused (4, q, H) buffers, adds a same-shape bias block built once per
-    call between them, and writes h_t straight into its output rows.
-    Returns the t-major rows (T*q, H) of h_1..h_T, equal to the op's bit
-    for bit."""
+    keeping no step's gates or cell state.  Returns the t-major rows
+    (T*q, H) of h_1..h_T, equal to the op's bit for bit."""
     _check_step_inputs("lstm_unroll", x, 3, state, params)
-    steps, q, n_in = x.shape
-    hid = params.hidden
-    w4, b4 = _halved_weights(params)
-    w_x4, w_h4 = w4[:, :n_in], w4[:, n_in:]
-    bias = np.broadcast_to(b4, (4, q, hid)).copy()
-    a, rec = np.empty((2, 4, q, hid))
-    cells, tanh_c = np.empty((2, q, hid)), np.empty((q, hid))
-    hs = np.empty((steps, q, hid))
-    h, c = state
-    for t in range(steps):
-        np.matmul(x[t], w_x4, out=a)
-        a += bias
-        a += np.matmul(h, w_h4, out=rec)
-        h, c = lstm_cell(a, c, cells[t % 2], tanh_c, hs[t])
-    return hs.reshape(steps * q, hid)
+    steps, q, _ = x.shape
+    hs = _lstm_loop(x, state, params, keep=False)[0]
+    return hs[1:].reshape(steps * q, params.hidden)
 
 
 def head_logits(h, head):

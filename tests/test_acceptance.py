@@ -20,6 +20,7 @@ from frmdn import flow as fl
 from frmdn import mixtures as mx
 from frmdn import model as md
 from frmdn.datasets import SequenceBatch
+from param_counts import stored_param_count
 
 BENCH = dict(d=8, rho=0.9, corr=0.8)
 TRAIN_SETTINGS = dict(epochs=30, lr=1e-3, optimizer="rmsprop",
@@ -118,7 +119,7 @@ def test_acceptance_4_parameter_count_table():
         k = int(rng.integers(1, 16))
         d = int(rng.integers(1, 64))
         for structure, formula in formulas.items():
-            counted = mx.stored_param_count(k, d, structure).total
+            counted = stored_param_count(k, d, structure).total
             reported = mx.param_count(k, d, structure).total
             assert counted == reported == formula(k, d), (structure, k, d)
     print("ACCEPTANCE 4 PASS: counted parameters equal the table formulas "

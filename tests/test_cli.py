@@ -1,4 +1,5 @@
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -348,6 +349,39 @@ def test_dream_smoke_writes_log(tmp_path, capsys):
     rows = [l for l in log.read_text().splitlines()
             if not l.startswith("#") and not l.startswith("generation,")]
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen", "--out"), ("gen", "--csv"), ("train", "--out"), ("train", "--log"),
+    ("sample", "--out"), ("dream", "--log"),
+])
+def test_bad_output_flag_exits_2_before_any_work(tmp_path, capsys, command,
+                                                 flag):
+    # every other output goes to a good path in `out`, which must stay
+    # empty: a bad flag stops the command before it loads, trains or
+    # writes anything, so it also finishes well under a second
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    model = md.build_model(md.ModelConfig(dim=3, components=1, hidden=4))
+    md.save_checkpoint(ckpt, model)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    outputs = {"gen": ["--out", "--csv"], "train": ["--out", "--log"],
+               "sample": ["--out"], "dream": ["--log"]}[command]
+    inputs = {"gen": ["--kind", "ar"], "train": ["--data", str(data)],
+              "sample": ["--ckpt", str(ckpt)], "dream": []}[command]
+    for bad in (str(tmp_path / "missing" / "x"), str(out), ""):
+        argv = [command] + inputs
+        for name in outputs:
+            argv += [name, bad if name == flag else str(out / name[2:])]
+        start = time.perf_counter()
+        code, stdout, err = run(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert err.startswith(f"error: {flag} {bad!r}") and err.count("\n") == 1
+        assert stdout == "" and not list(out.iterdir())
+        assert not (tmp_path / "missing").exists()
 
 
 def test_truncated_checkpoint_and_data_exit_2(tmp_path, capsys):

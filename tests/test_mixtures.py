@@ -7,6 +7,7 @@ import pytest
 from frmdn import diffcore as dc
 from frmdn import mixtures as mx
 from frmdn import recurrent as rc
+from param_counts import stored_param_count
 
 
 def random_params(rng, k, d, structure="diagonal", scale_lo=0.4, scale_hi=2.0):
@@ -623,7 +624,7 @@ def test_param_count_matches_stored_parameters():
         d = int(rng.integers(1, 40))
         for structure in ("full", "diagonal", "tied"):
             formula = mx.param_count(k, d, structure)
-            stored = mx.stored_param_count(k, d, structure)
+            stored = stored_param_count(k, d, structure)
             assert formula.total == stored.total
             assert (formula.alpha_count, formula.mu_count, formula.sigma_count) == (
                 stored.alpha_count,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,27 @@ def test_sequence_call_matches_chained_single_steps():
     _assert_same_bits(np.stack(stepped), h_rows.value.reshape(steps, q, hidden))
     unrolled = rc.lstm_unroll(xs, rc.initial_state(q, hidden), params)
     _assert_same_bits(unrolled, h_rows.value)
+
+
+def test_unroll_keeps_no_step_gates():
+    # evaluation reuses one gate block and two cell blocks, so its peak
+    # is about its (T, q, H) output rows, well below the (T, 4, q, H)
+    # gates and tanh(c) rows the train op keeps for its rule
+    rng = np.random.default_rng(26)
+    n_in, hidden, steps, q = 8, 32, 64, 16
+    params = rc.init_lstm(n_in, hidden, rng)
+    x = rng.normal(size=(steps, q, n_in))
+    state = rc.initial_state(q, hidden)
+    rc.lstm_unroll(x, state, params)      # tables built outside the trace
+    tracemalloc.start()
+    try:
+        rows = rc.lstm_unroll(x, state, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gate_store = 8 * steps * 4 * q * hidden
+    assert rows.shape == (steps * q, hidden)
+    assert peak < 0.5 * gate_store, (peak, gate_store)
 
 
 def test_fused_op_gradients_match_central_differences():
@@ -437,6 +460,7 @@ def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
     row = np.array([-0.0, 0.0, 45.0, -45.0])
     i = f = o = _sigmoid_ref(row)
     g = np.tanh(row)
+    rc._gate_affine.cache_clear()
     for q in (1, rc._TABLE_GATES // (4 * hidden) + 1):
         act = np.stack([np.tile(block, (q, 1))
                         for block in (row * 0.5, row * 0.5, row, row * 0.5)])
@@ -448,7 +472,8 @@ def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
         # the gates are activated in place; g is tanh itself, so -0.0 stays
         for block, want in zip(act, (i, f, g, o)):
             _assert_same_bits(block, np.tile(want, (q, 1)))
-    assert (q, hidden) not in rc._GATE_AFFINE
+    # only the one-row step built tables
+    assert rc._gate_affine.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("hidden", [6, 16])
@@ -479,12 +504,19 @@ def test_both_activation_paths_equal_the_op(side):
     params.b.value = rng.normal(size=4 * hidden)
     x = rng.normal(size=(steps, q, n_in))
     state = (rng.normal(size=(q, hidden)) * 0.5, rng.normal(size=(q, hidden)))
-    rc._GATE_AFFINE.clear()
+    rc._gate_affine.cache_clear()
     rows = rc.lstm_step(x, state, params).value
     _assert_same_bits(rc.lstm_unroll(x, state, params), rows)
     h, _ = rc.cell_step(x[0], state, params)
     _assert_same_bits(h, rows[:q])
-    assert ((q, hidden) in rc._GATE_AFFINE) == (side == 0)
+    # all three calls share one pair of tables, or build none
+    assert rc._gate_affine.cache_info().currsize == (side == 0)
+
+
+def _cell_tables(rng, q, hidden):
+    """The table pair one `lstm_cell` step of q rows reads."""
+    rc.lstm_cell(rng.normal(size=(4, q, hidden)), rng.normal(size=(q, hidden)))
+    return rc._gate_affine(q, hidden)
 
 
 def test_activation_tables_are_contiguous_after_a_larger_batch():
@@ -492,11 +524,9 @@ def test_activation_tables_are_contiguous_after_a_larger_batch():
     # the smaller batch must not read a slice of the larger one's tables
     rng = np.random.default_rng(23)
     hidden = 8
-    for q in (66, 16):
-        rc.lstm_cell(rng.normal(size=(4, q, hidden)),
-                     rng.normal(size=(q, hidden)))
-    # the pair lstm_cell kept and read at q=16
-    for table, block in zip(rc._GATE_AFFINE[(16, hidden)],
+    rc._gate_affine.cache_clear()
+    _cell_tables(rng, 66, hidden)
+    for table, block in zip(_cell_tables(rng, 16, hidden),
                             ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0])):
         assert table.shape == (4, 16, hidden)
         assert table.flags.c_contiguous and not table.flags.writeable
@@ -506,24 +536,24 @@ def test_activation_tables_are_contiguous_after_a_larger_batch():
 
 def test_activation_tables_are_kept_per_row_count_within_a_byte_bound():
     # train steps, evaluation blocks and generation alternate row counts:
-    # small pairs stay, and a pair too large to keep beside the others is
-    # dropped once a newer one is built
+    # each keeps its pair, and a fifth row count drops the least recently
+    # used one, so at most four pairs of at most 2 * 8 * _TABLE_GATES
+    # bytes each are held
     rng = np.random.default_rng(24)
     hidden = 8
-
-    def step(q):
-        rc.lstm_cell(rng.normal(size=(4, q, hidden)),
-                     rng.normal(size=(q, hidden)))
-        return rc._GATE_AFFINE[(q, hidden)]
-
-    pairs = {q: step(q) for q in (66, 16, 1)}
+    cache = rc._gate_affine
+    cache.cache_clear()
+    pairs = {q: _cell_tables(rng, q, hidden) for q in (66, 16, 1)}
+    assert cache.cache_info().misses == 3
     for q in (66, 16, 1, 16, 66):
-        assert step(q) is pairs[q]
-    large = rc._TABLE_GATES // (4 * hidden)    # the largest step on tables
-    assert step(large) is step(large)
-    assert step(large - 1) is step(large - 1)  # two such pairs fill the bound
-    assert (66, hidden) not in rc._GATE_AFFINE
-    step(16)
-    assert (large, hidden) not in rc._GATE_AFFINE
-    assert sum(2 * t[0].nbytes for t in rc._GATE_AFFINE.values()) \
-        <= rc._GATE_AFFINE_BYTES
+        assert _cell_tables(rng, q, hidden) is pairs[q]
+    assert cache.cache_info().misses == 3
+    for q in (1, 66, 2, 3):   # 16 falls to least recently used; 3 evicts it
+        _cell_tables(rng, q, hidden)
+    info = cache.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (5, 4, 4)
+    assert _cell_tables(rng, 66, hidden) is pairs[66]
+    assert _cell_tables(rng, 16, hidden) is not pairs[16]
+    assert cache.cache_info().misses == 6
+    large = rc._gate_affine(rc._TABLE_GATES // (4 * hidden), hidden)
+    assert 4 * sum(t.nbytes for t in large) == 512 * 1024
