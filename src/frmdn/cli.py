@@ -121,7 +121,8 @@ def _stored_options(config, extra):
                 value = "on" if value else "off"
             stored[opt.name] = value
         elif opt.entry and opt.name in extra:
-            stored[opt.name] = opt.type(extra[opt.name])
+            stored[opt.name] = ds.parse_entry(
+                "FRMD checkpoint config", opt.name, extra[opt.name], opt.type)
     return stored
 
 
@@ -141,7 +142,8 @@ def _resolve_train_options(args, stored):
     for opt in TRAIN_OPTIONS:
         value = getattr(args, opt.name)
         if value is None and opt.name in from_file:
-            value = opt.type(from_file[opt.name])
+            value = ds.parse_entry(f"config {args.config}", opt.name,
+                                   from_file[opt.name], opt.type)
             if opt.choices and value not in opt.choices:
                 raise CliError(f"config {opt.name}={value} is not one of "
                                f"{', '.join(opt.choices)}")

@@ -237,6 +237,28 @@ def read_key_values(text, what):
     return entries
 
 
+def parse_entry(what, key, value, kind):
+    """The text `value` of entry `key` as `kind`: int, float, str, or a
+    bool written 0 or 1.  Else ValueError, naming `what` and the key."""
+    try:
+        if kind is not bool:
+            return kind(value)
+        if value in ("0", "1"):
+            return value == "1"
+    except ValueError:
+        pass
+    expected = {int: "an int", float: "a float", bool: "0 or 1"}[kind]
+    raise ValueError(f"{what}: {key}={value!r} is not {expected}")
+
+
+def check_end(fh, what):
+    """ValueError, saying how many bytes follow, unless `fh` is at its end."""
+    offset = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - offset
+    if left:
+        raise ValueError(f"{what} has {left} bytes after its last record")
+
+
 def read_float64(fh, shape, what, name):
     """Read a little-endian float64 array of `shape` from `fh`; a short
     read or a non-finite entry raises ValueError naming `name`."""
@@ -270,6 +292,7 @@ def load_fseq(path):
             raise ValueError(f"unsupported FSEQ version {version}")
         obs = read_float64(fh, (q, t, d), what, "observations")
         actions = read_float64(fh, (q, t, da), what, "actions") if da else None
+        check_end(fh, what)
     return SequenceBatch(obs, actions)
 
 

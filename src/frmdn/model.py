@@ -33,8 +33,8 @@ from . import diffcore as dc
 from . import flow as fl
 from . import mixtures as mx
 from . import recurrent as rc
-from .datasets import (SequenceBatch, read_exact, read_float64, read_key_values,
-                       slice_windows)
+from .datasets import (SequenceBatch, check_end, parse_entry, read_exact,
+                       read_float64, read_key_values, slice_windows)
 
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
@@ -586,8 +586,8 @@ def _parse_config_text(text):
     for f in fields(ModelConfig):
         if f.name not in entries:
             raise ValueError(f"FRMD checkpoint config is missing {f.name!r}")
-        cast, value = types[f.name], entries.pop(f.name)
-        values[f.name] = bool(int(value)) if cast is bool else cast(value)
+        values[f.name] = parse_entry("FRMD checkpoint config", f.name,
+                                     entries.pop(f.name), types[f.name])
     return ModelConfig(**values), entries
 
 
@@ -652,7 +652,13 @@ def load_checkpoint(path):
         (config_len,) = struct.unpack("<I", _read(fh, 4))
         config, extra = _parse_config_text(_read(fh, config_len).decode("utf-8"))
         (count,) = struct.unpack("<I", _read(fh, 4))
-        arrays = dict(_read_array(fh) for _ in range(count))
+        arrays = {}
+        for _ in range(count):
+            name, arr = _read_array(fh)
+            if name in arrays:
+                raise ValueError(f"checkpoint has array {name!r} twice")
+            arrays[name] = arr
+        check_end(fh, "FRMD checkpoint")
     config.validate()
     stored_opt = (optimizer_class(extra["optimizer"])
                   if "optimizer" in extra else None)

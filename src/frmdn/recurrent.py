@@ -10,31 +10,24 @@ for generation.  `lstm_step` and `lstm_unroll` run one step loop,
 BPTT rule needs them; every step of either path, and `cell_step`, runs
 the one step body `lstm_cell`.  Each entry point checks its shapes once.
 
-The parameter `lstm.w` keeps the (input_dim + H, 4H) layout that
-checkpoints store, gate columns ordered (i, f, g, o).  The working arrays
-are gate-major: a step's pre-activations and gates are one (4, q, H)
-array whose four gate blocks are each a contiguous (q, H) array, so the
-cell and the BPTT rule do their elementwise work on contiguous blocks
-(the layout choices of Appleyard et al. 2016, "Optimizing Performance of
-Recurrent Neural Networks on GPUs").  Each block comes from (q, H)
-products with its gate's block of w.
-
-Constant work per step moves into the weights once per call, as in the
-same paper: the step loop builds one gate-major copy of w and b whose
-sigmoid gates' (i, f, o) columns are halved, so each step's tanh reads
-its argument straight from the products (sigmoid(a) = 0.5 * (1 + tanh(a
-* 0.5))).  Halving is exact, barring subnormal values, so every value
-stays bit for bit what the unhalved sums give.  `cell_step` advances one
-step with the unscaled weights and lets `lstm_cell` halve the sum.
-`lstm_cell` runs its activation pass through same-shape (4, q, H) tables
-for steps of up to `_TABLE_GATES` values (train steps, generation, small
-evaluation blocks), kept for the last four (q, H) by
-`functools.lru_cache`, and through scalar ops on gate views above it, so
-a large evaluation block builds no tables to crowd the L2 cache.  The
-BPTT rule is gate-major too: it keeps the gate gradients in one (4, T,
-q, H) array, forms each step's slopes on that step's blocks, and runs the
-recurrent and weight products per gate, summing the four recurrent
-products in i, f, g, o order.
+`lstm.w` keeps the (input_dim + H, 4H) layout that checkpoints store,
+its gate columns, like `lstm.b`, in parameter order (i, f, g, o).  The
+working arrays are gate-major in work order (i, f, o, g): a step's
+pre-activations and gates are one (4, q, H) array of contiguous (q, H)
+gate blocks, the three sigmoid gates first, so the cell and the BPTT rule
+work on contiguous blocks (the layout choices of Appleyard et al. 2016,
+"Optimizing Performance of Recurrent Neural Networks on GPUs").  As in
+that paper, constant work moves into the weights once per call: the step
+loop builds one work-order copy of w and b whose sigmoid blocks [:3] are
+halved, so each step's tanh reads its argument straight from the
+products (sigmoid(a) = 0.5 * (1 + tanh(a * 0.5))); `cell_step` moves its
+unscaled sum into work order and halves a[:3] itself.  Halving is exact,
+barring subnormal values, so every value keeps its bits.  `lstm_cell`
+has one activation path for every shape: tanh over the whole array, then
++1 and *0.5 over a[:3].  The BPTT rule keeps the gate gradients in work
+order in one (4, T, q, H) array and runs its products per gate; it sums
+the four recurrent and input products in parameter order and writes dw,
+db and dx in parameter order, so every gradient keeps its bits too.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -44,7 +37,6 @@ ranges for any hidden state.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,21 +155,22 @@ def lstm_step(x, state, params):
 
     def rule(gh):
         gh = gh.reshape(steps, q, hid)   # at h_1..h_T
-        # da[:, t] holds step t's gate gradients, one contiguous (q, H)
-        # block per gate; the recurrent product runs per gate against one
-        # contiguous (4, H, H) copy of w_h's gate blocks transposed
+        # da[:, t] holds step t's gate gradients in work order, one
+        # contiguous (q, H) block per gate; the recurrent product runs per
+        # gate against one contiguous (4, H, H) work-order copy of w_h's
+        # gate blocks transposed
         wg = _gate_major(wv)
-        w_h_t = np.ascontiguousarray(wg[:, n_in:].transpose(0, 2, 1))
+        w_h_t = wg[:, n_in:].transpose(0, 2, 1).take(_WORK, axis=0)
         da = np.empty((4, steps, q, hid))
         dgate, slope, rec = np.empty((3, 4, q, hid))
-        di, df, dg, do = dgate
-        slope_g = slope[2]
+        di, df, do, dg = dgate
+        slope_g = slope[3]
         dh, dh_next = gh[-1], np.empty((q, hid))
         dcell = np.zeros((q, hid))       # c_T reaches no output
         tmp, slope_c = np.empty((2, q, hid))
         for t in range(steps - 1, -1, -1):
             s, tc, da_t = gates[t], tanh_c[t], da[:, t]
-            i, f, g, o = s
+            i, f, o, g = s
             # step t's slopes while its blocks are in cache: s(1 - s) on
             # all four blocks, then 1 - g^2 on g's, and 1 - tanh(c)^2
             np.subtract(1.0, s, out=slope)
@@ -191,24 +184,28 @@ def lstm_step(x, state, params):
             dcell += tmp
             np.multiply(dcell, g, out=di)
             np.multiply(dcell, cs[t], out=df)
-            np.multiply(dcell, i, out=dg)
             np.multiply(dh, tc, out=do)
+            np.multiply(dcell, i, out=dg)
             np.multiply(dgate, slope, out=da_t)
             if t:
                 dcell *= f
                 np.matmul(da_t, w_h_t, out=rec)
-                dh = rec.sum(axis=0, out=dh_next)   # i, f, g, o in order
+                dh = _parameter_order_sum(rec, out=dh_next)
                 dh += gh[t - 1]
         # per-gate products over all T*q rows: dw's written into its
-        # gate-major view, dx's summed in i, f, g, o order
+        # parameter-order blocks, dx's summed in parameter order
         da = da.reshape(4, steps * q, hid)
         dw = np.empty_like(wv)
         dw4 = _gate_major(dw)
-        np.matmul(xv.reshape(steps * q, n_in).T, da, out=dw4[:, :n_in])
-        np.matmul(hs[:steps].reshape(steps * q, hid).T, da, out=dw4[:, n_in:])
-        dx = (np.matmul(da, wg[:, :n_in].transpose(0, 2, 1)).sum(axis=0)
+        x_rows = xv.reshape(steps * q, n_in)
+        h_rows = hs[:steps].reshape(steps * q, hid)
+        for da_k, block in zip(da, _WORK):
+            np.matmul(x_rows.T, da_k, out=dw4[block, :n_in])
+            np.matmul(h_rows.T, da_k, out=dw4[block, n_in:])
+        dx = (_parameter_order_sum(np.matmul(
+                  da, wg[:, :n_in].take(_WORK, axis=0).transpose(0, 2, 1)))
               .reshape(xv.shape) if x.requires_grad else None)
-        return dx, dw, da.sum(axis=1).reshape(4 * hid)
+        return dx, dw, da.sum(axis=1).take(_WORK, axis=0).reshape(4 * hid)
 
     return dc.DiffNode(hs[1:].reshape(steps * q, hid),
                        (x, params.w, params.b), "lstm", rule)
@@ -219,11 +216,11 @@ def _lstm_loop(x, state, params, keep):
     (T, q, input_dim) array from the (h, c) pair `state`, each through
     `lstm_cell` with `_halved_weights`.  Returns (hs, cs, gates, tanh_c),
     hs holding h_0..h_T.  With `keep`, for the BPTT rule, gates[t],
-    cs[t + 1] and tanh_c[t] hold step t's gates, c_t and tanh(c_t), and
-    the input products of all steps are formed before the loop; without
-    it one gate block, two cell blocks and one tanh(c) block are reused,
-    and each step forms its input product and adds a same-shape bias
-    block.  Both give the same bits."""
+    cs[t + 1] and tanh_c[t] hold step t's work-order gates, c_t and
+    tanh(c_t), and the input products of all steps are formed before the
+    loop; without it one gate block, two cell blocks and one tanh(c) block
+    are reused, and each step forms its input product and adds a
+    same-shape bias block.  Both give the same bits."""
     steps, q, n_in = x.shape
     hid = params.hidden
     w4, b4 = _halved_weights(params)
@@ -257,82 +254,51 @@ def _gate_major(rows):
     return rows.reshape(n, 4, width // 4).transpose(1, 0, 2)
 
 
-# per gate block (i, f, g, o): the factor that turns a pre-activation into
-# the argument of its tanh, since sigmoid(a) = 0.5 * (1 + tanh(a * 0.5))
-_TANH_ARG = np.array([0.5, 0.5, 1.0, 0.5])[:, None, None]
+# the work order (i, f, o, g) as parameter-order (i, f, g, o) block
+# indices; the swap is its own inverse, so `take` with it moves gate-major
+# blocks from either order into the other
+_WORK = np.array([0, 1, 3, 2])
+
+
+def _parameter_order_sum(blocks, out=None):
+    """Four work-order gate blocks summed in parameter order, i + f + g +
+    o, so each sum keeps the bits of the parameter-order rule."""
+    out = np.add(blocks[0], blocks[1], out=out)
+    out += blocks[3]
+    out += blocks[2]
+    return out
 
 
 def _halved_weights(params):
-    """Gate-major copies of lstm.w, (4, input_dim + H, H), and lstm.b,
-    (4, 1, H), whose i, f and o blocks are multiplied by 0.5, so the
-    products and sums of a step give `lstm_cell` its half-scaled input.
-    Each scaling is by a power of two, so the pre-activation is the
-    unscaled one's times 0.5 bit for bit (barring subnormal values)."""
-    return (_gate_major(params.w.value) * _TANH_ARG,
-            params.b.value.reshape(4, 1, -1) * _TANH_ARG)
+    """Work-order copies of lstm.w, (4, input_dim + H, H), and lstm.b,
+    (4, 1, H), with the sigmoid blocks [:3] (i, f, o) multiplied by 0.5,
+    so a step's products and sums give `lstm_cell` its half-scaled input,
+    bit for bit the unscaled sum times 0.5 (barring subnormal values)."""
+    w4 = _gate_major(params.w.value).take(_WORK, axis=0)
+    b4 = params.b.value.reshape(4, 1, -1).take(_WORK, axis=0)
+    w4[:3] *= 0.5
+    b4[:3] *= 0.5
+    return w4, b4
 
 
-# the largest step, in gate values 4 * q * H, whose activation pass reads
-# same-shape tables.  Measured with one BLAS thread on a 2-vCPU host, the
-# two table passes beat the four scalar ops on gate views by 3x at batch 1
-# and by 1.14x at 8192 values (train steps at q = 16, H = 128), and lose
-# from 16384 values on (0.9x; 0.67x at the acceptance evaluation blocks,
-# q = 128, H = 128)
-_TABLE_GATES = 4 * 16 * 128
-
-
-@functools.lru_cache(maxsize=4)
-def _gate_affine(q, hid):
-    """The read-only (4, q, H) scale and shift of `lstm_cell`'s activation
-    pass, blocks of 0.5, 0.5, 1, 0.5 and of 1, 1, -0.0, 1.  Whole
-    contiguous arrays, since numpy runs a same-shape ufunc at about twice
-    the speed of a broadcast one and a slice of a larger gate-major table
-    would not be contiguous.  Cached for the last four (q, H), so callers
-    that alternate row counts (train steps, evaluation blocks, generation)
-    do not rebuild them; a pair serves steps of up to _TABLE_GATES values,
-    so it takes at most 128 KiB and the cache at most 512 KiB."""
-    tables = tuple(np.repeat(np.array(blocks), q * hid).reshape(4, q, hid)
-                   for blocks in ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0]))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None, halved=True):
+def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
     """The body of one LSTM step, shared by `lstm_step`, `lstm_unroll`
     and `cell_step`.
 
-    a is the step's gate-major pre-activation x_t @ w_x + b +
-    h_{t-1} @ w_h, summed in that order: a C-contiguous (4, q, H) array
-    whose blocks a[0..3] are i, f, g and o.  When `halved`, the i, f and
-    o blocks arrive half-scaled, as 0.5 * a, from `_halved_weights`;
-    else the cell first multiplies them by 0.5.  All four are then
-    activated in place: tanh over the whole array, and i, f and o become
-    (t + 1) * 0.5, their sigmoid with no exp to overflow on either tail.
-    Up to _TABLE_GATES values each pass reads the contiguous
-    `_gate_affine` tables, where g's block is multiplied by 1 and adds
-    -0.0, which keeps every value, the sign of zero too (+0.0 would turn
-    -0.0 into +0.0); above it, scalar ops on the a[:2] and a[3] views do
-    the work and no tables are built.  The products f * c_{t-1}, i * g
-    and o * tanh(c_t) then read whole blocks.  Writes c_t, tanh(c_t) and
-    h_t into `c`, `tanh_c` and `h` when given, else into new arrays, and
-    returns (h_t, c_t).
+    a is the step's pre-activation x_t @ w_x + b + h_{t-1} @ w_h, summed
+    in that order, in work order: a C-contiguous (4, q, H) array of blocks
+    i, f, o and g whose sigmoid block a[:3] is half-scaled.  One path
+    activates it in place for every shape: tanh over the whole array, then
+    (t + 1) * 0.5 over a[:3], a sigmoid with no exp to overflow on either
+    tail; g is the tanh itself, the sign of a zero too.  Writes c_t,
+    tanh(c_t) and h_t into `c`, `tanh_c` and `h` when given, else into new
+    arrays, and returns (h_t, c_t).
     """
-    if a.size <= _TABLE_GATES:
-        scale, shift = _gate_affine(*a.shape[1:])
-        if not halved:
-            a *= scale
-        np.tanh(a, out=a)
-        a += shift
-        a *= scale
-    else:
-        if not halved:
-            a *= _TANH_ARG
-        np.tanh(a, out=a)
-        for sig in (a[:2], a[3]):
-            sig += 1.0
-            sig *= 0.5
-    i, f, g, o = a
+    np.tanh(a, out=a)
+    sig = a[:3]
+    sig += 1.0
+    sig *= 0.5
+    i, f, o, g = a
     c = np.multiply(f, c_prev, out=c)
     tanh_c = np.multiply(i, g, out=tanh_c)
     c += tanh_c
@@ -345,8 +311,8 @@ def cell_step(x, state, params):
 
     x is (q, input_dim) and state an (h, c) pair of (q, hidden) arrays.
     The products and summation order are a one-step `lstm_step`'s, with
-    the unscaled weights, so no weights are copied per step, and
-    `lstm_cell` halves the sum; the new h equals the op's bit for bit.
+    the unscaled weights, so none are copied per step; the sum then moves
+    into work order with a[:3] halved, and h equals the op's bit for bit.
     Returns the new (h, c) pair.
     """
     _check_step_inputs("cell_step", x, 2, state, params)
@@ -354,7 +320,9 @@ def cell_step(x, state, params):
     a = np.matmul(x, w4[:, :n_in])
     a += params.b.value.reshape(4, 1, -1)
     a += np.matmul(state[0], w4[:, n_in:])
-    return lstm_cell(a, state[1], halved=False)
+    a = a.take(_WORK, axis=0)
+    a[:3] *= 0.5
+    return lstm_cell(a, state[1])
 
 
 def lstm_unroll(x, state, params):

@@ -43,9 +43,8 @@ SCRIPT = (
      "--csv", "modes.csv"],
     ["gen", "--kind", "control", *GEN, "--seed", "1", "--out", "control.fseq",
      "--csv", "control.csv"],
-    # each head, the flow on and off, RMSProp and Adam, an action model;
-    # at hidden 128 an evaluation block of 18 windows is large enough for
-    # the LSTM cell to activate without tables
+    # each head, the flow on and off, RMSProp and Adam, an action model
+    # and the acceptance config's hidden size, 128
     ["train", *AR, *TRAIN, "--epochs", "2", "--out", "diagonal.frmd",
      "--log", "diagonal.csv"],
     ["train", *AR, *TRAIN, "--epochs", "1", "--flow", "off", "--hidden", "128",

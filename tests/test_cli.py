@@ -504,6 +504,22 @@ def test_key_value_lines_are_strict(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("k", "abc", "an int"), ("lr", "fast", "a float"),
+])
+def test_config_file_values_are_checked(tmp_path, capsys, key, value, kind):
+    data = gen_small(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    out = tmp_path / "cfg.frmd"
+    code, _, err = run(["train", "--data", str(data), "--out", str(out),
+                        "--epochs", "0", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert (f"config {cfg}: {key}={value!r} is not {kind}"
+            in one_error_line(err))
+    assert not out.exists()
+
+
 def test_train_rejects_options_the_model_would_ignore(tmp_path, capsys):
     data = gen_small(tmp_path)
     out = tmp_path / "m.frmd"
@@ -628,7 +644,8 @@ def test_checkpoint_config_missing_key_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("s_clamp", "nan"), ("s_clamp", "0.0"), ("c_width", "nan"),
-    ("c_width", "inf"), ("flow_hidden", "0"),
+    ("c_width", "inf"), ("flow_hidden", "0"), ("hidden", "abc"),
+    ("flow_enabled", "yes"),
 ])
 def test_checkpoint_config_values_are_checked(tmp_path, capsys, key, value):
     code, err = eval_untrained_checkpoint(

@@ -2,10 +2,11 @@
 and, for a checkpoint that also carries Adam's optimizer arrays, through
 `frmdn train --resume`.
 
-A file cut at any length must fail with exit 2 and exactly one `error:`
-line.  Overwriting any header bytes must never escape as a traceback: the
-command exits 0, 1 or 2, and a failing exit writes exactly one `error:` or
-`runtime error:` line to stderr.
+A file cut at any length, or with bytes after its last record, must fail
+with exit 2 and exactly one `error:` line.  Overwriting any header bytes
+must never escape as a traceback: the command exits 0, 1 or 2, and a
+failing exit writes exactly one `error:` or `runtime error:` line to
+stderr.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -121,3 +123,28 @@ def test_corrupt_header_never_escapes(files, which, edits):
         assert err[0].startswith(("error: ", "runtime error: ")), err
     else:
         assert len(err) <= 1, err
+
+
+@pytest.mark.parametrize("which", ["data", "ckpt", "resume"])
+@PROPERTY
+@given(tail=st.binary(min_size=1, max_size=64))
+def test_bytes_after_the_last_record_exit_2(files, which, tail):
+    code, err = run_cli(files, which, files[which].read_bytes() + tail)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert f"{len(tail)} bytes after its last record" in err[0], err
+
+
+def test_repeated_checkpoint_array_exits_2(files):
+    # a second head.b record, full of 7s, with the array count bumped
+    blob = files["ckpt"].read_bytes()
+    (config_len,) = struct.unpack("<I", blob[8:12])
+    at = 12 + config_len
+    (count,) = struct.unpack("<I", blob[at:at + 4])
+    record = io.BytesIO()
+    md._write_array(record, "head.b", np.full(2 + 2 * 2 * 3, 7.0))
+    blob = (blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:]
+            + record.getvalue())
+    code, err = run_cli(files, "ckpt", blob)
+    assert code == 2
+    assert len(err) == 1 and "'head.b' twice" in err[0], err

@@ -214,7 +214,6 @@ def test_unroll_keeps_no_step_gates():
     params = rc.init_lstm(n_in, hidden, rng)
     x = rng.normal(size=(steps, q, n_in))
     state = rc.initial_state(q, hidden)
-    rc.lstm_unroll(x, state, params)      # tables built outside the trace
     tracemalloc.start()
     try:
         rows = rc.lstm_unroll(x, state, params)
@@ -453,27 +452,24 @@ def test_fused_op_directional_derivatives_at_the_acceptance_shape():
 
 
 def test_cell_activation_keeps_signed_zeros_and_saturated_tails():
-    # lstm_cell takes the i, f and o pre-activations half-scaled; a step
-    # of one row runs through the tables, and a step above _TABLE_GATES
-    # values through scalar ops on the gate views
+    # lstm_cell takes its blocks in work order (i, f, o, g), the sigmoid
+    # gates' pre-activations half-scaled; one step of one row and one of
+    # more rows than the old 8,192-value table limit take the one path
     hidden = 4
     row = np.array([-0.0, 0.0, 45.0, -45.0])
     i = f = o = _sigmoid_ref(row)
     g = np.tanh(row)
-    rc._gate_affine.cache_clear()
-    for q in (1, rc._TABLE_GATES // (4 * hidden) + 1):
+    for q in (1, 8192 // (4 * hidden) + 1):
         act = np.stack([np.tile(block, (q, 1))
-                        for block in (row * 0.5, row * 0.5, row, row * 0.5)])
+                        for block in (row * 0.5, row * 0.5, row * 0.5, row)])
         c_prev = np.tile([-0.0, 0.0, 1.0, -1.0], (q, 1))
         h, c = rc.lstm_cell(act, c_prev)
         want_c = f * c_prev + i * g
         _assert_same_bits(c, want_c)
         _assert_same_bits(h, o * np.tanh(want_c))
         # the gates are activated in place; g is tanh itself, so -0.0 stays
-        for block, want in zip(act, (i, f, g, o)):
+        for block, want in zip(act, (i, f, o, g)):
             _assert_same_bits(block, np.tile(want, (q, 1)))
-    # only the one-row step built tables
-    assert rc._gate_affine.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("hidden", [6, 16])
@@ -492,68 +488,18 @@ def test_cell_step_equals_one_step_op(q, hidden):
     assert h.shape == c.shape == (q, hidden)
 
 
-@pytest.mark.parametrize("side", [0, 1])
-def test_both_activation_paths_equal_the_op(side):
-    # a step of q * 4H values at the table limit runs on tables and one
-    # row more runs on the gate views; on either side the evaluation
-    # unroll equals the op's rows and cell_step its first step, bit for bit
+@pytest.mark.parametrize("q", [1, 16, 129])
+def test_both_activation_paths_equal_the_op(q):
+    # one activation path on both sides of the old 8,192-value table limit
+    # (128 rows at H = 16): the evaluation unroll equals the op's rows and
+    # cell_step its first step, bit for bit
     rng = np.random.default_rng(25)
     hidden, n_in, steps = 16, 3, 4
-    q = rc._TABLE_GATES // (4 * hidden) + side
     params = rc.init_lstm(n_in, hidden, rng)
     params.b.value = rng.normal(size=4 * hidden)
     x = rng.normal(size=(steps, q, n_in))
     state = (rng.normal(size=(q, hidden)) * 0.5, rng.normal(size=(q, hidden)))
-    rc._gate_affine.cache_clear()
     rows = rc.lstm_step(x, state, params).value
     _assert_same_bits(rc.lstm_unroll(x, state, params), rows)
     h, _ = rc.cell_step(x[0], state, params)
     _assert_same_bits(h, rows[:q])
-    # all three calls share one pair of tables, or build none
-    assert rc._gate_affine.cache_info().currsize == (side == 0)
-
-
-def _cell_tables(rng, q, hidden):
-    """The table pair one `lstm_cell` step of q rows reads."""
-    rc.lstm_cell(rng.normal(size=(4, q, hidden)), rng.normal(size=(q, hidden)))
-    return rc._gate_affine(q, hidden)
-
-
-def test_activation_tables_are_contiguous_after_a_larger_batch():
-    # an evaluation block (q=66) runs before the next train step (q=16);
-    # the smaller batch must not read a slice of the larger one's tables
-    rng = np.random.default_rng(23)
-    hidden = 8
-    rc._gate_affine.cache_clear()
-    _cell_tables(rng, 66, hidden)
-    for table, block in zip(_cell_tables(rng, 16, hidden),
-                            ([0.5, 0.5, 1.0, 0.5], [1.0, 1.0, -0.0, 1.0])):
-        assert table.shape == (4, 16, hidden)
-        assert table.flags.c_contiguous and not table.flags.writeable
-        want = np.broadcast_to(np.array(block)[:, None, None], table.shape)
-        _assert_same_bits(table, want)
-
-
-def test_activation_tables_are_kept_per_row_count_within_a_byte_bound():
-    # train steps, evaluation blocks and generation alternate row counts:
-    # each keeps its pair, and a fifth row count drops the least recently
-    # used one, so at most four pairs of at most 2 * 8 * _TABLE_GATES
-    # bytes each are held
-    rng = np.random.default_rng(24)
-    hidden = 8
-    cache = rc._gate_affine
-    cache.cache_clear()
-    pairs = {q: _cell_tables(rng, q, hidden) for q in (66, 16, 1)}
-    assert cache.cache_info().misses == 3
-    for q in (66, 16, 1, 16, 66):
-        assert _cell_tables(rng, q, hidden) is pairs[q]
-    assert cache.cache_info().misses == 3
-    for q in (1, 66, 2, 3):   # 16 falls to least recently used; 3 evicts it
-        _cell_tables(rng, q, hidden)
-    info = cache.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (5, 4, 4)
-    assert _cell_tables(rng, 66, hidden) is pairs[66]
-    assert _cell_tables(rng, 16, hidden) is not pairs[16]
-    assert cache.cache_info().misses == 6
-    large = rc._gate_affine(rc._TABLE_GATES // (4 * hidden), hidden)
-    assert 4 * sum(t.nbytes for t in large) == 512 * 1024
