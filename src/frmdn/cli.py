@@ -166,7 +166,7 @@ def _resolve_train_options(args, stored):
 def _write_log(path, args, columns, rows):
     """CSV of `rows` under `#` lines echoing every flag; floats are
     written with repr, so they read back exactly."""
-    with open(path, "w") as fh:
+    with ds.atomic_write(path) as fh:
         for key in sorted(vars(args)):
             if key != "func":
                 fh.write(f"# {key}={getattr(args, key)}\n")

@@ -17,8 +17,8 @@ import numpy as np
 from . import recurrent as rc
 from .cmaes import cmaes_minimize
 from .datasets import gen_control_task
-from .model import (FrmdnModel, ModelConfig, TrainSettings, build_model,
-                    generate_step, train_model)
+from .model import (FrmdnModel, Generator, ModelConfig, TrainSettings,
+                    build_model, generate_step, train_model)
 
 
 @dataclass
@@ -33,9 +33,6 @@ class LinearController:
     @property
     def n_params(self):
         return self.w.size + self.b.size
-
-    def to_vector(self):
-        return np.concatenate([self.w.ravel(), self.b])
 
     @classmethod
     def from_vector(cls, vec, obs_dim, hidden, action_dim):
@@ -53,14 +50,13 @@ class LinearController:
 
 def controller_act(z, h, ctrl):
     """tanh(W (z ++ h) + b); every action component lies in (-1, 1)."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    h = np.asarray(h, dtype=np.float64).ravel()
-    if z.shape[0] + h.shape[0] != ctrl.w.shape[1]:
+    zh = np.concatenate([z, h])
+    if zh.shape[0] != ctrl.w.shape[1]:
         raise ValueError(
             f"controller expects input of size {ctrl.w.shape[1]}, "
-            f"got {z.shape[0]} + {h.shape[0]}"
+            f"got {len(z)} + {len(h)}"
         )
-    return np.tanh(ctrl.w @ np.concatenate([z, h]) + ctrl.b)
+    return np.tanh(ctrl.w @ zh + ctrl.b)
 
 
 @dataclass
@@ -88,11 +84,12 @@ def dream_rollout(env, ctrl, rng):
     """Cumulative reward of one dreamed episode under the controller."""
     y = env.y0.copy()
     state = rc.initial_state(1, env.model.config.hidden)
+    gen = Generator(env.model)
     total = 0.0
     for t in range(env.horizon):
         action = controller_act(y, state[0][0], ctrl)
         x = np.concatenate([y, action])
-        y, state = generate_step(env.model, x, state, rng)
+        y, state = generate_step(gen, x, state, rng)
         total += float(env.reward_fn(t, y, action))
     return total
 

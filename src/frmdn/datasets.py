@@ -7,8 +7,10 @@ which lower-bounds any model's achievable test NLL per step.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -268,11 +270,29 @@ def read_float64(fh, shape, what, name):
     return arr.reshape(shape).copy()
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Open a temporary sibling of `path` for writing and `os.replace` it
+    over `path` once the block ends, so the file holds its old bytes or
+    all the new ones, never a part; on a failure the temporary is removed
+    and the error goes on.  Every file writer of the package opens its
+    target through it."""
+    tmp = f"{os.fsdecode(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_fseq(path, batch):
     """FSEQ: magic, u32 version, u32 Q, T, d, d_action, then raw
     little-endian float64 observations and actions."""
     da = batch.action_dim
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FSEQ_MAGIC)
         fh.write(struct.pack("<IIIII", FSEQ_VERSION, batch.q, batch.t,
                              batch.dim, da))
@@ -296,11 +316,9 @@ def load_fseq(path):
     return SequenceBatch(obs, actions)
 
 
-def export_csv(batch, path_or_handle):
+def export_csv(batch, path):
     """One step per line with a header row: seq, step, y_0.., a_0.."""
-    own = isinstance(path_or_handle, (str, bytes))
-    fh = open(path_or_handle, "w") if own else path_or_handle
-    try:
+    with atomic_write(path) as fh:
         cols = ["seq", "step"]
         cols += [f"y_{i}" for i in range(batch.dim)]
         cols += [f"a_{i}" for i in range(batch.action_dim)]
@@ -312,9 +330,6 @@ def export_csv(batch, path_or_handle):
                 if batch.actions is not None:
                     row += [repr(float(v)) for v in batch.actions[s, step]]
                 fh.write(",".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def slice_windows(batch, window):

@@ -40,6 +40,7 @@ class CouplingLayer:
     s_clamp: float = DEFAULT_S_CLAMP
     pass_idx: np.ndarray = field(init=False)
     trans_idx: np.ndarray = field(init=False)
+    trans_cols: object = field(init=False)    # trans_idx or its basic slice
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask)
@@ -48,6 +49,7 @@ class CouplingLayer:
                              "transformed coordinates")
         self.pass_idx = np.where(self.mask == 1)[0]
         self.trans_idx = np.where(self.mask == 0)[0]
+        self.trans_cols = _columns(self.trans_idx)
 
     @property
     def dim(self):
@@ -60,6 +62,17 @@ class CouplingLayer:
             ("w1t", self.w1t), ("b1t", self.b1t),
             ("w2t", self.w2t), ("b2t", self.b2t),
         ]
+
+
+def _columns(idx):
+    """The basic slice that selects the columns of index array idx when
+    they are evenly spaced, as `make_flow`'s every other coordinate are,
+    else idx itself.  numpy indexes either alike, a slice with less
+    per-call overhead."""
+    cols = idx.tolist()
+    step = cols[1] - cols[0] if len(cols) > 1 else 1
+    span = range(cols[0], cols[-1] + 1, step)
+    return slice(span.start, span.stop, step) if list(span) == cols else idx
 
 
 @dataclass
@@ -213,12 +226,14 @@ def coupling_forward(x, layer):
 
 def coupling_inverse(y, layer):
     """Numeric inverse of one layer on a float64 batch array (n, d); y is
-    left untouched.  `take` gathers the same columns as fancy indexing
-    with less per-call overhead, which dominates on a sampling step's
-    single row."""
+    left untouched.  Per-call overhead dominates on a sampling step's
+    single row, so the transformed columns are read and written through
+    `trans_cols`, a basic slice for `make_flow`'s masks, and the
+    pass-through block is gathered by `take`: a contiguous copy, which
+    the nets' products need to keep their bits."""
     s_hat, t, _ = coupling_nets(layer, y.take(layer.pass_idx, axis=1))
     x = y.copy()
-    x[:, layer.trans_idx] = (y.take(layer.trans_idx, axis=1) - t) * np.exp(-s_hat)
+    x[:, layer.trans_cols] = (y[:, layer.trans_cols] - t) * np.exp(-s_hat)
     return x
 
 

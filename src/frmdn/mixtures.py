@@ -140,18 +140,18 @@ def split_head(out, k, d):
 
 
 def coeffs_from_logits(z_alpha):
-    """Softmax with max subtraction."""
-    z = np.asarray(z_alpha, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax with max subtraction.  The ufuncs' own reductions, like the
+    ufuncs, take an array or a list, with less per-call overhead than the
+    array methods on a sampling step's few logits."""
+    e = np.exp(z_alpha - np.maximum.reduce(z_alpha))
+    return e / np.add.reduce(e)
 
 
 def diag_scales_from_logits(z_sigma):
     """Elementwise exp of the logits clamped to +-EXP_CLAMP.  The clamp is
     `np.clip`'s arithmetic without its Python-level dispatch, which costs
     more than the exp on a sampling step's few logits."""
-    z = np.asarray(z_sigma, dtype=np.float64)
-    return np.exp(np.minimum(np.maximum(z, -EXP_CLAMP), EXP_CLAMP))
+    return np.exp(np.minimum(np.maximum(z_sigma, -EXP_CLAMP), EXP_CLAMP))
 
 
 # ---------------------------------------------------------------------------

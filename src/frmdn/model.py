@@ -33,8 +33,9 @@ from . import diffcore as dc
 from . import flow as fl
 from . import mixtures as mx
 from . import recurrent as rc
-from .datasets import (SequenceBatch, check_end, parse_entry, read_exact,
-                       read_float64, read_key_values, slice_windows)
+from .datasets import (SequenceBatch, atomic_write, check_end, parse_entry,
+                       read_exact, read_float64, read_key_values,
+                       slice_windows)
 
 FRMD_MAGIC = b"FRMD"
 FRMD_VERSION = 1
@@ -517,16 +518,29 @@ def train_model(model, train_batch, settings, test_batch=None,
 # generation
 # ---------------------------------------------------------------------------
 
-def generate_step(model, x_t, state, rng):
-    """Advance the backbone on the full input vector x_t (observation plus
-    action when present), sample the emitted mixture, and map the draw back
-    through the inverse flow.
+class Generator:
+    """What every `generate_step` of one rollout reads: the model, and the
+    LSTM's halved work-order weights (`rc.halved_weights`, the copy
+    training and evaluation step from), built once per rollout instead of
+    once per step.  The weights are copied when it is built, so each
+    rollout builds its own and sees every write made before it."""
 
-    state is the (h, c) pair of (1, hidden) arrays that `rc.initial_state`
-    starts and each step returns.  Generation never runs a backward, so it
-    works on plain arrays and builds no graph nodes.  Returns (y, state)."""
-    x = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
-    state = rc.cell_step(x, state, model.lstm)
+    def __init__(self, model):
+        self.model = model
+        self.weights = rc.halved_weights(model.lstm)
+
+
+def generate_step(gen, x_t, state, rng):
+    """Advance the backbone of `gen`'s model on the full (input_dim,) array
+    x_t (observation plus action when present), sample the emitted mixture,
+    and map the draw back through the inverse flow.
+
+    gen is the rollout's `Generator`, and state the (h, c) pair of
+    (1, hidden) arrays that `rc.initial_state` starts and each step
+    returns.  Generation never runs a backward, so it works on plain
+    arrays and builds no graph nodes.  Returns (y, state)."""
+    model = gen.model
+    state = rc.cell_step(x_t.reshape(1, -1), state, model.lstm, gen.weights)
     head = model.head
     u = None if head.u is None else head.u.value
     y = mx.mixture_sample(*rc.head_project(state[0][0], head), head.structure,
@@ -547,6 +561,7 @@ def rollout(model, y_0, action_fn, steps, rng):
     if steps < 1:
         raise ValueError("steps must be at least 1")
     cfg = model.config
+    gen = Generator(model)
     y = np.asarray(y_0, dtype=np.float64).ravel()
     state = rc.initial_state(1, cfg.hidden)
     obs = np.empty((steps + 1, cfg.dim))
@@ -559,7 +574,7 @@ def rollout(model, y_0, action_fn, steps, rng):
             x = np.concatenate([y, a])
         else:
             x = y
-        y, state = generate_step(model, x, state, rng)
+        y, state = generate_step(gen, x, state, rng)
         obs[t + 1] = y
     return SequenceBatch(obs[None], None if acts is None else acts[None])
 
@@ -620,7 +635,7 @@ def save_checkpoint(path, model, optimizer=None, extra=None):
         extra.setdefault("optimizer", optimizer.name)
         arrays.extend(sorted(optimizer.state_arrays().items()))
     config_block = _config_text(model.config, extra).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FRMD_MAGIC)
         fh.write(struct.pack("<I", FRMD_VERSION))
         fh.write(struct.pack("<I", len(config_block)))

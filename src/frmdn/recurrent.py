@@ -17,17 +17,19 @@ pre-activations and gates are one (4, q, H) array of contiguous (q, H)
 gate blocks, the three sigmoid gates first, so the cell and the BPTT rule
 work on contiguous blocks (the layout choices of Appleyard et al. 2016,
 "Optimizing Performance of Recurrent Neural Networks on GPUs").  As in
-that paper, constant work moves into the weights once per call: the step
-loop builds one work-order copy of w and b whose sigmoid blocks [:3] are
-halved, so each step's tanh reads its argument straight from the
-products (sigmoid(a) = 0.5 * (1 + tanh(a * 0.5))); `cell_step` moves its
-unscaled sum into work order and halves a[:3] itself.  Halving is exact,
-barring subnormal values, so every value keeps its bits.  `lstm_cell`
-has one activation path for every shape: tanh over the whole array, then
-+1 and *0.5 over a[:3].  The BPTT rule keeps the gate gradients in work
-order in one (4, T, q, H) array and runs its products per gate; it sums
-the four recurrent and input products in parameter order and writes dw,
-db and dx in parameter order, so every gradient keeps its bits too.
+that paper, constant work moves into the weights once per call:
+`halved_weights` builds one work-order copy of w and b whose sigmoid
+blocks [:3] are halved, so each step's tanh reads its argument straight
+from the products (sigmoid(a) = 0.5 * (1 + tanh(a * 0.5))).  The step
+loop builds it once per call and a rollout once for all its
+`cell_step`s, so training, evaluation and generation share one weight
+preparation.  Halving is exact, barring subnormal values, so every value
+keeps its bits.  `lstm_cell` has one activation path for every shape:
+tanh over the whole array, then +1 and *0.5 over a[:3].  The BPTT rule
+keeps the gate gradients in work order in one (4, T, q, H) array and
+runs its products per gate; it sums the four recurrent and input products
+in parameter order and writes dw, db and dx in parameter order, so every
+gradient keeps its bits too.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -214,7 +216,7 @@ def lstm_step(x, state, params):
 def _lstm_loop(x, state, params, keep):
     """The one step loop of `lstm_step` and `lstm_unroll`: the steps of a
     (T, q, input_dim) array from the (h, c) pair `state`, each through
-    `lstm_cell` with `_halved_weights`.  Returns (hs, cs, gates, tanh_c),
+    `lstm_cell` with `halved_weights`.  Returns (hs, cs, gates, tanh_c),
     hs holding h_0..h_T.  With `keep`, for the BPTT rule, gates[t],
     cs[t + 1] and tanh_c[t] hold step t's work-order gates, c_t and
     tanh(c_t), and the input products of all steps are formed before the
@@ -223,8 +225,7 @@ def _lstm_loop(x, state, params, keep):
     same-shape bias block.  Both give the same bits."""
     steps, q, n_in = x.shape
     hid = params.hidden
-    w4, b4 = _halved_weights(params)
-    w_x4, w_h4 = w4[:, :n_in], w4[:, n_in:]
+    w_x4, w_h4, b4 = halved_weights(params)
     kept = steps if keep else 1          # steps whose gates stay in `gates`
     if keep:
         gates = np.matmul(x[:, None], w_x4)
@@ -269,16 +270,19 @@ def _parameter_order_sum(blocks, out=None):
     return out
 
 
-def _halved_weights(params):
-    """Work-order copies of lstm.w, (4, input_dim + H, H), and lstm.b,
-    (4, 1, H), with the sigmoid blocks [:3] (i, f, o) multiplied by 0.5,
-    so a step's products and sums give `lstm_cell` its half-scaled input,
-    bit for bit the unscaled sum times 0.5 (barring subnormal values)."""
+def halved_weights(params):
+    """Work-order copies of lstm.w's input and recurrent rows, (4,
+    input_dim, H) and (4, H, H), and of lstm.b, (4, 1, H), with the
+    sigmoid blocks [:3] (i, f, o) multiplied by 0.5, so a step's products
+    and sums give `lstm_cell` its half-scaled input, bit for bit the
+    unscaled sum times 0.5 (barring subnormal values).  The step loop
+    builds them once per call and a rollout once for all its
+    `cell_step`s."""
     w4 = _gate_major(params.w.value).take(_WORK, axis=0)
     b4 = params.b.value.reshape(4, 1, -1).take(_WORK, axis=0)
     w4[:3] *= 0.5
     b4[:3] *= 0.5
-    return w4, b4
+    return w4[:, :params.input_dim], w4[:, params.input_dim:], b4
 
 
 def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
@@ -306,22 +310,19 @@ def lstm_cell(a, c_prev, c=None, tanh_c=None, h=None):
     return np.multiply(o, tanh_c, out=h), c
 
 
-def cell_step(x, state, params):
+def cell_step(x, state, params, weights):
     """Advance the cell one step on plain arrays, building no graph nodes.
 
-    x is (q, input_dim) and state an (h, c) pair of (q, hidden) arrays.
-    The products and summation order are a one-step `lstm_step`'s, with
-    the unscaled weights, so none are copied per step; the sum then moves
-    into work order with a[:3] halved, and h equals the op's bit for bit.
-    Returns the new (h, c) pair.
+    x is (q, input_dim), state an (h, c) pair of (q, hidden) arrays and
+    weights `halved_weights(params)`, which a rollout builds once for all
+    its steps.  The products, sums and body are a one-step `lstm_step`'s,
+    so h equals the op's bit for bit.  Returns the new (h, c) pair.
     """
     _check_step_inputs("cell_step", x, 2, state, params)
-    w4, n_in = _gate_major(params.w.value), params.input_dim
-    a = np.matmul(x, w4[:, :n_in])
-    a += params.b.value.reshape(4, 1, -1)
-    a += np.matmul(state[0], w4[:, n_in:])
-    a = a.take(_WORK, axis=0)
-    a[:3] *= 0.5
+    w_x4, w_h4, b4 = weights
+    a = np.matmul(x, w_x4)
+    a += b4
+    a += np.matmul(state[0], w_h4)
     return lstm_cell(a, state[1])
 
 
@@ -346,8 +347,9 @@ def head_project(h_vec, head):
     """Numeric mixture parameters (alpha, mu, scale) for one (hidden,)
     float64 vector (sampling path): the (K,) coefficients through the
     softmax, the (K, d) raw means and the (K, d) scales through the
-    clamped exponential."""
+    clamped exponential, read from the output row in `mx.split_head`'s
+    layout."""
     out = h_vec @ head.w.value + head.b.value
-    alpha, mu, scale_logits = mx.split_head(out[None], head.k, head.dim)
-    return (mx.coeffs_from_logits(alpha[0]), mu[0],
-            mx.diag_scales_from_logits(scale_logits[0]))
+    k, d = head.k, head.dim
+    return (mx.coeffs_from_logits(out[:k]), out[k:k + k * d].reshape(k, d),
+            mx.diag_scales_from_logits(out[k + k * d:]).reshape(k, d))

@@ -384,6 +384,74 @@ def test_bad_output_flag_exits_2_before_any_work(tmp_path, capsys, command,
         assert not (tmp_path / "missing").exists()
 
 
+class FullDisk:
+    """A file open for writing whose writes after the first raise, as on
+    a disk that fills up after the first record."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen", "--out"), ("gen", "--csv"), ("train", "--out"), ("train", "--log"),
+    ("train", "--resume"), ("sample", "--out"), ("dream", "--log"),
+])
+def test_failed_write_leaves_the_old_file(tmp_path, capsys, monkeypatch,
+                                          command, flag):
+    # every output is written whole or not at all: a write that fails
+    # after its first record exits 1 and leaves the file it was to
+    # replace byte for byte as it was, with no temporary beside it; with
+    # `train --resume a.frmd --out a.frmd` that file is the only copy
+    data = gen_small(tmp_path)
+    ckpt = tmp_path / "m.frmd"
+    assert main(train_args(data, ckpt, epochs=1)) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    outputs = {"gen": ["--out", "--csv"], "train": ["--out", "--log"],
+               "sample": ["--out"], "dream": ["--log"]}[command]
+    inputs = {"gen": ["--kind", "ar", "--q", "2", "--t", "8", "--d", "2"],
+              "sample": ["--ckpt", str(ckpt), "--steps", "4", "--n", "2"],
+              "dream": ["--popsize", "4", "--generations", "1",
+                        "--hidden", "2", "--horizon", "4",
+                        "--train-epochs", "0"]}
+    if command == "train":
+        argv = train_args(data, out / "out", out / "log", epochs=1)
+    else:
+        argv = [command] + inputs[command]
+        for name in outputs:
+            argv += [name, str(out / name[2:])]
+    for name in outputs:
+        (out / name[2:]).write_bytes(b"old bytes\n")
+    target = out / flag[2:]
+    if flag == "--resume":
+        argv += ["--resume", str(ckpt), "--out", str(ckpt)]
+        target = ckpt
+    before = target.read_bytes()
+    real_open = open
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FullDisk(fh) if str(path).startswith(f"{target}.") else fh
+
+    monkeypatch.setattr(ds, "open", full_disk_open, raising=False)
+    code, _, err = run(argv, capsys)
+    assert code == 1 and "No space left on device" in err
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+
+
 def test_truncated_checkpoint_and_data_exit_2(tmp_path, capsys):
     data = gen_small(tmp_path)
     ckpt = tmp_path / "m.frmd"

@@ -4,6 +4,7 @@ import pytest
 from frmdn import control as ct
 from frmdn import mixtures as mx
 from frmdn import model as md
+from frmdn import recurrent as rc
 
 
 def small_task(seed=0):
@@ -11,12 +12,18 @@ def small_task(seed=0):
                                train_epochs=1)
 
 
+def to_vector(ctrl):
+    """The controller's entries in `LinearController.from_vector` order:
+    w row by row, then b."""
+    return np.concatenate([ctrl.w.ravel(), ctrl.b])
+
+
 def test_controller_vector_round_trip():
     rng = np.random.default_rng(0)
     vec = rng.normal(size=2 * (3 + 5 + 1))
     ctrl = ct.LinearController.from_vector(vec, 3, 5, 2)
     assert ctrl.n_params == vec.size
-    np.testing.assert_array_equal(ctrl.to_vector(), vec)
+    np.testing.assert_array_equal(to_vector(ctrl), vec)
     with pytest.raises(ValueError, match="entries"):
         ct.LinearController.from_vector(vec[:-1], 3, 5, 2)
 
@@ -159,3 +166,19 @@ def test_train_controller_rejects_zero_generations():
     task = ct.DreamTask(env=None, obs_dim=2, hidden=4, action_dim=2)
     with pytest.raises(ValueError, match="generations"):
         ct.train_controller(task, generations=0)
+
+
+def test_dream_rollout_prepares_the_lstm_weights_once(monkeypatch):
+    # a rollout builds the LSTM's halved work-order weights once and every
+    # step reads them, so no step takes a gate-major view or reorders
+    task = small_task()
+    calls = {"halved_weights": 0, "_gate_major": 0}
+    for name in calls:
+        def counted(*args, inner=getattr(rc, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(rc, name, counted)
+    ctrl = ct.LinearController(np.full((2, 6), 0.1), np.zeros(2))
+    ct.dream_rollout(task.env, ctrl, np.random.default_rng(4))
+    assert task.env.horizon == 12
+    assert calls == {"halved_weights": 1, "_gate_major": 1}

@@ -235,3 +235,47 @@ def test_flow_inverse_of_forward_is_identity():
     # and forward of inverse
     z2, _ = forward_values(fl.flow_inverse(x, stack), stack)
     np.testing.assert_allclose(z2, x, atol=1e-9)
+
+
+@pytest.mark.parametrize("mask", [[0, 0, 1, 0, 1, 1], [1, 0, 0, 1, 1, 0, 1]])
+def test_uneven_mask_inverts_through_flow_inverse(mask):
+    # make_flow's every-other-coordinate masks select their transformed
+    # columns by a basic slice; a mask whose columns are not evenly spaced
+    # keeps its index array and inverts through the same code
+    rng = np.random.default_rng(13)
+    mask = np.array(mask)
+    layers = [fl.make_coupling_layer(mask.size, m, rng, hidden=8)
+              for m in (mask, 1 - mask)]
+    assert not any(isinstance(layer.trans_cols, slice) for layer in layers)
+    stack = randomize_flow(fl.FlowStack(layers), rng)
+    x = rng.normal(size=(64, mask.size))
+    z, _ = forward_values(x, stack)
+    for rows in (1, 64):
+        np.testing.assert_allclose(fl.flow_inverse(z[:rows], stack), x[:rows],
+                                   rtol=0, atol=1e-9)
+
+
+def inverse_by_index_arrays(y, layer):
+    """One layer's inverse with every column read and written through the
+    layer's index arrays, pass-through block gathered into a contiguous
+    copy."""
+    s_hat, t, _ = fl.coupling_nets(layer, y[:, layer.pass_idx])
+    x = y.copy()
+    x[:, layer.trans_idx] = (y[:, layer.trans_idx] - t) * np.exp(-s_hat)
+    return x
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+def test_coupling_inverse_keeps_the_index_array_bits(dim):
+    # the selectors change how columns are read, not what the nets' products
+    # see: one row or many, the inverse equals the index-array arithmetic
+    # bit for bit (a strided pass-through view would move the products'
+    # bits on a single row from dim 3 on)
+    rng = np.random.default_rng(14)
+    stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=64), rng, 0.4)
+    for layer in stack.layers:
+        assert isinstance(layer.trans_cols, slice)
+        for rows in (1, 7):
+            y = rng.normal(size=(rows, dim))
+            back = fl.coupling_inverse(y, layer)
+            assert back.tobytes() == inverse_by_index_arrays(y, layer).tobytes()

@@ -138,11 +138,12 @@ def test_nll_agrees_with_numeric_density_route(structure):
     rec = md.sequence_nll(model, ds.SequenceBatch(obs))
 
     shared = mx.SharedMatrix(model.head.u.value) if structure == "tied" else None
+    weights = rc.halved_weights(model.lstm)
     total = 0.0
     for s in range(obs.shape[0]):
         state = rc.initial_state(1, model.config.hidden)
         for t in range(obs.shape[1] - 1):
-            state = rc.cell_step(obs[s, t][None], state, model.lstm)
+            state = rc.cell_step(obs[s, t][None], state, model.lstm, weights)
             params = mx.MixtureParams(*rc.head_project(state[0][0], model.head),
                                       structure)
             z, logdet = fl.flow_forward(obs[s, t + 1][None], model.flow)
@@ -615,7 +616,7 @@ def test_generate_step_equals_graph_replay():
                 node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
             h0, c0 = rng.normal(size=(2, 1, model.config.hidden))
             x = rng.normal(size=4)
-            y, (h, _) = md.generate_step(model, x, (h0, c0),
+            y, (h, _) = md.generate_step(md.Generator(model), x, (h0, c0),
                                          np.random.default_rng(9))
 
             h_node = rc.lstm_step(dc.constant(x.reshape(1, 1, -1)),
@@ -631,16 +632,16 @@ def test_generate_step_equals_graph_replay():
 
 def test_generate_step_checks_input_and_state_shapes():
     from frmdn import recurrent as rc
-    model = md.build_model(tiny_config(), seed=6)
-    state = rc.initial_state(1, model.config.hidden)
+    gen = md.Generator(md.build_model(tiny_config(), seed=6))
+    state = rc.initial_state(1, gen.model.config.hidden)
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="expected input"):
-        md.generate_step(model, np.zeros(3), state, rng)
+        md.generate_step(gen, np.zeros(3), state, rng)
     short = (state[0][:, :-1], state[1])
     with pytest.raises(ValueError, match="state shapes"):
-        md.generate_step(model, np.zeros(2), short, rng)
+        md.generate_step(gen, np.zeros(2), short, rng)
     with pytest.raises(ValueError, match="state shapes"):
-        md.generate_step(model, np.zeros(2), (state[0], state[1][0]), rng)
+        md.generate_step(gen, np.zeros(2), (state[0], state[1][0]), rng)
 
 
 def test_generate_step_degenerate_component_hits_mean():
@@ -653,7 +654,8 @@ def test_generate_step_degenerate_component_hits_mean():
     model.head.b.value[6:8] = -100.0               # scale logits -> clamp floor
     from frmdn import recurrent as rc
     state = rc.initial_state(1, model.config.hidden)
-    y, _ = md.generate_step(model, np.zeros(2), state, np.random.default_rng(10))
+    y, _ = md.generate_step(md.Generator(model), np.zeros(2), state,
+                            np.random.default_rng(10))
     np.testing.assert_allclose(y, [1.5, -0.5], atol=1e-4)
 
 
@@ -665,6 +667,28 @@ def test_rollout_single_step_and_reproducibility():
     again = md.rollout(model, np.zeros(2), None, steps=1,
                        rng=np.random.default_rng(3))
     np.testing.assert_array_equal(one.observations, again.observations)
+
+
+def test_rollout_sees_parameters_written_in_place():
+    # each rollout prepares its arrays from the parameters as they are
+    # when it starts, so an in-place write between two seeded rollouts
+    # (as the gradient checks make) shows in the second, whichever layer
+    # it touches, and writing the old values back gives the first bits
+    model = md.build_model(tiny_config(action_dim=1), seed=19)
+
+    def sample():
+        return md.rollout(model, np.zeros(2), lambda t: np.ones(1), 8,
+                          np.random.default_rng(20)).observations
+
+    first = sample()
+    written = {"lstm.w", "lstm.b", "head.w", "head.b", "flow.0.b2t"}
+    for name, node in model.parameters():
+        if name in written:
+            old = node.value.copy()
+            node.value[...] += 0.25
+            assert not np.array_equal(sample(), first), name
+            node.value[...] = old
+            assert np.array_equal(sample(), first), name
 
 
 def test_untrained_model_rollout_stays_finite():
@@ -845,7 +869,7 @@ def test_generate_step_supports_tied_head():
     from frmdn import recurrent as rc
     model = md.build_model(tiny_config(head_structure="tied"), seed=17)
     state = rc.initial_state(1, model.config.hidden)
-    y, _ = md.generate_step(model, np.zeros(2), state,
+    y, _ = md.generate_step(md.Generator(model), np.zeros(2), state,
                             np.random.default_rng(18))
     assert y.shape == (2,) and np.all(np.isfinite(y))
 

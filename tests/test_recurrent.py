@@ -104,10 +104,11 @@ def test_lstm_rejects_mismatched_dims():
     with pytest.raises(ValueError, match="lstm_step"):
         rc.lstm_step(dc.constant(np.ones((1, 2, 3))),
                      (state[0], np.zeros((2, 5))), params)
+    weights = rc.halved_weights(params)
     with pytest.raises(ValueError, match="cell_step"):
-        rc.cell_step(np.ones((3, 3)), state, params)
+        rc.cell_step(np.ones((3, 3)), state, params, weights)
     with pytest.raises(ValueError, match="cell_step"):
-        rc.cell_step(np.ones((1, 2, 3)), state, params)
+        rc.cell_step(np.ones((1, 2, 3)), state, params, weights)
     with pytest.raises(dc.ShapeMismatchError, match="lstm"):
         rc.lstm_step(np.ones((0, 2, 3)), state, params)
 
@@ -196,9 +197,10 @@ def test_sequence_call_matches_chained_single_steps():
     h_rows = rc.lstm_step(dc.constant(xs), rc.initial_state(q, hidden), params)
     assert h_rows.value.shape == (steps * q, hidden)
     state = rc.initial_state(q, hidden)
+    weights = rc.halved_weights(params)
     stepped = []
     for t in range(steps):
-        state = rc.cell_step(xs[t], state, params)
+        state = rc.cell_step(xs[t], state, params, weights)
         stepped.append(state[0])
     _assert_same_bits(np.stack(stepped), h_rows.value.reshape(steps, q, hidden))
     unrolled = rc.lstm_unroll(xs, rc.initial_state(q, hidden), params)
@@ -270,7 +272,8 @@ def test_single_step_matches_cell_formula():
     x = rng.normal(size=(q, n_in))
     h_prev = rng.normal(size=(q, hidden)) * 0.5
     c_prev = rng.normal(size=(q, hidden))
-    h, c = rc.cell_step(x, (h_prev, c_prev), params)
+    h, c = rc.cell_step(x, (h_prev, c_prev), params,
+                         rc.halved_weights(params))
     rows = rc.lstm_step(dc.constant(x[None]), (h_prev, c_prev), params)
 
     pre = np.concatenate([x, h_prev], axis=1) @ params.w.value + params.b.value
@@ -482,7 +485,7 @@ def test_cell_step_equals_one_step_op(q, hidden):
     params.b.value = rng.normal(size=4 * hidden)
     x = rng.normal(size=(q, 4))
     state = (rng.normal(size=(q, hidden)) * 0.5, rng.normal(size=(q, hidden)))
-    h, c = rc.cell_step(x, state, params)
+    h, c = rc.cell_step(x, state, params, rc.halved_weights(params))
     rows = rc.lstm_step(x[None], state, params)
     _assert_same_bits(h, rows.value)
     assert h.shape == c.shape == (q, hidden)
@@ -501,5 +504,5 @@ def test_both_activation_paths_equal_the_op(q):
     state = (rng.normal(size=(q, hidden)) * 0.5, rng.normal(size=(q, hidden)))
     rows = rc.lstm_step(x, state, params).value
     _assert_same_bits(rc.lstm_unroll(x, state, params), rows)
-    h, _ = rc.cell_step(x[0], state, params)
+    h, _ = rc.cell_step(x[0], state, params, rc.halved_weights(params))
     _assert_same_bits(h, rows[:q])
