@@ -48,8 +48,8 @@ class CmaesState:
 def cmaes_init(x0, sigma0, lam=None):
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     n = x0.shape[0]
-    if sigma0 <= 0.0:
-        raise ValueError("sigma0 must be positive")
+    if not (math.isfinite(sigma0) and sigma0 > 0.0):
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
     if lam is None:
         lam = 4 + int(3 * math.log(n))
     if lam < 2:

@@ -73,11 +73,17 @@ class DreamEnv:
     y0: np.ndarray = None
 
     def __post_init__(self):
+        dim = self.model.config.dim
         if self.y0 is None:
-            self.y0 = np.zeros(self.model.config.dim)
+            self.y0 = np.zeros(dim)
         self.y0 = np.asarray(self.y0, dtype=np.float64)
         if self.model.config.action_dim < 1:
             raise ValueError("dream environment needs a model with actions")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
+        if self.y0.shape != (dim,):
+            raise ValueError(f"y0 must have shape ({dim},), "
+                             f"got {self.y0.shape}")
 
 
 def dream_rollout(env, ctrl, rng):
@@ -126,18 +132,32 @@ def tracking_reward(center, radius=0.15, period=80.0, cap=25.0):
     The offset dominates the objective (the uncontrolled process decays to
     the origin), so reward improves steeply as the controller learns to
     hold the observation near the orbit; the cap keeps runaway dreamed
-    trajectories from dominating a population average."""
-    center = np.asarray(center, dtype=np.float64)
+    trajectories from dominating a population average.
+
+    A step's target depends on nothing but its index, so each is built
+    the first time its step is asked for and kept in this reward's own
+    table; `reward.target(step)` returns it.  center is copied, so a later
+    write to the caller's array moves no target."""
+    center = np.array(center, dtype=np.float64)
     dim = center.shape[0]
+    targets = {}
+
+    def target(step):
+        goal = targets.get(step)
+        if goal is None:
+            angle = 2.0 * math.pi * (step + 1) / period
+            goal = center.copy()
+            goal[0] += radius * math.cos(angle)
+            if dim > 1:
+                goal[1] += radius * math.sin(angle)
+            targets[step] = goal
+        return goal
 
     def reward(step, y, action):
-        angle = 2.0 * math.pi * (step + 1) / period
-        target = center.copy()
-        target[0] += radius * math.cos(angle)
-        if dim > 1:
-            target[1] += radius * math.sin(angle)
-        return -min(float(((y - target) ** 2).sum()), cap)
+        gap = y - target(step)
+        return -min(float(np.add.reduce(gap * gap)), cap)
 
+    reward.target = target
     return reward
 
 

@@ -8,10 +8,14 @@ s_clamp * tanh.  The log-determinant of the Jacobian is the sum of s_hat
 over transformed coordinates, and layers compose with log-determinants
 adding.
 
-The nets are evaluated in one place, `coupling_nets`, and a layer's
-forward arithmetic in one, `coupling_rows`.  The forward layer is one tape
-op with a hand-written backward built on it, `flow_rows` runs it on plain
-arrays for evaluation, and the numeric inverse calls the nets too.
+The forward nets are evaluated in one place, `coupling_nets`, and a
+layer's forward arithmetic in one, `coupling_rows`.  The forward layer is
+one tape op with a hand-written backward built on it, and `flow_rows` runs
+it on plain arrays for evaluation.  The numeric inverse reads arrays that
+`inverse_nets` prepares once per stack, with the s and t nets' first
+layers joined into one product (Appleyard et al. 2016's rule: constant
+work moves into weights built once), so a generated row costs one
+first-layer product per layer, not two.
 """
 
 from __future__ import annotations
@@ -224,16 +228,65 @@ def coupling_forward(x, layer):
             dc.output_view(core, np.s_[:, d], (n,)))
 
 
-def coupling_inverse(y, layer):
-    """Numeric inverse of one layer on a float64 batch array (n, d); y is
-    left untouched.  Per-call overhead dominates on a sampling step's
-    single row, so the transformed columns are read and written through
-    `trans_cols`, a basic slice for `make_flow`'s masks, and the
-    pass-through block is gathered by `take`: a contiguous copy, which
-    the nets' products need to keep their bits."""
-    s_hat, t, _ = coupling_nets(layer, y.take(layer.pass_idx, axis=1))
+# Each net's first layer is joined with the other's only when its width is
+# a multiple of this.  On one row numpy multiplies through BLAS gemv, whose
+# OpenBLAS kernels sum blocks of 4 output columns in another order than the
+# columns past the last block, so a joined product of any other width can
+# round differently from the two separate ones (seen at widths 1-3, 5-7,
+# 9-11, ... from two pass-through columns on).
+_JOIN_BLOCK = 4
+
+
+def inverse_net(layer):
+    """The arrays `coupling_inverse` reads for one layer, as the tuple
+    (pass_idx, trans_cols, w1, b1, split, h, w2s, b2s, -s_clamp, w2t, b2t).
+
+    w1 (d_pass, 2h) and b1 (1, 2h) are the s net's first layer joined with
+    the t net's, copied from the parameters; the first h columns of their
+    activations feed w2s, the rest w2t.  When the width h is not a multiple
+    of `_JOIN_BLOCK`, w1 is None and split holds copies of (w1s, w1t), whose
+    two products are made apart, as the joined one would move their bits;
+    otherwise split is None.  The second layers are the parameters' own
+    arrays.  Every bias is a (1, k) row: adding it to one row of the same
+    shape skips numpy's broadcast set-up, and its sums are the (k,) bias's
+    bit for bit."""
+    w1s, w1t = layer.w1s.value, layer.w1t.value
+    h = w1s.shape[1]
+    if h % _JOIN_BLOCK == 0:
+        w1, split = np.concatenate([w1s, w1t], axis=1), None
+    else:
+        w1, split = None, (w1s.copy(), w1t.copy())
+    return (layer.pass_idx, layer.trans_cols, w1,
+            np.concatenate([layer.b1s.value, layer.b1t.value])[None], split,
+            h, layer.w2s.value, layer.b2s.value[None], -layer.s_clamp,
+            layer.w2t.value, layer.b2t.value[None])
+
+
+def inverse_nets(stack):
+    """`inverse_net` of every layer in the order `flow_inverse` runs them,
+    last layer first.  A rollout builds them once and every generated row
+    reads them."""
+    return [inverse_net(layer) for layer in reversed(stack.layers)]
+
+
+def coupling_inverse(y, net):
+    """Numeric inverse of one layer, from its `inverse_net` arrays, on a
+    float64 batch array (n, d); y is left untouched.  Per-call overhead
+    dominates on a sampling step's single row, so both nets' hidden layers
+    come from one product, one bias add and one in-place tanh; the
+    transformed columns are read and written through `trans_cols`, a basic
+    slice for `make_flow`'s masks; and the pass-through block is gathered
+    by `take`: a contiguous copy, which the products need to keep their
+    bits.  Values equal `coupling_nets`' arithmetic bit for bit."""
+    pas, cols, w1, b1, split, h, w2s, b2s, neg_clamp, w2t, b2t = net
+    xp = y.take(pas, axis=1)
+    a = xp @ w1 if split is None else np.concatenate(
+        [xp @ split[0], xp @ split[1]], axis=1)
+    a += b1
+    np.tanh(a, out=a)
+    ts = np.tanh(a[:, :h] @ w2s + b2s)
     x = y.copy()
-    x[:, layer.trans_cols] = (y[:, layer.trans_cols] - t) * np.exp(-s_hat)
+    x[:, cols] = (y[:, cols] - (a[:, h:] @ w2t + b2t)) * np.exp(neg_clamp * ts)
     return x
 
 
@@ -282,12 +335,13 @@ def row_floats(stack):
     return out
 
 
-def flow_inverse(z, stack):
+def flow_inverse(z, stack, nets=None):
     """Numeric inverse of the whole stack (layers applied in reverse) on
-    rows z, (n, d) or one (d,) row."""
+    rows z, (n, d) or one (d,) row.  nets is the stack's `inverse_nets`,
+    built here when None."""
     x = np.asarray(z, dtype=np.float64)
     if x.ndim < 2:
         x = x.reshape(1, -1)
-    for layer in reversed(stack.layers):
-        x = coupling_inverse(x, layer)
+    for net in inverse_nets(stack) if nets is None else nets:
+        x = coupling_inverse(x, net)
     return x

@@ -519,15 +519,20 @@ def train_model(model, train_batch, settings, test_batch=None,
 # ---------------------------------------------------------------------------
 
 class Generator:
-    """What every `generate_step` of one rollout reads: the model, and the
-    LSTM's halved work-order weights (`rc.halved_weights`, the copy
-    training and evaluation step from), built once per rollout instead of
-    once per step.  The weights are copied when it is built, so each
-    rollout builds its own and sees every write made before it."""
+    """What every `generate_step` of one rollout reads, built once per
+    rollout instead of once per step: the model; the LSTM's halved
+    work-order weights (`rc.halved_weights`, the copy training and
+    evaluation step from); and the flow's inverse arrays
+    (`fl.inverse_nets`, each layer's s and t first layers joined into one
+    product).  The LSTM weights and the flow's first layers are copied
+    when it is built, so each rollout builds its own and sees every write
+    made before it; the head and the flow's second layers are read as
+    they are."""
 
     def __init__(self, model):
         self.model = model
         self.weights = rc.halved_weights(model.lstm)
+        self.inverse = fl.inverse_nets(model.flow)
 
 
 def generate_step(gen, x_t, state, rng):
@@ -546,7 +551,7 @@ def generate_step(gen, x_t, state, rng):
     y = mx.mixture_sample(*rc.head_project(state[0][0], head), head.structure,
                           rng, u=u, c_width=model.config.c_width)
     if model.flow.depth > 0:
-        y = fl.flow_inverse(y[None], model.flow)[0]
+        y = fl.flow_inverse(y[None], model.flow, gen.inverse)[0]
     return y, state
 
 

@@ -1,13 +1,17 @@
 """The benchmark in `perfbench/` patches `frmdn` functions by name.  These
 checks fail when a function it patches has moved or a workload requires a
 span the tracer does not record, which otherwise shows only when the
-benchmark runs."""
+benchmark runs; the last runs a short traced dream workload, so a caller
+that bypasses a span's module attribute shows too."""
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def harness(monkeypatch):
@@ -33,3 +37,20 @@ def test_required_spans_are_span_targets(monkeypatch):
     for name, workload in workloads.WORKLOADS.items():
         missing = set(workload.required_spans) - set(tracing.SPAN_TARGETS)
         assert not missing, (name, sorted(missing))
+
+
+def test_traced_dream_run_records_the_sampling_spans():
+    # a span whose caller stops looking its function up by module attribute
+    # still has its target, but records nothing: the run fails its
+    # required-span check or reports zero time
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "dream",
+         "--tiny", "--trace", "1", "--seconds", "0.5", "--seed", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"]
+    metrics = result["metrics"]
+    for name in ("flow.inverse_us", "recurrent.head_project_us",
+                 "mixtures.sample_us", "model.generate_step_us"):
+        assert metrics[name]["value"] > 0.0, name

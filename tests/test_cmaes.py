@@ -115,3 +115,11 @@ def test_init_validates_arguments():
         cm.cmaes_init(np.zeros(3), 0.0)
     with pytest.raises(ValueError, match="population"):
         cm.cmaes_init(np.zeros(3), 1.0, lam=1)
+
+
+@pytest.mark.parametrize("sigma0", [np.nan, np.inf, 0.0, -1.0])
+def test_init_rejects_a_step_size_that_is_not_finite_and_positive(sigma0):
+    # NaN fails every comparison, so a bare `sigma0 <= 0` let it (and inf)
+    # through, and every candidate asked for afterwards was non-finite
+    with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+        cm.cmaes_init(np.zeros(3), sigma0, lam=4)

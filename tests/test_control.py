@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from frmdn import control as ct
+from frmdn import flow as fl
 from frmdn import mixtures as mx
 from frmdn import model as md
 from frmdn import recurrent as rc
@@ -103,6 +106,29 @@ def test_dream_env_requires_action_model():
         ct.DreamEnv(model, lambda *a: 0.0, horizon=5)
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_dream_env_rejects_a_horizon_below_one(horizon):
+    # every rollout of an empty horizon returns 0.0, so CMA-ES would rank
+    # a constant
+    model = md.build_model(md.ModelConfig(dim=2, action_dim=2, hidden=4),
+                           seed=0)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        ct.DreamEnv(model, lambda *a: 0.0, horizon=horizon)
+
+
+@pytest.mark.parametrize("y0", [np.zeros(3), np.zeros((1, 2)), np.zeros(()),
+                                [0.0]])
+def test_dream_env_rejects_a_start_of_the_wrong_shape(y0):
+    # such a start failed only on the first dreamed step, in the controller
+    # or in a concatenate
+    model = md.build_model(md.ModelConfig(dim=2, action_dim=2, hidden=4),
+                           seed=0)
+    with pytest.raises(ValueError, match=r"y0 must have shape \(2,\)"):
+        ct.DreamEnv(model, lambda *a: 0.0, horizon=5, y0=y0)
+    env = ct.DreamEnv(model, lambda *a: 0.0, horizon=5, y0=[0.5, -0.5])
+    assert env.y0.dtype == np.float64 and env.y0.shape == (2,)
+
+
 def test_evaluate_population_zero_env_and_validation():
     task = small_task()
     task.env.reward_fn = lambda step, y, action: 0.0
@@ -162,6 +188,49 @@ def test_tracking_reward_cap_and_center():
     assert reward(0, np.array([100.0, 0.0]), None) == -4.0
 
 
+def closed_form_target(center, step, radius=0.15, period=80.0):
+    """The target at step, as the reward formed it on every step before it
+    kept a table."""
+    angle = 2.0 * math.pi * (step + 1) / period
+    target = np.asarray(center, dtype=np.float64).copy()
+    target[0] += radius * math.cos(angle)
+    if target.shape[0] > 1:
+        target[1] += radius * math.sin(angle)
+    return target
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tracking_reward_targets_equal_the_closed_form(dim):
+    # the table is filled in whatever order steps are asked for, past the
+    # environment's horizon too, and a step asked for again reads the same
+    # array; each target and each reward keeps the closed form's bits
+    rng = np.random.default_rng(21)
+    center = rng.normal(size=dim)
+    reward = ct.tracking_reward(center)
+    for step in [63, 0, 5, 200, 64, 5, 1, 63, 10_000]:
+        want = closed_form_target(center, step)
+        got = reward.target(step)
+        assert got.tobytes() == want.tobytes(), step
+        assert reward.target(step) is got
+        y = rng.normal(size=dim)
+        distance = float(((y - want) ** 2).sum())
+        assert reward(step, y, None) == -min(distance, 25.0)
+
+
+def test_tracking_rewards_share_no_targets():
+    # each reward keeps its own table, and a write to the caller's center
+    # moves no target
+    center = np.array([0.4, -0.2])
+    first = ct.tracking_reward(center)
+    second = ct.tracking_reward(center + 1.0)
+    before = first.target(3).copy()
+    center[0] = 9.0
+    assert first.target(3).tobytes() == before.tobytes()
+    assert second.target(3) is not first.target(3)
+    assert second.target(3).tobytes() == closed_form_target(
+        np.array([1.4, 0.8]), 3).tobytes()
+
+
 def test_train_controller_rejects_zero_generations():
     task = ct.DreamTask(env=None, obs_dim=2, hidden=4, action_dim=2)
     with pytest.raises(ValueError, match="generations"):
@@ -169,16 +238,22 @@ def test_train_controller_rejects_zero_generations():
 
 
 def test_dream_rollout_prepares_the_lstm_weights_once(monkeypatch):
-    # a rollout builds the LSTM's halved work-order weights once and every
-    # step reads them, so no step takes a gate-major view or reorders
+    # a rollout builds the LSTM's halved work-order weights and the flow's
+    # inverse arrays once and every step reads them, so no step takes a
+    # gate-major view, reorders or joins the coupling nets' first layers
     task = small_task()
-    calls = {"halved_weights": 0, "_gate_major": 0}
-    for name in calls:
-        def counted(*args, inner=getattr(rc, name), name=name):
+    counted_in = {"halved_weights": rc, "_gate_major": rc,
+                  "inverse_nets": fl, "inverse_net": fl}
+    calls = dict.fromkeys(counted_in, 0)
+    for name, owner in counted_in.items():
+        def counted(*args, inner=getattr(owner, name), name=name):
             calls[name] += 1
             return inner(*args)
-        monkeypatch.setattr(rc, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     ctrl = ct.LinearController(np.full((2, 6), 0.1), np.zeros(2))
-    ct.dream_rollout(task.env, ctrl, np.random.default_rng(4))
-    assert task.env.horizon == 12
-    assert calls == {"halved_weights": 1, "_gate_major": 1}
+    for rollouts in (1, 2):
+        ct.dream_rollout(task.env, ctrl, np.random.default_rng(4))
+        assert task.env.horizon == 12
+        assert task.env.model.flow.depth == 2
+        assert calls == {"halved_weights": rollouts, "_gate_major": rollouts,
+                         "inverse_nets": rollouts, "inverse_net": 2 * rollouts}

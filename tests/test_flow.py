@@ -61,7 +61,7 @@ def test_constant_affine_layer_analytic():
     np.testing.assert_allclose(y.value[:, 1], 3.0 * x[:, 1] + 1.0, atol=1e-12)
     np.testing.assert_allclose(ld.value, math.log(3.0), atol=1e-12)
     # inverse recovers x2 = (y2 - 1) / 3
-    back = fl.coupling_inverse(y.value, layer)
+    back = fl.coupling_inverse(y.value, fl.inverse_net(layer))
     np.testing.assert_allclose(back[:, 1], (y.value[:, 1] - 1.0) / 3.0, atol=1e-12)
     np.testing.assert_allclose(back, x, atol=1e-12)
 
@@ -88,7 +88,7 @@ def test_round_trip_single_layer():
     randomize_flow(fl.FlowStack([layer]), rng)
     x = rng.normal(size=(1000, 6)) * 2.0
     y, _ = fl.coupling_forward(dc.constant(x), layer)
-    back = fl.coupling_inverse(y.value, layer)
+    back = fl.coupling_inverse(y.value, fl.inverse_net(layer))
     assert np.abs(back - x).max() < 1e-9
 
 
@@ -237,45 +237,98 @@ def test_flow_inverse_of_forward_is_identity():
     np.testing.assert_allclose(z2, x, atol=1e-9)
 
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("mask", [[0, 0, 1, 0, 1, 1], [1, 0, 0, 1, 1, 0, 1]])
 def test_uneven_mask_inverts_through_flow_inverse(mask):
     # make_flow's every-other-coordinate masks select their transformed
     # columns by a basic slice; a mask whose columns are not evenly spaced
-    # keeps its index array and inverts through the same code
+    # keeps its index array and inverts through the same code, from
+    # prepared arrays or not, with the index-array arithmetic's bits
     rng = np.random.default_rng(13)
     mask = np.array(mask)
     layers = [fl.make_coupling_layer(mask.size, m, rng, hidden=8)
               for m in (mask, 1 - mask)]
     assert not any(isinstance(layer.trans_cols, slice) for layer in layers)
     stack = randomize_flow(fl.FlowStack(layers), rng)
+    nets = fl.inverse_nets(stack)
     x = rng.normal(size=(64, mask.size))
     z, _ = forward_values(x, stack)
-    for rows in (1, 64):
-        np.testing.assert_allclose(fl.flow_inverse(z[:rows], stack), x[:rows],
-                                   rtol=0, atol=1e-9)
+    for rows in (1, 7, 64):
+        back = fl.flow_inverse(z[:rows], stack, nets)
+        np.testing.assert_allclose(back, x[:rows], rtol=0, atol=1e-9)
+        assert_same_bytes(back, fl.flow_inverse(z[:rows], stack))
+        want = z[:rows]
+        for layer in reversed(layers):
+            want = inverse_by_index_arrays(want, layer)
+        assert_same_bytes(back, want)
 
 
 def inverse_by_index_arrays(y, layer):
     """One layer's inverse with every column read and written through the
     layer's index arrays, pass-through block gathered into a contiguous
-    copy."""
-    s_hat, t, _ = fl.coupling_nets(layer, y[:, layer.pass_idx])
+    copy (C-ordered: numpy returns a many-row gather F-ordered, and the
+    products' bits depend on the order at some widths)."""
+    s_hat, t, _ = fl.coupling_nets(layer, np.ascontiguousarray(y[:, layer.pass_idx]))
     x = y.copy()
     x[:, layer.trans_idx] = (y[:, layer.trans_idx] - t) * np.exp(-s_hat)
     return x
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("dim", range(2, 17))
 def test_coupling_inverse_keeps_the_index_array_bits(dim):
-    # the selectors change how columns are read, not what the nets' products
-    # see: one row or many, the inverse equals the index-array arithmetic
-    # bit for bit (a strided pass-through view would move the products'
-    # bits on a single row from dim 3 on)
+    # the selectors and the joined first layers change how columns are read
+    # and how many products run, not what the nets' products see: one row
+    # or many, the inverse from prepared arrays equals the index-array
+    # arithmetic and the call that prepares its own bit for bit (a strided
+    # pass-through view would move the products' bits on a single row from
+    # dim 3 on)
     rng = np.random.default_rng(14)
     stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=64), rng, 0.4)
-    for layer in stack.layers:
+    nets = fl.inverse_nets(stack)
+    for layer, net in zip(stack.layers, reversed(nets)):
         assert isinstance(layer.trans_cols, slice)
         for rows in (1, 7):
             y = rng.normal(size=(rows, dim))
-            back = fl.coupling_inverse(y, layer)
-            assert back.tobytes() == inverse_by_index_arrays(y, layer).tobytes()
+            back = fl.coupling_inverse(y, net)
+            assert_same_bytes(back, inverse_by_index_arrays(y, layer))
+    for rows in (1, 7):
+        z = rng.normal(size=(rows, dim))
+        back = fl.flow_inverse(z, stack, nets)
+        assert_same_bytes(back, fl.flow_inverse(z, stack))
+        want = z
+        for layer in reversed(stack.layers):
+            want = inverse_by_index_arrays(want, layer)
+        assert_same_bytes(back, want)
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 16, 33])
+def test_inverse_keeps_its_bits_at_every_net_width(hidden):
+    # a joined first-layer product of a width the BLAS kernels do not
+    # block evenly can round apart from the two separate products, so
+    # those widths keep them apart; either way the bits are the nets'
+    rng = np.random.default_rng(15)
+    for dim in (3, 4, 7):
+        stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=hidden), rng, 0.4)
+        for layer, net in zip(stack.layers, reversed(fl.inverse_nets(stack))):
+            assert (net[4] is None) == (hidden % 4 == 0)
+            for rows in (1, 2, 7):
+                y = rng.normal(size=(rows, dim))
+                assert_same_bytes(fl.coupling_inverse(y, net),
+                                  inverse_by_index_arrays(y, layer))
+
+
+def test_inverse_nets_copy_the_first_layers():
+    # the joined first layers are copies: a write to the parameters after
+    # the arrays are built does not reach them, and a fresh build sees it
+    rng = np.random.default_rng(16)
+    stack = randomize_flow(fl.make_flow(4, 1, rng, hidden=8), rng, 0.4)
+    z = rng.normal(size=(1, 4))
+    nets = fl.inverse_nets(stack)
+    first = fl.flow_inverse(z, stack, nets)
+    stack.layers[1].w1t.value[...] += 0.5
+    assert_same_bytes(fl.flow_inverse(z, stack, nets), first)
+    assert not np.array_equal(fl.flow_inverse(z, stack), first)

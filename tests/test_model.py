@@ -674,14 +674,22 @@ def test_rollout_sees_parameters_written_in_place():
     # when it starts, so an in-place write between two seeded rollouts
     # (as the gradient checks make) shows in the second, whichever layer
     # it touches, and writing the old values back gives the first bits
+    # (the flow's output layers get nonzero weights first, so its first
+    # layers, copied into the joined inverse arrays, reach the samples)
     model = md.build_model(tiny_config(action_dim=1), seed=19)
+    rng = np.random.default_rng(21)
+    for name, node in model.parameters():
+        if name.startswith("flow.0.w2"):
+            node.value[...] = rng.normal(size=node.value.shape) * 0.5
 
     def sample():
         return md.rollout(model, np.zeros(2), lambda t: np.ones(1), 8,
                           np.random.default_rng(20)).observations
 
     first = sample()
-    written = {"lstm.w", "lstm.b", "head.w", "head.b", "flow.0.b2t"}
+    written = {"lstm.w", "lstm.b", "head.w", "head.b", "flow.0.w1s",
+               "flow.0.b1s", "flow.0.w1t", "flow.0.b1t", "flow.0.b2t"}
+    assert written <= {name for name, _ in model.parameters()}
     for name, node in model.parameters():
         if name in written:
             old = node.value.copy()
