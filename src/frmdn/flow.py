@@ -1,12 +1,12 @@
 """Invertible affine coupling stack (Dinh et al. 2017, "Density
 estimation using Real NVP").
 
-Each layer leaves a masked half of the coordinates untouched and maps the
-rest through x * exp(s_hat) + t, where s and t are one-hidden-layer
-feed-forward networks of the untouched half and s_hat is bounded by
-s_clamp * tanh.  The log-determinant of the Jacobian is the sum of s_hat
-over transformed coordinates, and layers compose with log-determinants
-adding.
+A layer of parity p leaves coordinates p, p + 2, p + 4, ... untouched and
+maps the rest through x * exp(s_hat) + t, where s and t are
+one-hidden-layer feed-forward networks of the untouched ones and s_hat is
+bounded by s_clamp * tanh; a stack alternates parities 0 and 1.  The
+log-determinant of the Jacobian is the sum of s_hat over transformed
+coordinates, and layers compose with log-determinants adding.
 
 The forward nets are evaluated in one place, `coupling_nets`, and a
 layer's forward arithmetic in one, `coupling_rows`.  The forward layer is
@@ -30,9 +30,23 @@ DEFAULT_S_CLAMP = 5.0
 DEFAULT_HIDDEN = 64
 
 
+def halves(dim, parity):
+    """(pass-through, transformed) coordinates of a coupling layer of width
+    dim >= 2 and parity 0 or 1: every other coordinate from `parity` on
+    passes through, the rest are transformed.  Both slices stop at dim, so
+    they select the same columns of the (n, dim + 1) [y | log-det] rows as
+    of the (n, dim) ones."""
+    if dim < 2:
+        raise ValueError("coupling layers need dim >= 2")
+    if parity not in (0, 1):
+        raise ValueError(f"coupling parity must be 0 or 1, got {parity}")
+    return slice(parity, dim, 2), slice(1 - parity, dim, 2)
+
+
 @dataclass
 class CouplingLayer:
-    mask: np.ndarray            # 1 = pass-through coordinate, 0 = transformed
+    dim: int
+    parity: int                 # 0: even coordinates pass through, 1: odd
     w1s: dc.DiffNode
     b1s: dc.DiffNode
     w2s: dc.DiffNode
@@ -42,22 +56,11 @@ class CouplingLayer:
     w2t: dc.DiffNode
     b2t: dc.DiffNode
     s_clamp: float = DEFAULT_S_CLAMP
-    pass_idx: np.ndarray = field(init=False)
-    trans_idx: np.ndarray = field(init=False)
-    trans_cols: object = field(init=False)    # trans_idx or its basic slice
+    pass_idx: slice = field(init=False)
+    trans_idx: slice = field(init=False)
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask)
-        if not (np.any(self.mask == 1) and np.any(self.mask == 0)):
-            raise ValueError("coupling mask needs both pass-through and "
-                             "transformed coordinates")
-        self.pass_idx = np.where(self.mask == 1)[0]
-        self.trans_idx = np.where(self.mask == 0)[0]
-        self.trans_cols = _columns(self.trans_idx)
-
-    @property
-    def dim(self):
-        return self.mask.shape[0]
+        self.pass_idx, self.trans_idx = halves(self.dim, self.parity)
 
     def parameters(self):
         return [
@@ -66,17 +69,6 @@ class CouplingLayer:
             ("w1t", self.w1t), ("b1t", self.b1t),
             ("w2t", self.w2t), ("b2t", self.b2t),
         ]
-
-
-def _columns(idx):
-    """The basic slice that selects the columns of index array idx when
-    they are evenly spaced, as `make_flow`'s every other coordinate are,
-    else idx itself.  numpy indexes either alike, a slice with less
-    per-call overhead."""
-    cols = idx.tolist()
-    step = cols[1] - cols[0] if len(cols) > 1 else 1
-    span = range(cols[0], cols[-1] + 1, step)
-    return slice(span.start, span.stop, step) if list(span) == cols else idx
 
 
 @dataclass
@@ -106,12 +98,11 @@ def coupling_shapes(d_pass, d_trans, hidden):
     return shapes
 
 
-def make_coupling_layer(dim, mask, rng, hidden=DEFAULT_HIDDEN,
+def make_coupling_layer(dim, parity, rng, hidden=DEFAULT_HIDDEN,
                         s_clamp=DEFAULT_S_CLAMP):
     """Hidden layers (w1s, w1t) get scaled-uniform fan-in init; output
     layers start at zero so a fresh layer is the identity map."""
-    mask = np.asarray(mask)
-    d_pass = int(mask.sum())
+    d_pass = len(range(dim)[halves(dim, parity)[0]])
     nodes = {}
     for name, shape in coupling_shapes(d_pass, dim - d_pass, hidden).items():
         if name.startswith("w1"):
@@ -119,36 +110,24 @@ def make_coupling_layer(dim, mask, rng, hidden=DEFAULT_HIDDEN,
             nodes[name] = dc.parameter(rng.uniform(-bound, bound, size=shape))
         else:
             nodes[name] = dc.parameter(np.zeros(shape))
-    return CouplingLayer(mask=mask, s_clamp=s_clamp, **nodes)
-
-
-def _pass_through(i):
-    """Layer i of a stack passes the even coordinates through when i is
-    even and the odd ones when i is odd, so every coordinate is
-    transformed once per pair."""
-    return slice(i % 2, None, 2)
+    return CouplingLayer(dim, parity, s_clamp=s_clamp, **nodes)
 
 
 def flow_shapes(dim, n_pairs, hidden=DEFAULT_HIDDEN):
     """The `coupling_shapes` of each layer `make_flow` builds, worked out
     without allocating anything."""
     for i in range(2 * n_pairs):
-        d_pass = len(range(dim)[_pass_through(i)])
+        d_pass = len(range(dim)[halves(dim, i % 2)[0]])
         yield coupling_shapes(d_pass, dim - d_pass, hidden)
 
 
 def make_flow(dim, n_pairs, rng, hidden=DEFAULT_HIDDEN, s_clamp=DEFAULT_S_CLAMP):
-    """Stack of `n_pairs` coupling pairs with alternating even/odd masks."""
+    """Stack of `n_pairs` coupling pairs: layer i has parity i % 2, so every
+    coordinate is transformed once per pair."""
     if n_pairs < 0:
         raise ValueError("n_pairs must be non-negative")
-    if n_pairs > 0 and dim < 2:
-        raise ValueError("coupling layers need dim >= 2")
-    layers = []
-    for i in range(2 * n_pairs):
-        mask = np.zeros(dim, dtype=np.int64)
-        mask[_pass_through(i)] = 1
-        layers.append(make_coupling_layer(dim, mask, rng, hidden, s_clamp))
-    return FlowStack(layers)
+    return FlowStack([make_coupling_layer(dim, i % 2, rng, hidden, s_clamp)
+                      for i in range(2 * n_pairs)])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +162,9 @@ def coupling_rows(xv, layer):
         raise dc.ShapeMismatchError("coupling", xv.shape, (layer.dim,))
     n, d = xv.shape
     pas, trans = layer.pass_idx, layer.trans_idx
-    xp, xt = xv[:, pas], xv[:, trans]
+    # F-ordered copies, as a gather by index array made them: the products
+    # and column sums that read these blocks round by their layout
+    xp, xt = xv[:, pas].copy(order="F"), xv[:, trans].copy(order="F")
     s_hat, t, (hs, ts, ht) = coupling_nets(layer, xp)
     scale = np.exp(s_hat)
     out = np.empty((n, d + 1))
@@ -194,7 +175,7 @@ def coupling_rows(xv, layer):
                           layer.w2t.value)
 
     def rule(g, x_grad):
-        g_t = g[:, trans]
+        g_t = g[:, trans].copy(order="F")
         # through s_hat = s_clamp * ts, from y_trans and from the log-det
         g_bs = (g_t * xt * scale + g[:, d:]) * (layer.s_clamp * (1.0 - ts * ts))
         g_as = (g_bs @ w2s.T) * (1.0 - hs * hs)
@@ -239,7 +220,7 @@ _JOIN_BLOCK = 4
 
 def inverse_net(layer):
     """The arrays `coupling_inverse` reads for one layer, as the tuple
-    (pass_idx, trans_cols, w1, b1, split, h, w2s, b2s, -s_clamp, w2t, b2t).
+    (pass_idx, trans_idx, w1, b1, split, h, w2s, b2s, -s_clamp, w2t, b2t).
 
     w1 (d_pass, 2h) and b1 (1, 2h) are the s net's first layer joined with
     the t net's, copied from the parameters; the first h columns of their
@@ -256,7 +237,7 @@ def inverse_net(layer):
         w1, split = np.concatenate([w1s, w1t], axis=1), None
     else:
         w1, split = None, (w1s.copy(), w1t.copy())
-    return (layer.pass_idx, layer.trans_cols, w1,
+    return (layer.pass_idx, layer.trans_idx, w1,
             np.concatenate([layer.b1s.value, layer.b1t.value])[None], split,
             h, layer.w2s.value, layer.b2s.value[None], -layer.s_clamp,
             layer.w2t.value, layer.b2t.value[None])
@@ -273,20 +254,19 @@ def coupling_inverse(y, net):
     """Numeric inverse of one layer, from its `inverse_net` arrays, on a
     float64 batch array (n, d); y is left untouched.  Per-call overhead
     dominates on a sampling step's single row, so both nets' hidden layers
-    come from one product, one bias add and one in-place tanh; the
-    transformed columns are read and written through `trans_cols`, a basic
-    slice for `make_flow`'s masks; and the pass-through block is gathered
-    by `take`: a contiguous copy, which the products need to keep their
-    bits.  Values equal `coupling_nets`' arithmetic bit for bit."""
-    pas, cols, w1, b1, split, h, w2s, b2s, neg_clamp, w2t, b2t = net
-    xp = y.take(pas, axis=1)
+    come from one product, one bias add and one in-place tanh, and the
+    pass-through block is copied out of its strided view: the products
+    round differently on one strided row from dimension 3 on.  Values
+    equal `coupling_nets`' arithmetic bit for bit."""
+    pas, trans, w1, b1, split, h, w2s, b2s, neg_clamp, w2t, b2t = net
+    xp = y[:, pas].copy()
     a = xp @ w1 if split is None else np.concatenate(
         [xp @ split[0], xp @ split[1]], axis=1)
     a += b1
     np.tanh(a, out=a)
     ts = np.tanh(a[:, :h] @ w2s + b2s)
     x = y.copy()
-    x[:, cols] = (y[:, cols] - (a[:, h:] @ w2t + b2t)) * np.exp(neg_clamp * ts)
+    x[:, trans] = (y[:, trans] - (a[:, h:] @ w2t + b2t)) * np.exp(neg_clamp * ts)
     return x
 
 
@@ -329,7 +309,7 @@ def row_floats(stack):
     A caller that sizes row chunks by a byte budget reads it."""
     out = 0
     for layer in stack.layers:
-        d, d_t = layer.dim, layer.trans_idx.shape[0]
+        d, d_t = layer.dim, len(range(layer.dim)[layer.trans_idx])
         h = layer.w1s.value.shape[1]
         out = max(out, 2 * d + 1 + max(3 * h + d_t, 2 * h + d + 1 + 6 * d_t))
     return out

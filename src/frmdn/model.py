@@ -566,8 +566,10 @@ def rollout(model, y_0, action_fn, steps, rng):
     if steps < 1:
         raise ValueError("steps must be at least 1")
     cfg = model.config
+    y = np.asarray(y_0, dtype=np.float64)
+    if y.shape != (cfg.dim,):
+        raise ValueError(f"y_0 must have shape ({cfg.dim},), got {y.shape}")
     gen = Generator(model)
-    y = np.asarray(y_0, dtype=np.float64).ravel()
     state = rc.initial_state(1, cfg.hidden)
     obs = np.empty((steps + 1, cfg.dim))
     obs[0] = y

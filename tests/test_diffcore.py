@@ -99,21 +99,25 @@ def test_backward_listing_reached_params_allocates_nothing_more():
 
 
 def test_composite_tanh_dot_grad_matches_finite_differences():
-    # tanh(w . x) as the shift net of a coupling layer with one hidden
-    # unit: the transformed coordinate becomes x_t + tanh(w . x_pass)
+    # tanh(w . x) as the shift net of a parity-0 coupling layer of width 8
+    # with one hidden unit: x holds the even coordinates, and each odd one
+    # becomes x_t + tanh(w . x), of which the loss reads coordinate 1
     rng = np.random.default_rng(1)
     w0 = rng.normal(size=4)
     x = rng.normal(size=4)
-    layer = fl.make_coupling_layer(5, [1, 1, 1, 1, 0], rng, hidden=1)
+    layer = fl.make_coupling_layer(8, 0, rng, hidden=1)
     layer.w1t.value = w0.reshape(4, 1)
-    layer.w2t.value = np.ones((1, 1))
+    layer.w2t.value = np.ones((1, 4))
 
     def loss(wv):
         return float(np.tanh(np.dot(wv, x)))
 
-    point = np.append(x, 0.0).reshape(1, 5)
+    point = np.zeros((1, 8))
+    point[0, 0::2] = x
     y, _ = fl.coupling_forward(dc.constant(point), layer)
-    root = dc.reduce_mean(dc.matmul(y, dc.constant([[0.0]] * 4 + [[1.0]])))
+    probe = np.zeros((8, 1))
+    probe[1] = 1.0
+    root = dc.reduce_mean(dc.matmul(y, dc.constant(probe)))
     assert float(root.value) == pytest.approx(loss(w0), abs=1e-15)
     analytic = dc.backward(root)[layer.w1t].ravel()
     numeric = central_diff(loss, w0.copy())

@@ -38,58 +38,76 @@ def numerical_jacobian_logdet(fn, x0, step=1e-6):
     return ld
 
 
+# (dim, parity) of single layers: odd and even widths, both parities
+LAYERS = [(dim, parity) for dim in (2, 3, 4, 5) for parity in (0, 1)]
+
+
+def columns(layer, idx):
+    """The coordinates a layer's slice selects, as an index array."""
+    return np.arange(layer.dim)[idx]
+
+
 def test_zero_initialized_layer_is_identity():
-    rng = np.random.default_rng(0)
-    layer = fl.make_coupling_layer(4, [1, 0, 1, 0], rng)
-    x = rng.normal(size=(5, 4))
-    y, ld = fl.coupling_forward(dc.constant(x), layer)
-    np.testing.assert_array_equal(y.value, x)
-    np.testing.assert_array_equal(ld.value, np.zeros(5))
+    for dim, parity in LAYERS:
+        rng = np.random.default_rng(0)
+        layer = fl.make_coupling_layer(dim, parity, rng)
+        x = rng.normal(size=(5, dim))
+        y, ld = fl.coupling_forward(dc.constant(x), layer)
+        np.testing.assert_array_equal(y.value, x)
+        np.testing.assert_array_equal(ld.value, np.zeros(5))
 
 
 def test_constant_affine_layer_analytic():
-    rng = np.random.default_rng(1)
-    layer = fl.make_coupling_layer(2, [1, 0], rng)
-    # all net weights zero except output biases: s_hat = ln 3, t = 1
-    layer.w1s.value[:] = 0.0
-    layer.w1t.value[:] = 0.0
-    layer.b2s.value[:] = math.atanh(math.log(3.0) / layer.s_clamp)
-    layer.b2t.value[:] = 1.0
-    x = rng.normal(size=(10, 2))
-    y, ld = fl.coupling_forward(dc.constant(x), layer)
-    np.testing.assert_allclose(y.value[:, 0], x[:, 0])
-    np.testing.assert_allclose(y.value[:, 1], 3.0 * x[:, 1] + 1.0, atol=1e-12)
-    np.testing.assert_allclose(ld.value, math.log(3.0), atol=1e-12)
-    # inverse recovers x2 = (y2 - 1) / 3
-    back = fl.coupling_inverse(y.value, fl.inverse_net(layer))
-    np.testing.assert_allclose(back[:, 1], (y.value[:, 1] - 1.0) / 3.0, atol=1e-12)
-    np.testing.assert_allclose(back, x, atol=1e-12)
+    for dim, parity in LAYERS:
+        rng = np.random.default_rng(1)
+        layer = fl.make_coupling_layer(dim, parity, rng)
+        pas = columns(layer, layer.pass_idx)
+        trans = columns(layer, layer.trans_idx)
+        # all net weights zero except output biases: s_hat = ln 3, t = 1
+        layer.w1s.value[:] = 0.0
+        layer.w1t.value[:] = 0.0
+        layer.b2s.value[:] = math.atanh(math.log(3.0) / layer.s_clamp)
+        layer.b2t.value[:] = 1.0
+        x = rng.normal(size=(10, dim))
+        y, ld = fl.coupling_forward(dc.constant(x), layer)
+        np.testing.assert_allclose(y.value[:, pas], x[:, pas])
+        np.testing.assert_allclose(y.value[:, trans], 3.0 * x[:, trans] + 1.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(ld.value, trans.size * math.log(3.0),
+                                   atol=1e-12)
+        # inverse recovers x_t = (y_t - 1) / 3
+        back = fl.coupling_inverse(y.value, fl.inverse_net(layer))
+        np.testing.assert_allclose(back[:, trans],
+                                   (y.value[:, trans] - 1.0) / 3.0, atol=1e-12)
+        np.testing.assert_allclose(back, x, atol=1e-12)
 
 
 def test_layer_logdet_matches_numerical_jacobian():
-    rng = np.random.default_rng(2)
-    layer = fl.make_coupling_layer(4, [0, 1, 1, 0], rng)
-    randomize_flow(fl.FlowStack([layer]), rng)
-    x0 = rng.normal(size=4)
+    for dim, parity in LAYERS:
+        rng = np.random.default_rng(2)
+        layer = fl.make_coupling_layer(dim, parity, rng)
+        randomize_flow(fl.FlowStack([layer]), rng)
+        x0 = rng.normal(size=dim)
 
-    def fmap(x):
-        y, _ = fl.coupling_forward(dc.constant(x.reshape(1, -1)), layer)
-        return y.value[0]
+        def fmap(x):
+            y, _ = fl.coupling_forward(dc.constant(x.reshape(1, -1)), layer)
+            return y.value[0]
 
-    _, ld = fl.coupling_forward(dc.constant(x0.reshape(1, -1)), layer)
-    assert float(ld.value[0]) == pytest.approx(
-        numerical_jacobian_logdet(fmap, x0), abs=1e-5
-    )
+        _, ld = fl.coupling_forward(dc.constant(x0.reshape(1, -1)), layer)
+        assert float(ld.value[0]) == pytest.approx(
+            numerical_jacobian_logdet(fmap, x0), abs=1e-5
+        )
 
 
 def test_round_trip_single_layer():
-    rng = np.random.default_rng(3)
-    layer = fl.make_coupling_layer(6, [1, 0, 1, 0, 1, 0], rng)
-    randomize_flow(fl.FlowStack([layer]), rng)
-    x = rng.normal(size=(1000, 6)) * 2.0
-    y, _ = fl.coupling_forward(dc.constant(x), layer)
-    back = fl.coupling_inverse(y.value, fl.inverse_net(layer))
-    assert np.abs(back - x).max() < 1e-9
+    for dim, parity in [(6, 0), (6, 1), (7, 0), (7, 1)]:
+        rng = np.random.default_rng(3)
+        layer = fl.make_coupling_layer(dim, parity, rng)
+        randomize_flow(fl.FlowStack([layer]), rng)
+        x = rng.normal(size=(1000, dim)) * 2.0
+        y, _ = fl.coupling_forward(dc.constant(x), layer)
+        back = fl.coupling_inverse(y.value, fl.inverse_net(layer))
+        assert np.abs(back - x).max() < 1e-9
 
 
 def test_empty_stack_is_identity():
@@ -153,14 +171,15 @@ def test_logdet_additivity_by_instrumentation():
 
 
 def test_log_scale_bound():
-    rng = np.random.default_rng(9)
-    layer = fl.make_coupling_layer(4, [1, 1, 0, 0], rng, s_clamp=5.0)
-    # enormous output weights cannot push s_hat past the clamp
-    layer.w2s.value = rng.normal(size=layer.w2s.value.shape) * 100.0
-    x = rng.normal(size=(500, 4)) * 5.0
-    xp = x[:, layer.pass_idx]
-    s_hat, _, _ = fl.coupling_nets(layer, xp)
-    assert np.abs(s_hat).max() <= 5.0
+    for dim, parity in LAYERS:
+        rng = np.random.default_rng(9)
+        layer = fl.make_coupling_layer(dim, parity, rng, s_clamp=5.0)
+        # enormous output weights cannot push s_hat past the clamp
+        layer.w2s.value = rng.normal(size=layer.w2s.value.shape) * 100.0
+        x = rng.normal(size=(500, dim)) * 5.0
+        xp = x[:, layer.pass_idx]
+        s_hat, _, _ = fl.coupling_nets(layer, xp)
+        assert np.abs(s_hat).max() <= 5.0
 
 
 def weighted_sum(node, weights):
@@ -170,39 +189,43 @@ def weighted_sum(node, weights):
 
 
 def test_coupling_op_gradients_match_central_differences():
-    rng = np.random.default_rng(13)
-    n, dim = 4, 5                    # odd: three pass-through, two transformed
-    layer = fl.make_coupling_layer(dim, [1, 0, 1, 0, 1], rng, hidden=6)
-    randomize_flow(fl.FlowStack([layer]), rng, weight_scale=0.5)
-    x = rng.normal(size=(n, dim))
-    # fixed probes on both outputs, different for every entry of y and ld
-    left = rng.normal(size=(3, n))
-    right = rng.normal(size=(dim, 2))
-    ld_weights = rng.normal(size=n)
-    named = [("x", x)] + [(name, node.value) for name, node in layer.parameters()]
+    n = 4
+    # width 5 passes three coordinates through at parity 0, two at parity 1
+    for dim, parity in [(5, 0), (5, 1), (4, 0), (4, 1)]:
+        rng = np.random.default_rng(13)
+        layer = fl.make_coupling_layer(dim, parity, rng, hidden=6)
+        randomize_flow(fl.FlowStack([layer]), rng, weight_scale=0.5)
+        x = rng.normal(size=(n, dim))
+        # fixed probes on both outputs, different for every entry of y and ld
+        left = rng.normal(size=(3, n))
+        right = rng.normal(size=(dim, 2))
+        ld_weights = rng.normal(size=n)
+        named = [("x", x)] + [(name, node.value)
+                              for name, node in layer.parameters()]
 
-    def loss(x_node):
-        y, ld = fl.coupling_forward(x_node, layer)
-        probe = dc.matmul(dc.matmul(dc.constant(left), y), dc.constant(right))
-        return dc.add(dc.reduce_mean(probe), weighted_sum(ld, ld_weights))
+        def loss(x_node):
+            y, ld = fl.coupling_forward(x_node, layer)
+            probe = dc.matmul(dc.matmul(dc.constant(left), y),
+                              dc.constant(right))
+            return dc.add(dc.reduce_mean(probe), weighted_sum(ld, ld_weights))
 
-    x_leaf = dc.parameter(x)
-    leaves = [x_leaf] + [node for _, node in layer.parameters()]
-    grads = dc.backward(loss(x_leaf), params=leaves)
-    step = 1e-6
-    for (name, arr), leaf in zip(named, leaves):
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(loss(dc.constant(x)).value)
-            flat[i] = orig - step
-            lo = float(loss(dc.constant(x)).value)
-            flat[i] = orig
-            numeric = (hi - lo) / (2 * step)
-            analytic = grads[leaf].reshape(-1)[i]
-            rel = abs(analytic - numeric) / max(1.0, abs(analytic))
-            assert rel < 1e-6, f"{name} coordinate {i}: {rel:.3e}"
+        x_leaf = dc.parameter(x)
+        leaves = [x_leaf] + [node for _, node in layer.parameters()]
+        grads = dc.backward(loss(x_leaf), params=leaves)
+        step = 1e-6
+        for (name, arr), leaf in zip(named, leaves):
+            flat = arr.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = float(loss(dc.constant(x)).value)
+                flat[i] = orig - step
+                lo = float(loss(dc.constant(x)).value)
+                flat[i] = orig
+                numeric = (hi - lo) / (2 * step)
+                analytic = grads[leaf].reshape(-1)[i]
+                rel = abs(analytic - numeric) / max(1.0, abs(analytic))
+                assert rel < 1e-6, f"{name} coordinate {i}: {rel:.3e}"
 
 
 def test_change_of_variables_normalization_2d():
@@ -218,12 +241,27 @@ def test_change_of_variables_normalization_2d():
     assert density.sum() * cell == pytest.approx(1.0, abs=1e-3)
 
 
-def test_mask_must_mix():
+def test_coupling_layer_rejects_dim_below_2_and_parity_2():
     rng = np.random.default_rng(11)
-    with pytest.raises(ValueError, match="mask"):
-        fl.make_coupling_layer(3, [1, 1, 1], rng)
-    with pytest.raises(ValueError, match="dim >= 2"):
-        fl.make_flow(1, 1, rng)
+    with pytest.raises(ValueError, match="parity must be 0 or 1, got 2"):
+        fl.make_coupling_layer(3, 2, rng)
+    for dim in (0, 1):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            fl.make_coupling_layer(dim, 0, rng)
+        with pytest.raises(ValueError, match="dim >= 2"):
+            fl.make_flow(dim, 1, rng)
+
+
+def test_make_flow_alternates_parity_and_splits_every_coordinate():
+    for dim in range(2, 8):
+        stack = fl.make_flow(dim, 3, np.random.default_rng(17), hidden=4)
+        assert [layer.parity for layer in stack.layers] == [0, 1, 0, 1, 0, 1]
+        for layer in stack.layers:
+            pas = set(columns(layer, layer.pass_idx))
+            trans = set(columns(layer, layer.trans_idx))
+            assert pas and trans and not pas & trans
+            assert pas | trans == set(range(dim))
+            assert min(pas) == layer.parity
 
 
 def test_flow_inverse_of_forward_is_identity():
@@ -242,46 +280,22 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("mask", [[0, 0, 1, 0, 1, 1], [1, 0, 0, 1, 1, 0, 1]])
-def test_uneven_mask_inverts_through_flow_inverse(mask):
-    # make_flow's every-other-coordinate masks select their transformed
-    # columns by a basic slice; a mask whose columns are not evenly spaced
-    # keeps its index array and inverts through the same code, from
-    # prepared arrays or not, with the index-array arithmetic's bits
-    rng = np.random.default_rng(13)
-    mask = np.array(mask)
-    layers = [fl.make_coupling_layer(mask.size, m, rng, hidden=8)
-              for m in (mask, 1 - mask)]
-    assert not any(isinstance(layer.trans_cols, slice) for layer in layers)
-    stack = randomize_flow(fl.FlowStack(layers), rng)
-    nets = fl.inverse_nets(stack)
-    x = rng.normal(size=(64, mask.size))
-    z, _ = forward_values(x, stack)
-    for rows in (1, 7, 64):
-        back = fl.flow_inverse(z[:rows], stack, nets)
-        np.testing.assert_allclose(back, x[:rows], rtol=0, atol=1e-9)
-        assert_same_bytes(back, fl.flow_inverse(z[:rows], stack))
-        want = z[:rows]
-        for layer in reversed(layers):
-            want = inverse_by_index_arrays(want, layer)
-        assert_same_bytes(back, want)
-
-
 def inverse_by_index_arrays(y, layer):
-    """One layer's inverse with every column read and written through the
-    layer's index arrays, pass-through block gathered into a contiguous
-    copy (C-ordered: numpy returns a many-row gather F-ordered, and the
-    products' bits depend on the order at some widths)."""
-    s_hat, t, _ = fl.coupling_nets(layer, np.ascontiguousarray(y[:, layer.pass_idx]))
+    """One layer's inverse with every column read and written through index
+    arrays of the layer's coordinates, pass-through block gathered into a
+    contiguous copy (C-ordered: numpy returns a many-row gather F-ordered,
+    and the products' bits depend on the order at some widths)."""
+    pas, trans = columns(layer, layer.pass_idx), columns(layer, layer.trans_idx)
+    s_hat, t, _ = fl.coupling_nets(layer, np.ascontiguousarray(y[:, pas]))
     x = y.copy()
-    x[:, layer.trans_idx] = (y[:, layer.trans_idx] - t) * np.exp(-s_hat)
+    x[:, trans] = (y[:, trans] - t) * np.exp(-s_hat)
     return x
 
 
 @pytest.mark.parametrize("dim", range(2, 17))
 def test_coupling_inverse_keeps_the_index_array_bits(dim):
-    # the selectors and the joined first layers change how columns are read
-    # and how many products run, not what the nets' products see: one row
+    # the parity slices and the joined first layers change how columns are
+    # read and how many products run, not what the nets' products see: one row
     # or many, the inverse from prepared arrays equals the index-array
     # arithmetic and the call that prepares its own bit for bit (a strided
     # pass-through view would move the products' bits on a single row from
@@ -289,8 +303,8 @@ def test_coupling_inverse_keeps_the_index_array_bits(dim):
     rng = np.random.default_rng(14)
     stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=64), rng, 0.4)
     nets = fl.inverse_nets(stack)
+    assert [layer.parity for layer in stack.layers] == [0, 1]
     for layer, net in zip(stack.layers, reversed(nets)):
-        assert isinstance(layer.trans_cols, slice)
         for rows in (1, 7):
             y = rng.normal(size=(rows, dim))
             back = fl.coupling_inverse(y, net)
@@ -303,6 +317,50 @@ def test_coupling_inverse_keeps_the_index_array_bits(dim):
         for layer in reversed(stack.layers):
             want = inverse_by_index_arrays(want, layer)
         assert_same_bytes(back, want)
+
+
+def rows_by_index_arrays(x, g, layer):
+    """`coupling_rows`' [y | log-det] rows and its rule's gradients for
+    out-gradient g, with every block gathered through index arrays of the
+    layer's coordinates, laid out as numpy lays out such a gather
+    (F-ordered on many rows)."""
+    pas, trans = columns(layer, layer.pass_idx), columns(layer, layer.trans_idx)
+    xp, xt, g_t = x[:, pas], x[:, trans], g[:, trans]
+    s_hat, t, (hs, ts, ht) = fl.coupling_nets(layer, xp)
+    scale = np.exp(s_hat)
+    out = np.empty((x.shape[0], layer.dim + 1))
+    out[:, pas] = xp
+    out[:, trans] = xt * scale + t
+    out[:, -1] = s_hat.sum(axis=1)
+    g_bs = (g_t * xt * scale + g[:, -1:]) * (layer.s_clamp * (1.0 - ts * ts))
+    g_as = (g_bs @ layer.w2s.value.T) * (1.0 - hs * hs)
+    g_at = (g_t @ layer.w2t.value.T) * (1.0 - ht * ht)
+    g_x = np.empty_like(x)
+    g_x[:, pas] = g[:, pas] + g_as @ layer.w1s.value.T + g_at @ layer.w1t.value.T
+    g_x[:, trans] = g_t * scale
+    return [out, g_x, xp.T @ g_as, g_as.sum(axis=0), hs.T @ g_bs,
+            g_bs.sum(axis=0), xp.T @ g_at, g_at.sum(axis=0), ht.T @ g_t,
+            g_t.sum(axis=0)]
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_coupling_rows_keep_the_index_array_bits(dim):
+    # the parity slices select the same columns as index arrays; the
+    # blocks copied out of them keep a gather's layout, as the products and
+    # column sums that read them round by it (C-ordered copies moved bits
+    # from three coordinates and two rows on)
+    rng = np.random.default_rng(18)
+    for hidden in (1, 8, 64):
+        stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=hidden), rng, 0.4)
+        for layer in stack.layers:
+            for rows in (1, 2, 9, 64, 496):
+                x = rng.normal(size=(rows, dim))
+                g = rng.normal(size=(rows, dim + 1))
+                out, rule = fl.coupling_rows(x, layer)
+                got = [out] + list(rule(g, True))
+                for a, b in zip(got, rows_by_index_arrays(x, g, layer)):
+                    assert_same_bytes(np.ascontiguousarray(a),
+                                      np.ascontiguousarray(b))
 
 
 @pytest.mark.parametrize("hidden", [1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 16, 33])

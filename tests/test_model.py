@@ -669,6 +669,13 @@ def test_rollout_single_step_and_reproducibility():
     np.testing.assert_array_equal(one.observations, again.observations)
 
 
+@pytest.mark.parametrize("y_0", [np.zeros(3), np.zeros((2, 2))])
+def test_rollout_rejects_a_start_of_another_shape(y_0):
+    model = md.build_model(tiny_config(), seed=8)
+    with pytest.raises(ValueError, match=r"y_0 must have shape \(2,\)"):
+        md.rollout(model, y_0, None, steps=1, rng=np.random.default_rng(3))
+
+
 def test_rollout_sees_parameters_written_in_place():
     # each rollout prepares its arrays from the parameters as they are
     # when it starts, so an in-place write between two seeded rollouts
