@@ -89,7 +89,7 @@ ON_OFF = ("on", "off")          # the choices of an option whose field is a bool
 
 TRAIN_OPTIONS = (
     TrainOption("structure", "diagonal", str, "head_structure",
-                ("diagonal", "tied", "logistic"), locked=True),
+                mx.STRUCTURES, locked=True),
     TrainOption("flow", "on", str, "flow_enabled", ON_OFF, locked=True),
     TrainOption("flow_depth", 1, int, "flow_depth", locked=True),
     TrainOption("k", 5, int, "components", locked=True),

@@ -30,10 +30,6 @@ class LinearController:
         self.w = np.asarray(self.w, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
 
-    @property
-    def n_params(self):
-        return self.w.size + self.b.size
-
     @classmethod
     def from_vector(cls, vec, obs_dim, hidden, action_dim):
         vec = np.asarray(vec, dtype=np.float64).ravel()

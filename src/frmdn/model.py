@@ -660,7 +660,8 @@ def load_checkpoint(path):
     the config block fails as a ValueError instead of an allocation.
     `opt.*` arrays must be ones the optimizer named by the `optimizer`
     entry stores, and must be all of its state: its counters alone (a
-    fresh optimizer) or every counter and moment array.
+    fresh optimizer) or every counter and moment array.  Each counter
+    must hold a non-negative integer.
 
     Returns (model, extra_entries, optimizer_arrays); evaluation of the
     reloaded model is bit-identical to the saved one.
@@ -684,10 +685,13 @@ def load_checkpoint(path):
     config.validate()
     stored_opt = (optimizer_class(extra["optimizer"])
                   if "optimizer" in extra else None)
-    shapes = dict(parameter_shapes(config))
-    for name in shapes:
+    # the table stops at the first name the file lacks, so its size is
+    # bounded by the file's, not by the config's
+    shapes = {}
+    for name, shape in parameter_shapes(config):
         if name not in arrays:
             raise ValueError(f"checkpoint is missing array {name!r}")
+        shapes[name] = shape
     opt_shapes = stored_opt.state_shapes(shapes) if stored_opt else {}
     opt_arrays = {n: a for n, a in arrays.items() if n in opt_shapes}
     for name, arr in arrays.items():
@@ -703,6 +707,11 @@ def load_checkpoint(path):
     for name in fresh if opt_arrays.keys() <= fresh else opt_shapes:
         if name not in opt_arrays:
             raise ValueError(f"checkpoint is missing array {name!r}")
+    for name in fresh:
+        count = float(opt_arrays[name])
+        if not (count >= 0.0 and count.is_integer()):
+            raise ValueError(f"checkpoint array {name!r} must be a "
+                             f"non-negative integer, not {count!r}")
     model = build_model(config, seed=0)
     for name, node in model.parameters():
         node.value = arrays[name]

@@ -20,6 +20,7 @@ from frmdn import flow as fl
 from frmdn import mixtures as mx
 from frmdn import model as md
 from frmdn.datasets import SequenceBatch
+import point_densities as pdn
 from param_counts import stored_param_count
 
 BENCH = dict(d=8, rho=0.9, corr=0.8)
@@ -97,11 +98,11 @@ def test_acceptance_3_identity_u_reduction():
         mu = rng.normal(size=(k, d)) * 2.0
         sigma = rng.uniform(0.3, 3.0, size=(k, d))
         y = rng.normal(size=d) * 2.0
-        diag = mx.diag_gmm_log_density(
-            y, mx.MixtureParams(alpha, mu, sigma, "diagonal"))
-        tied = mx.tied_gmm_log_density(
-            y, mx.MixtureParams(alpha, mu, 1.0 / sigma**2, "tied"),
-            mx.SharedMatrix.identity(d))
+        diag = pdn.diag_gmm_log_density(
+            y, pdn.MixtureParams(alpha, mu, sigma, "diagonal"))
+        tied = pdn.tied_gmm_log_density(
+            y, pdn.MixtureParams(alpha, mu, 1.0 / sigma**2, "tied"),
+            pdn.SharedMatrix.identity(d))
         worst = max(worst, abs(diag - tied))
     assert worst < 1e-12
     print(f"ACCEPTANCE 3 PASS: identity-U tied == diagonal, max |diff| "
@@ -205,7 +206,7 @@ def test_acceptance_7_full_model_gradient_check():
 
 def test_acceptance_8_logistic_head(trained):
     rng = np.random.default_rng(8)
-    params = mx.MixtureParams(
+    params = pdn.MixtureParams(
         mx.coeffs_from_logits(rng.normal(size=3)),
         rng.normal(size=(3, 1)) * 2.0,
         rng.uniform(0.4, 2.0, size=(3, 1)),
@@ -213,7 +214,7 @@ def test_acceptance_8_logistic_head(trained):
     )
     xs = np.linspace(-30.0, 30.0, 60_001)
     dens = np.array([
-        math.exp(mx.logistic_mixture_log_density([x], params, 1.0))
+        math.exp(pdn.logistic_mixture_log_density([x], params, 1.0))
         for x in xs
     ])
     integral = float(np.trapezoid(dens, xs))

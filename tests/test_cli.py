@@ -744,16 +744,26 @@ def with_config_entry(blob, key, value):
             + blob[12 + config_len:])
 
 
-@pytest.mark.parametrize("hidden", [1000000, 10000])
+@pytest.mark.parametrize("key, value, expected", [
+    pytest.param("hidden", 1000000, ("'lstm.w' has shape (11, 32)",
+                                     "expected (1000003, 4000000)"),
+                 id="1000000"),
+    pytest.param("hidden", 10000, ("'lstm.w' has shape (11, 32)",
+                                   "expected (10003, 40000)"),
+                 id="10000"),
+    pytest.param("flow_depth", 20000, ("missing array 'flow.2.w1s'",),
+                 id="flow_depth-20000"),
+])
 def test_checkpoint_sizes_are_checked_before_allocating(tmp_path, capsys,
-                                                        hidden):
-    # the arrays hold a hidden=8 model; a config claiming more must fail on
-    # the first array shape, before the model is built at the claimed size
+                                                        key, value, expected):
+    # the arrays hold a hidden=8, flow_depth=1 model; a config claiming
+    # more must fail on the first array shape or name, before the model is
+    # built, or its table of shapes filled, at the claimed size
     data = gen_small(tmp_path)
     ckpt = tmp_path / "m.frmd"
     assert main(train_args(data, ckpt, epochs=0)) == 0
     bad = tmp_path / "bad.frmd"
-    bad.write_bytes(with_config_entry(ckpt.read_bytes(), "hidden", hidden))
+    bad.write_bytes(with_config_entry(ckpt.read_bytes(), key, value))
     capsys.readouterr()
     tracemalloc.start()
     try:
@@ -764,8 +774,8 @@ def test_checkpoint_sizes_are_checked_before_allocating(tmp_path, capsys,
         tracemalloc.stop()
     assert code == 2
     line = one_error_line(err)
-    assert "'lstm.w' has shape (11, 32)" in line
-    assert f"expected ({hidden + 3}, {4 * hidden})" in line
+    for fragment in expected:
+        assert fragment in line
     assert peak < 8 * 2**20, peak
 
 
@@ -791,6 +801,8 @@ def test_checkpoint_optimizer_arrays_are_checked(tmp_path, capsys):
     for name, arr, msg in (
             ("opt.m.lstm.w", np.zeros((3, 3)), "'opt.m.lstm.w' has shape (3, 3)"),
             ("opt.step", np.zeros(2), "'opt.step' has shape (2,)"),
+            ("opt.step", np.asarray(2.5), "'opt.step' must be a non-negative"),
+            ("opt.step", np.asarray(-1.0), "'opt.step' must be a non-negative"),
             ("opt.m.lstm.x", np.zeros(3), "unexpected array 'opt.m.lstm.x'"),
             ("opt.sq.lstm.w", opt_arrays["opt.m.lstm.w"],
              "unexpected array 'opt.sq.lstm.w'"),

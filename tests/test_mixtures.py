@@ -7,6 +7,7 @@ import pytest
 from frmdn import diffcore as dc
 from frmdn import mixtures as mx
 from frmdn import recurrent as rc
+import point_densities as pdn
 from param_counts import stored_param_count
 
 
@@ -14,7 +15,7 @@ def random_params(rng, k, d, structure="diagonal", scale_lo=0.4, scale_hi=2.0):
     alpha = mx.coeffs_from_logits(rng.normal(size=k))
     mu = rng.normal(size=(k, d)) * 2.0
     d_diag = rng.uniform(scale_lo, scale_hi, size=(k, d))
-    return mx.MixtureParams(alpha, mu, d_diag, structure)
+    return pdn.MixtureParams(alpha, mu, d_diag, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +62,17 @@ def test_scales_from_logits():
 # ---------------------------------------------------------------------------
 
 def test_diag_standard_normal_at_mode():
-    p = mx.MixtureParams([1.0], [[0.0]], [[1.0]])
-    assert mx.diag_gmm_log_density([0.0], p) == pytest.approx(
+    p = pdn.MixtureParams([1.0], [[0.0]], [[1.0]])
+    assert pdn.diag_gmm_log_density([0.0], p) == pytest.approx(
         -0.5 * math.log(2 * math.pi), abs=1e-12
     )
 
 
 def test_diag_two_component_analytic():
-    p = mx.MixtureParams([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
+    p = pdn.MixtureParams([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
     # both components evaluate phi(1); direct two-term oracle
     expected = math.log(math.exp(-0.5) / math.sqrt(2 * math.pi))
-    assert mx.diag_gmm_log_density([0.0], p) == pytest.approx(expected, abs=1e-12)
+    assert pdn.diag_gmm_log_density([0.0], p) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(-1.4189385332046727)
 
 
@@ -90,7 +91,7 @@ def test_diag_matches_naive_oracle():
     for _ in range(30):
         p = random_params(rng, 3, 4)
         y = rng.normal(size=4) * 2.0
-        assert mx.diag_gmm_log_density(y, p) == pytest.approx(
+        assert pdn.diag_gmm_log_density(y, p) == pytest.approx(
             naive_diag_density(y, p), abs=1e-10
         )
 
@@ -98,7 +99,7 @@ def test_diag_matches_naive_oracle():
 def test_diag_dimension_mismatch():
     p = random_params(np.random.default_rng(0), 2, 3)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        mx.diag_gmm_log_density([0.0, 0.0], p)
+        pdn.diag_gmm_log_density([0.0, 0.0], p)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +108,15 @@ def test_diag_dimension_mismatch():
 
 def test_tied_identity_u_reduces_to_diagonal():
     rng = np.random.default_rng(3)
-    eye = mx.SharedMatrix.identity(4)
+    eye = pdn.SharedMatrix.identity(4)
     for _ in range(200):
         diag = random_params(rng, 3, 4)
-        tied = mx.MixtureParams(
+        tied = pdn.MixtureParams(
             diag.alpha, diag.mu, 1.0 / diag.d_diag**2, "tied"
         )
         y = rng.normal(size=4) * 2.0
-        a = mx.diag_gmm_log_density(y, diag)
-        b = mx.tied_gmm_log_density(y, tied, eye)
+        a = pdn.diag_gmm_log_density(y, diag)
+        b = pdn.tied_gmm_log_density(y, tied, eye)
         assert b == pytest.approx(a, abs=1e-12)
 
         # the responsible component agrees too: per-component weighted
@@ -124,16 +125,16 @@ def test_tied_identity_u_reduces_to_diagonal():
             return [
                 math.log(params.alpha[k]) + density(
                     y,
-                    mx.MixtureParams([1.0], params.mu[k:k + 1],
-                                     params.d_diag[k:k + 1],
-                                     params.structure),
+                    pdn.MixtureParams([1.0], params.mu[k:k + 1],
+                                      params.d_diag[k:k + 1],
+                                      params.structure),
                     *extra,
                 )
                 for k in range(params.k)
             ]
 
-        diag_terms = responsibilities(mx.diag_gmm_log_density, diag)
-        tied_terms = responsibilities(mx.tied_gmm_log_density, tied, eye)
+        diag_terms = responsibilities(pdn.diag_gmm_log_density, diag)
+        tied_terms = responsibilities(pdn.tied_gmm_log_density, tied, eye)
         assert int(np.argmax(diag_terms)) == int(np.argmax(tied_terms))
 
 
@@ -157,10 +158,10 @@ def test_tied_single_component_matches_full_covariance_oracle():
             continue
         d_diag = rng.uniform(0.5, 2.0, size=(1, 3))
         mu = rng.normal(size=(1, 3))
-        p = mx.MixtureParams([1.0], mu, d_diag, "tied")
+        p = pdn.MixtureParams([1.0], mu, d_diag, "tied")
         y = rng.normal(size=3)
         precision = u @ np.diag(d_diag[0]) @ u.T
-        got = mx.tied_gmm_log_density(y, p, mx.SharedMatrix(u))
+        got = pdn.tied_gmm_log_density(y, p, pdn.SharedMatrix(u))
         want = full_gaussian_log_density(y, mu[0], precision)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -171,18 +172,18 @@ def test_tied_scale_gauge_invariance():
     u = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
     p = random_params(rng, 2, 3, "tied")
     y = rng.normal(size=3)
-    base = mx.tied_gmm_log_density(y, p, mx.SharedMatrix(u))
+    base = pdn.tied_gmm_log_density(y, p, pdn.SharedMatrix(u))
     for c in (0.5, 2.0, 7.0):
-        scaled = mx.MixtureParams(p.alpha, p.mu, p.d_diag / c**2, "tied")
-        got = mx.tied_gmm_log_density(y, scaled, mx.SharedMatrix(c * u))
+        scaled = pdn.MixtureParams(p.alpha, p.mu, p.d_diag / c**2, "tied")
+        got = pdn.tied_gmm_log_density(y, scaled, pdn.SharedMatrix(c * u))
         assert got == pytest.approx(base, abs=1e-10)
 
 
 def test_tied_rejects_singular_u():
     p = random_params(np.random.default_rng(6), 2, 3, "tied")
     u = np.ones((3, 3))
-    with pytest.raises(mx.DegenerateMatrixError, match="degenerate shared matrix"):
-        mx.tied_gmm_log_density(np.zeros(3), p, mx.SharedMatrix(u))
+    with pytest.raises(pdn.DegenerateMatrixError, match="degenerate shared matrix"):
+        pdn.tied_gmm_log_density(np.zeros(3), p, pdn.SharedMatrix(u))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +195,9 @@ def sigmoid(x):
 
 
 def test_logistic_single_component_matches_sigmoid_difference():
-    p = mx.MixtureParams([1.0], [[0.0]], [[1.0]], "logistic")
+    p = pdn.MixtureParams([1.0], [[0.0]], [[1.0]], "logistic")
     want = math.log(sigmoid(0.5) - sigmoid(-0.5))
-    assert mx.logistic_mixture_log_density([0.0], p, 1.0) == pytest.approx(
+    assert pdn.logistic_mixture_log_density([0.0], p, 1.0) == pytest.approx(
         want, abs=1e-12
     )
 
@@ -215,33 +216,33 @@ def test_logistic_direct_oracle_random():
                 b = (y[i] - p.mu[k, i] - c / 2) / p.d_diag[k, i]
                 comp *= (sigmoid(a) - sigmoid(b)) / c
             total += comp
-        assert mx.logistic_mixture_log_density(y, p, c) == pytest.approx(
+        assert pdn.logistic_mixture_log_density(y, p, c) == pytest.approx(
             math.log(total), abs=1e-10
         )
 
 
 def test_logistic_symmetric_about_mean():
-    p = mx.MixtureParams([1.0], [[0.0]], [[0.7]], "logistic")
+    p = pdn.MixtureParams([1.0], [[0.0]], [[0.7]], "logistic")
     for a in (0.3, 1.1, 4.0):
-        left = mx.logistic_mixture_log_density([-a], p, 1.0)
-        right = mx.logistic_mixture_log_density([a], p, 1.0)
+        left = pdn.logistic_mixture_log_density([-a], p, 1.0)
+        right = pdn.logistic_mixture_log_density([a], p, 1.0)
         assert left == pytest.approx(right, abs=1e-13)
 
 
 def test_logistic_rejects_bad_width_and_scale():
-    p = mx.MixtureParams([1.0], [[0.0]], [[1.0]], "logistic")
+    p = pdn.MixtureParams([1.0], [[0.0]], [[1.0]], "logistic")
     with pytest.raises(ValueError):
-        mx.logistic_mixture_log_density([0.0], p, 0.0)
-    bad = mx.MixtureParams([1.0], [[0.0]], [[-1.0]], "logistic")
+        pdn.logistic_mixture_log_density([0.0], p, 0.0)
+    bad = pdn.MixtureParams([1.0], [[0.0]], [[-1.0]], "logistic")
     with pytest.raises(ValueError):
-        mx.logistic_mixture_log_density([0.0], bad, 1.0)
+        pdn.logistic_mixture_log_density([0.0], bad, 1.0)
 
 
 def test_logistic_integrates_to_one_1d():
     rng = np.random.default_rng(8)
     p = random_params(rng, 2, 1, "logistic")
     xs = np.linspace(-30.0, 30.0, 60001)
-    dens = np.exp(mx.logistic_mixture_log_density(xs[:, None], p, 1.0))
+    dens = np.exp(pdn.logistic_mixture_log_density(xs[:, None], p, 1.0))
     integral = np.trapezoid(dens, xs)
     assert integral == pytest.approx(1.0, abs=1e-6)
 
@@ -249,14 +250,14 @@ def test_logistic_integrates_to_one_1d():
 def test_point_densities_take_rows():
     # an (n, d) batch gives (n,), each entry the density of its (d,) point
     rng = np.random.default_rng(17)
-    shared = mx.SharedMatrix(np.eye(3) + 0.2 * rng.normal(size=(3, 3)))
+    shared = pdn.SharedMatrix(np.eye(3) + 0.2 * rng.normal(size=(3, 3)))
     diag = random_params(rng, 3, 3)
     tied = random_params(rng, 3, 3, "tied")
     logi = random_params(rng, 3, 3, "logistic")
     cases = [
-        lambda y: mx.diag_gmm_log_density(y, diag),
-        lambda y: mx.tied_gmm_log_density(y, tied, shared),
-        lambda y: mx.logistic_mixture_log_density(y, logi, 0.7),
+        lambda y: pdn.diag_gmm_log_density(y, diag),
+        lambda y: pdn.tied_gmm_log_density(y, tied, shared),
+        lambda y: pdn.logistic_mixture_log_density(y, logi, 0.7),
     ]
     ys = rng.normal(size=(7, 3)) * 2.0
     for f in cases:
@@ -274,15 +275,15 @@ def test_point_densities_take_rows():
 @pytest.mark.parametrize("structure", mx.STRUCTURES)
 def test_point_density_rejects_non_positive_scale(structure):
     density = {
-        "diagonal": mx.diag_gmm_log_density,
-        "tied": lambda y, p: mx.tied_gmm_log_density(
-            y, p, mx.SharedMatrix.identity(2)),
-        "logistic": lambda y, p: mx.logistic_mixture_log_density(y, p, 1.0),
+        "diagonal": pdn.diag_gmm_log_density,
+        "tied": lambda y, p: pdn.tied_gmm_log_density(
+            y, p, pdn.SharedMatrix.identity(2)),
+        "logistic": lambda y, p: pdn.logistic_mixture_log_density(y, p, 1.0),
     }[structure]
     for bad in (0.0, -1.0, np.nan):
         d_diag = np.ones((2, 2))
         d_diag[1, 0] = bad
-        p = mx.MixtureParams([0.5, 0.5], np.zeros((2, 2)), d_diag, structure)
+        p = pdn.MixtureParams([0.5, 0.5], np.zeros((2, 2)), d_diag, structure)
         with pytest.raises(ValueError, match="d_diag entries must be positive"):
             density(np.zeros(2), p)
 
@@ -378,11 +379,11 @@ def test_normalization_1d_every_structure():
     diag = random_params(rng, 3, 1)
     tied = random_params(rng, 3, 1, "tied")
     logi = random_params(rng, 3, 1, "logistic")
-    shared = mx.SharedMatrix(np.array([[1.3]]))
+    shared = pdn.SharedMatrix(np.array([[1.3]]))
     cases = [
-        lambda y: mx.diag_gmm_log_density(y, diag),
-        lambda y: mx.tied_gmm_log_density(y, tied, shared),
-        lambda y: mx.logistic_mixture_log_density(y, logi, 1.0),
+        lambda y: pdn.diag_gmm_log_density(y, diag),
+        lambda y: pdn.tied_gmm_log_density(y, tied, shared),
+        lambda y: pdn.logistic_mixture_log_density(y, logi, 1.0),
     ]
     for f in cases:
         assert quadrature_1d(f) == pytest.approx(1.0, abs=1e-6)
@@ -393,15 +394,15 @@ def test_normalization_2d_grid():
     diag = random_params(rng, 2, 2, scale_lo=0.5, scale_hi=1.5)
     tied = random_params(rng, 2, 2, "tied", scale_lo=0.5, scale_hi=1.5)
     logi = random_params(rng, 2, 2, "logistic", scale_lo=0.5, scale_hi=1.5)
-    shared = mx.SharedMatrix(np.eye(2) + 0.2 * rng.normal(size=(2, 2)))
+    shared = pdn.SharedMatrix(np.eye(2) + 0.2 * rng.normal(size=(2, 2)))
     grid = np.linspace(-12.0, 12.0, 400)
     cell = (grid[1] - grid[0]) ** 2
     points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
     points = points.reshape(-1, 2)                 # all 400 x 400 grid points
     cases = [
-        lambda y: mx.diag_gmm_log_density(y, diag),
-        lambda y: mx.tied_gmm_log_density(y, tied, shared),
-        lambda y: mx.logistic_mixture_log_density(y, logi, 1.0),
+        lambda y: pdn.diag_gmm_log_density(y, diag),
+        lambda y: pdn.tied_gmm_log_density(y, tied, shared),
+        lambda y: pdn.logistic_mixture_log_density(y, logi, 1.0),
     ]
     for f in cases:
         total = np.exp(f(points)).sum()
@@ -412,11 +413,11 @@ def test_relabeling_symmetry():
     rng = np.random.default_rng(11)
     p = random_params(rng, 4, 3)
     y = rng.normal(size=3)
-    base = mx.diag_gmm_log_density(y, p)
+    base = pdn.diag_gmm_log_density(y, p)
     for _ in range(10):
         perm = rng.permutation(4)
-        q = mx.MixtureParams(p.alpha[perm], p.mu[perm], p.d_diag[perm])
-        assert mx.diag_gmm_log_density(y, q) == pytest.approx(base, abs=1e-12)
+        q = pdn.MixtureParams(p.alpha[perm], p.mu[perm], p.d_diag[perm])
+        assert pdn.diag_gmm_log_density(y, q) == pytest.approx(base, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +560,7 @@ def sample(p, rng, **family):
 
 
 def test_sample_degenerate_categorical():
-    p = mx.MixtureParams(
+    p = pdn.MixtureParams(
         [1.0 - 1e-300, 1e-300], [[5.0], [-5.0]], [[1e-6], [1.0]], "diagonal"
     )
     rng = np.random.default_rng(12)
@@ -569,7 +570,7 @@ def test_sample_degenerate_categorical():
 
 
 def test_sample_diagonal_moments():
-    p = mx.MixtureParams([1.0], [[3.0]], [[2.0]])
+    p = pdn.MixtureParams([1.0], [[3.0]], [[2.0]])
     rng = np.random.default_rng(13)
     draws = np.array([sample(p, rng)[0] for _ in range(200_000)])
     assert abs(draws.mean() - 3.0) < 0.02
@@ -580,7 +581,7 @@ def test_sample_tied_covariance_matches_inverse_oracle():
     rng = np.random.default_rng(14)
     u = np.array([[1.2, 0.4], [-0.3, 0.9]])
     d_diag = np.array([[1.5, 0.8]])
-    p = mx.MixtureParams([1.0], [[0.0, 0.0]], d_diag, "tied")
+    p = pdn.MixtureParams([1.0], [[0.0, 0.0]], d_diag, "tied")
     draws = np.array([sample(p, rng, u=u) for _ in range(200_000)])
     want = np.linalg.inv(u @ np.diag(d_diag[0]) @ u.T)
     got = np.cov(draws.T)
@@ -588,7 +589,7 @@ def test_sample_tied_covariance_matches_inverse_oracle():
 
 
 def test_sample_logistic_median():
-    p = mx.MixtureParams([1.0], [[2.0]], [[0.5]], "logistic")
+    p = pdn.MixtureParams([1.0], [[2.0]], [[0.5]], "logistic")
     rng = np.random.default_rng(15)
     draws = np.array([sample(p, rng)[0] for _ in range(50_000)])
     assert abs(np.median(draws) - 2.0) < 0.02
@@ -598,7 +599,7 @@ def test_sample_logistic_variance_includes_bin_width():
     # the density is a logistic convolved with Uniform(-C/2, C/2), whose
     # variance is s^2 pi^2 / 3 + C^2 / 12 = 0.215 at s = 0.2, C = 1; the
     # logistic alone has 0.132
-    p = mx.MixtureParams([1.0], [[2.0]], [[0.2]], "logistic")
+    p = pdn.MixtureParams([1.0], [[2.0]], [[0.2]], "logistic")
     rng = np.random.default_rng(16)
     draws = np.array([sample(p, rng, c_width=1.0)[0]
                       for _ in range(50_000)])
@@ -634,9 +635,9 @@ def test_param_count_matches_stored_parameters():
 
 
 def test_validate_catches_bad_params():
-    good = mx.MixtureParams([0.5, 0.5], np.zeros((2, 2)), np.ones((2, 2)))
+    good = pdn.MixtureParams([0.5, 0.5], np.zeros((2, 2)), np.ones((2, 2)))
     good.validate()
     with pytest.raises(ValueError, match="sum to 1"):
-        mx.MixtureParams([0.5, 0.6], np.zeros((2, 2)), np.ones((2, 2))).validate()
+        pdn.MixtureParams([0.5, 0.6], np.zeros((2, 2)), np.ones((2, 2))).validate()
     with pytest.raises(ValueError, match="positive"):
-        mx.MixtureParams([0.5, 0.5], np.zeros((2, 2)), np.zeros((2, 2))).validate()
+        pdn.MixtureParams([0.5, 0.5], np.zeros((2, 2)), np.zeros((2, 2))).validate()

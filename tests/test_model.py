@@ -124,8 +124,8 @@ def test_nll_matches_recomputation_across_structures():
 def test_nll_agrees_with_numeric_density_route(structure):
     # graph loss vs the sampling-side numeric route: head_project plus the
     # per-point density functions, stepping the backbone one step at a time
+    import point_densities as pdn
     from frmdn import flow as fl
-    from frmdn import mixtures as mx
     from frmdn import recurrent as rc
 
     rng = np.random.default_rng(7)
@@ -137,23 +137,23 @@ def test_nll_agrees_with_numeric_density_route(structure):
     obs = rng.normal(size=(2, 6, 3))
     rec = md.sequence_nll(model, ds.SequenceBatch(obs))
 
-    shared = mx.SharedMatrix(model.head.u.value) if structure == "tied" else None
+    shared = pdn.SharedMatrix(model.head.u.value) if structure == "tied" else None
     weights = rc.halved_weights(model.lstm)
     total = 0.0
     for s in range(obs.shape[0]):
         state = rc.initial_state(1, model.config.hidden)
         for t in range(obs.shape[1] - 1):
             state = rc.cell_step(obs[s, t][None], state, model.lstm, weights)
-            params = mx.MixtureParams(*rc.head_project(state[0][0], model.head),
-                                      structure)
+            params = pdn.MixtureParams(*rc.head_project(state[0][0], model.head),
+                                       structure)
             z, logdet = fl.flow_forward(obs[s, t + 1][None], model.flow)
             point = z.value[0]
             if structure == "diagonal":
-                log_p = mx.diag_gmm_log_density(point, params)
+                log_p = pdn.diag_gmm_log_density(point, params)
             elif structure == "tied":
-                log_p = mx.tied_gmm_log_density(point, params, shared)
+                log_p = pdn.tied_gmm_log_density(point, params, shared)
             else:
-                log_p = mx.logistic_mixture_log_density(
+                log_p = pdn.logistic_mixture_log_density(
                     point, params, model.config.c_width)
             total += -log_p - float(logdet.value[0])
     total /= obs.shape[0] * (obs.shape[1] - 1)

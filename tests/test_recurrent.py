@@ -6,6 +6,7 @@ import pytest
 from frmdn import diffcore as dc
 from frmdn import mixtures as mx
 from frmdn import recurrent as rc
+import point_densities as pdn
 
 
 def probe(node, seed=0):
@@ -126,7 +127,7 @@ def test_forget_gate_bias_initialized_to_one():
 def test_zero_head_gives_uniform_alpha_zero_mu_unit_scales():
     head = rc.init_head(4, 3, 2, "diagonal", np.random.default_rng(7))
     head.w.value[:] = 0.0
-    params = mx.MixtureParams(*rc.head_project(np.zeros(4), head))
+    params = pdn.MixtureParams(*rc.head_project(np.zeros(4), head))
     np.testing.assert_allclose(params.alpha, [1 / 3] * 3)
     np.testing.assert_array_equal(params.mu, np.zeros((3, 2)))
     np.testing.assert_array_equal(params.d_diag, np.ones((3, 2)))
@@ -136,7 +137,7 @@ def test_head_alpha_from_constructed_logits():
     head = rc.init_head(2, 2, 1, "diagonal", np.random.default_rng(8))
     head.w.value[:] = 0.0
     head.b.value[:2] = [np.log(2.0), 0.0]
-    params = mx.MixtureParams(*rc.head_project(np.zeros(2), head))
+    params = pdn.MixtureParams(*rc.head_project(np.zeros(2), head))
     np.testing.assert_allclose(params.alpha, [2 / 3, 1 / 3], atol=1e-15)
 
 
@@ -145,7 +146,7 @@ def test_head_invariants_hold_for_random_hidden_states():
     head = rc.init_head(16, 4, 3, "diagonal", rng)
     head.w.value *= 10.0   # exaggerate logits to stress the activations
     for _ in range(10_000):
-        params = mx.MixtureParams(
+        params = pdn.MixtureParams(
             *rc.head_project(rng.normal(size=16) * 3.0, head))
         params.validate()
 
@@ -158,7 +159,7 @@ def test_head_logits_agree_with_head_project():
     assert logits.shape == (4, 3 + 2 * 3 * 2)
     # layout K | K*d | K*d, component-major
     for row in range(4):
-        params = mx.MixtureParams(*rc.head_project(h[row], head))
+        params = pdn.MixtureParams(*rc.head_project(h[row], head))
         np.testing.assert_allclose(
             params.alpha, mx.coeffs_from_logits(logits[row, :3]), atol=1e-14
         )
