@@ -156,15 +156,17 @@ def coupling_rows(xv, layer):
     Returns (out, rule): out holds [y | per-row log-determinant] as
     (n, d + 1), and rule(g, x_grad) maps out's gradient to those of x
     (None unless x_grad) and of the layer's eight parameters.  A caller
-    that needs only values drops the rule.
+    that needs only values drops the rule.  The pass-through and
+    transformed blocks, and the rule's transformed block of g, are
+    C-ordered copies of the parity slices: as strided views they would
+    send some products, such as xp.T @ g_as at d = 2, through numpy's
+    loop instead of BLAS.
     """
     if xv.ndim != 2 or xv.shape[1] != layer.dim:
         raise dc.ShapeMismatchError("coupling", xv.shape, (layer.dim,))
     n, d = xv.shape
     pas, trans = layer.pass_idx, layer.trans_idx
-    # F-ordered copies, as a gather by index array made them: the products
-    # and column sums that read these blocks round by their layout
-    xp, xt = xv[:, pas].copy(order="F"), xv[:, trans].copy(order="F")
+    xp, xt = np.ascontiguousarray(xv[:, pas]), np.ascontiguousarray(xv[:, trans])
     s_hat, t, (hs, ts, ht) = coupling_nets(layer, xp)
     scale = np.exp(s_hat)
     out = np.empty((n, d + 1))
@@ -175,7 +177,7 @@ def coupling_rows(xv, layer):
                           layer.w2t.value)
 
     def rule(g, x_grad):
-        g_t = g[:, trans].copy(order="F")
+        g_t = np.ascontiguousarray(g[:, trans])
         # through s_hat = s_clamp * ts, from y_trans and from the log-det
         g_bs = (g_t * xt * scale + g[:, d:]) * (layer.s_clamp * (1.0 - ts * ts))
         g_as = (g_bs @ w2s.T) * (1.0 - hs * hs)
@@ -209,37 +211,21 @@ def coupling_forward(x, layer):
             dc.output_view(core, np.s_[:, d], (n,)))
 
 
-# Each net's first layer is joined with the other's only when its width is
-# a multiple of this.  On one row numpy multiplies through BLAS gemv, whose
-# OpenBLAS kernels sum blocks of 4 output columns in another order than the
-# columns past the last block, so a joined product of any other width can
-# round differently from the two separate ones (seen at widths 1-3, 5-7,
-# 9-11, ... from two pass-through columns on).
-_JOIN_BLOCK = 4
-
-
 def inverse_net(layer):
     """The arrays `coupling_inverse` reads for one layer, as the tuple
-    (pass_idx, trans_idx, w1, b1, split, h, w2s, b2s, -s_clamp, w2t, b2t).
+    (pass_idx, trans_idx, w1, b1, h, w2s, b2s, -s_clamp, w2t, b2t).
 
     w1 (d_pass, 2h) and b1 (1, 2h) are the s net's first layer joined with
     the t net's, copied from the parameters; the first h columns of their
-    activations feed w2s, the rest w2t.  When the width h is not a multiple
-    of `_JOIN_BLOCK`, w1 is None and split holds copies of (w1s, w1t), whose
-    two products are made apart, as the joined one would move their bits;
-    otherwise split is None.  The second layers are the parameters' own
-    arrays.  Every bias is a (1, k) row: adding it to one row of the same
-    shape skips numpy's broadcast set-up, and its sums are the (k,) bias's
-    bit for bit."""
-    w1s, w1t = layer.w1s.value, layer.w1t.value
-    h = w1s.shape[1]
-    if h % _JOIN_BLOCK == 0:
-        w1, split = np.concatenate([w1s, w1t], axis=1), None
-    else:
-        w1, split = None, (w1s.copy(), w1t.copy())
-    return (layer.pass_idx, layer.trans_idx, w1,
-            np.concatenate([layer.b1s.value, layer.b1t.value])[None], split,
-            h, layer.w2s.value, layer.b2s.value[None], -layer.s_clamp,
+    activations feed w2s, the rest w2t.  The second layers are the
+    parameters' own arrays.  Every bias is a (1, k) row: adding it to one
+    row of the same shape skips numpy's broadcast set-up, and its sums are
+    the (k,) bias's bit for bit."""
+    h = layer.w1s.value.shape[1]
+    return (layer.pass_idx, layer.trans_idx,
+            np.concatenate([layer.w1s.value, layer.w1t.value], axis=1),
+            np.concatenate([layer.b1s.value, layer.b1t.value])[None], h,
+            layer.w2s.value, layer.b2s.value[None], -layer.s_clamp,
             layer.w2t.value, layer.b2t.value[None])
 
 
@@ -255,13 +241,12 @@ def coupling_inverse(y, net):
     float64 batch array (n, d); y is left untouched.  Per-call overhead
     dominates on a sampling step's single row, so both nets' hidden layers
     come from one product, one bias add and one in-place tanh, and the
-    pass-through block is copied out of its strided view: the products
-    round differently on one strided row from dimension 3 on.  Values
-    equal `coupling_nets`' arithmetic bit for bit."""
-    pas, trans, w1, b1, split, h, w2s, b2s, neg_clamp, w2t, b2t = net
-    xp = y[:, pas].copy()
-    a = xp @ w1 if split is None else np.concatenate(
-        [xp @ split[0], xp @ split[1]], axis=1)
+    pass-through block is read through its parity slice without a copy.
+    Values are `coupling_nets`' up to rounding: the joined product, and
+    on one row a strided block, sum in another order than its two
+    products."""
+    pas, trans, w1, b1, h, w2s, b2s, neg_clamp, w2t, b2t = net
+    a = y[:, pas] @ w1
     a += b1
     np.tanh(a, out=a)
     ts = np.tanh(a[:, :h] @ w2s + b2s)

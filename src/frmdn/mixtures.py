@@ -101,8 +101,8 @@ def component_log_densities(z, mu, log_s, structure, u=None, log_abs_det=0.0,
     if structure == "diagonal":
         inv = np.exp(-log_s)                       # 1 / sigma
         e = np.multiply(diff, inv, out=diff)
-        comp = (-0.5 * d * LOG_2PI - log_s.sum(axis=2)
-                - 0.5 * (e * e).sum(axis=2))
+        comp = (-0.5 * d * LOG_2PI - np.einsum("nkd->nk", log_s)
+                - 0.5 * np.einsum("nkd->nk", e * e))
 
         def grads(w, g_mu, g_log_s):
             np.multiply(w * e, inv, out=g_mu)
@@ -111,8 +111,9 @@ def component_log_densities(z, mu, log_s, structure, u=None, log_abs_det=0.0,
         v = (diff.reshape(-1, d) @ u).reshape(diff.shape)  # U^T (z - mu_k)
         pv = np.exp(log_s, out=np.empty_like(v))   # D_k diagonals
         pv *= v
-        comp = (-0.5 * d * LOG_2PI + log_abs_det + 0.5 * log_s.sum(axis=2)
-                - 0.5 * (v * pv).sum(axis=2))
+        comp = (-0.5 * d * LOG_2PI + log_abs_det
+                + 0.5 * np.einsum("nkd->nk", log_s)
+                - 0.5 * np.einsum("nkd->nk", v * pv))
 
         def grads(w, g_mu, g_log_s):
             g_v = np.multiply(w, pv).reshape(-1, d)    # minus the v gradient

@@ -28,8 +28,7 @@ keeps its bits.  `lstm_cell` has one activation path for every shape:
 tanh over the whole array, then +1 and *0.5 over a[:3].  The BPTT rule
 keeps the gate gradients in work order in one (4, T, q, H) array and
 runs its products per gate; it sums the four recurrent and input products
-in parameter order and writes dw, db and dx in parameter order, so every
-gradient keeps its bits too.
+in work order and writes dw and db back in parameter order.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -192,10 +191,10 @@ def lstm_step(x, state, params):
             if t:
                 dcell *= f
                 np.matmul(da_t, w_h_t, out=rec)
-                dh = _parameter_order_sum(rec, out=dh_next)
+                dh = np.add.reduce(rec, axis=0, out=dh_next)
                 dh += gh[t - 1]
         # per-gate products over all T*q rows: dw's written into its
-        # parameter-order blocks, dx's summed in parameter order
+        # parameter-order blocks, dx's summed over the gates
         da = da.reshape(4, steps * q, hid)
         dw = np.empty_like(wv)
         dw4 = _gate_major(dw)
@@ -204,9 +203,9 @@ def lstm_step(x, state, params):
         for da_k, block in zip(da, _WORK):
             np.matmul(x_rows.T, da_k, out=dw4[block, :n_in])
             np.matmul(h_rows.T, da_k, out=dw4[block, n_in:])
-        dx = (_parameter_order_sum(np.matmul(
-                  da, wg[:, :n_in].take(_WORK, axis=0).transpose(0, 2, 1)))
-              .reshape(xv.shape) if x.requires_grad else None)
+        dx = (np.add.reduce(np.matmul(
+                  da, wg[:, :n_in].take(_WORK, axis=0).transpose(0, 2, 1)),
+                  axis=0).reshape(xv.shape) if x.requires_grad else None)
         return dx, dw, da.sum(axis=1).take(_WORK, axis=0).reshape(4 * hid)
 
     return dc.DiffNode(hs[1:].reshape(steps * q, hid),
@@ -259,15 +258,6 @@ def _gate_major(rows):
 # indices; the swap is its own inverse, so `take` with it moves gate-major
 # blocks from either order into the other
 _WORK = np.array([0, 1, 3, 2])
-
-
-def _parameter_order_sum(blocks, out=None):
-    """Four work-order gate blocks summed in parameter order, i + f + g +
-    o, so each sum keeps the bits of the parameter-order rule."""
-    out = np.add(blocks[0], blocks[1], out=out)
-    out += blocks[3]
-    out += blocks[2]
-    return out
 
 
 def halved_weights(params):

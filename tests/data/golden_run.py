@@ -11,7 +11,8 @@ manifest from the repository root with
 
     PYTHONPATH=src python tests/data/golden_run.py
 
-and says which files moved and why.
+which prints the commands and files that moved against the manifest it
+replaces, and says which moved and why.
 """
 
 from __future__ import annotations
@@ -106,6 +107,20 @@ def record():
     return dict(versions(), commands=commands, files=files)
 
 
+def moved(got, want):
+    """What differs between two manifests: the commands, as their argv
+    lines, whose exit code or stdout moved, and the sorted names of the
+    files whose digest moved or that only one manifest has."""
+    commands = [" ".join(c["argv"]) for c, w in
+                zip(got["commands"], want["commands"]) if c != w]
+    if len(got["commands"]) != len(want["commands"]):
+        commands.append(f"{len(got['commands'])} commands against "
+                        f"{len(want['commands'])}")
+    files = sorted(name for name in got["files"].keys() | want["files"].keys()
+                   if got["files"].get(name) != want["files"].get(name))
+    return commands, files
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         home = os.getcwd()
@@ -114,6 +129,10 @@ if __name__ == "__main__":
             manifest = record()
         finally:
             os.chdir(home)
+    if MANIFEST.exists():
+        commands, files = moved(manifest, json.loads(MANIFEST.read_text()))
+        print(f"moved commands: {commands}\nmoved files: {files}",
+              file=sys.stderr)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {MANIFEST}: {len(manifest['commands'])} commands, "
           f"{len(manifest['files'])} files", file=sys.stderr)

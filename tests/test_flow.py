@@ -280,11 +280,37 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def assert_within(got, want, rel):
+    """Every entry of got within rel of want's largest magnitude."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
 def inverse_by_index_arrays(y, layer):
-    """One layer's inverse with every column read and written through index
-    arrays of the layer's coordinates, pass-through block gathered into a
-    contiguous copy (C-ordered: numpy returns a many-row gather F-ordered,
-    and the products' bits depend on the order at some widths)."""
+    """One layer's inverse with the s and t nets' first layers joined into
+    one (d_pass, 2h) product, as `inverse_net` joins them, and the
+    transformed columns read and written through an index array of the
+    layer's coordinates.  The pass-through block is the strided view of
+    the layer's parity slice, as the inverse reads it: on one row of two
+    strided columns numpy multiplies by its own loop, which rounds apart
+    from BLAS on a contiguous gather."""
+    trans = columns(layer, layer.trans_idx)
+    h = layer.w1s.value.shape[1]
+    w1 = np.concatenate([layer.w1s.value, layer.w1t.value], axis=1)
+    b1 = np.concatenate([layer.b1s.value, layer.b1t.value])
+    a = np.tanh(y[:, layer.pass_idx] @ w1 + b1)
+    ts = np.tanh(a[:, :h] @ layer.w2s.value + layer.b2s.value)
+    t = a[:, h:] @ layer.w2t.value + layer.b2t.value
+    x = y.copy()
+    x[:, trans] = (y[:, trans] - t) * np.exp(-layer.s_clamp * ts)
+    return x
+
+
+def inverse_by_separate_nets(y, layer):
+    """One layer's inverse in the arithmetic before the first layers were
+    joined at every width: `coupling_nets`' two separate first-layer
+    products on a contiguous pass-through block, gathered through an
+    index array."""
     pas, trans = columns(layer, layer.pass_idx), columns(layer, layer.trans_idx)
     s_hat, t, _ = fl.coupling_nets(layer, np.ascontiguousarray(y[:, pas]))
     x = y.copy()
@@ -294,12 +320,8 @@ def inverse_by_index_arrays(y, layer):
 
 @pytest.mark.parametrize("dim", range(2, 17))
 def test_coupling_inverse_keeps_the_index_array_bits(dim):
-    # the parity slices and the joined first layers change how columns are
-    # read and how many products run, not what the nets' products see: one row
-    # or many, the inverse from prepared arrays equals the index-array
-    # arithmetic and the call that prepares its own bit for bit (a strided
-    # pass-through view would move the products' bits on a single row from
-    # dim 3 on)
+    # one row or many, the inverse from prepared arrays equals the joined
+    # nets' arithmetic and the call that prepares its own bit for bit
     rng = np.random.default_rng(14)
     stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=64), rng, 0.4)
     nets = fl.inverse_nets(stack)
@@ -319,13 +341,13 @@ def test_coupling_inverse_keeps_the_index_array_bits(dim):
         assert_same_bytes(back, want)
 
 
-def rows_by_index_arrays(x, g, layer):
+def rows_by_index_arrays(x, g, layer, gather=np.ascontiguousarray):
     """`coupling_rows`' [y | log-det] rows and its rule's gradients for
     out-gradient g, with every block gathered through index arrays of the
-    layer's coordinates, laid out as numpy lays out such a gather
-    (F-ordered on many rows)."""
+    layer's coordinates and laid out by `gather`: C-ordered copies, as
+    `coupling_rows` makes them, by default."""
     pas, trans = columns(layer, layer.pass_idx), columns(layer, layer.trans_idx)
-    xp, xt, g_t = x[:, pas], x[:, trans], g[:, trans]
+    xp, xt, g_t = gather(x[:, pas]), gather(x[:, trans]), gather(g[:, trans])
     s_hat, t, (hs, ts, ht) = fl.coupling_nets(layer, xp)
     scale = np.exp(s_hat)
     out = np.empty((x.shape[0], layer.dim + 1))
@@ -343,40 +365,61 @@ def rows_by_index_arrays(x, g, layer):
             g_t.sum(axis=0)]
 
 
-@pytest.mark.parametrize("dim", range(2, 17))
-def test_coupling_rows_keep_the_index_array_bits(dim):
-    # the parity slices select the same columns as index arrays; the
-    # blocks copied out of them keep a gather's layout, as the products and
-    # column sums that read them round by it (C-ordered copies moved bits
-    # from three coordinates and two rows on)
-    rng = np.random.default_rng(18)
+def coupling_rows_cases(dim, seed):
+    """(layer, x, g) at net widths 1, 8 and 64, both parities and 1 to 496
+    rows, the evaluation chunk of the acceptance shape."""
+    rng = np.random.default_rng(seed)
     for hidden in (1, 8, 64):
         stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=hidden), rng, 0.4)
         for layer in stack.layers:
             for rows in (1, 2, 9, 64, 496):
-                x = rng.normal(size=(rows, dim))
-                g = rng.normal(size=(rows, dim + 1))
-                out, rule = fl.coupling_rows(x, layer)
-                got = [out] + list(rule(g, True))
-                for a, b in zip(got, rows_by_index_arrays(x, g, layer)):
-                    assert_same_bytes(np.ascontiguousarray(a),
-                                      np.ascontiguousarray(b))
+                yield (layer, rng.normal(size=(rows, dim)),
+                       rng.normal(size=(rows, dim + 1)))
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_coupling_rows_keep_the_index_array_bits(dim):
+    # the parity slices select the same columns as index arrays, and the
+    # blocks copied out of them are C-ordered like the oracle's
+    for layer, x, g in coupling_rows_cases(dim, 18):
+        out, rule = fl.coupling_rows(x, layer)
+        got = [out] + list(rule(g, True))
+        for a, b in zip(got, rows_by_index_arrays(x, g, layer)):
+            assert_same_bytes(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_flow_bits_stay_within_1e_12_of_the_old_arithmetic(dim):
+    # the products and column sums round by their blocks' layout, and a
+    # joined first layer by its width, so C-ordered blocks and first layers
+    # joined at every width moved bits: no further than 1e-12 of an array's
+    # largest entry from the F-ordered blocks (an index-array gather's
+    # layout on many rows) and the two separate products
+    for layer, x, g in coupling_rows_cases(dim, 18):
+        out, rule = fl.coupling_rows(x, layer)
+        old = rows_by_index_arrays(x, g, layer, np.asfortranarray)
+        for a, b in zip([out] + list(rule(g, True)), old):
+            assert_within(a, b, 1e-12)
+        for rows in (1, 7):
+            y = x[:rows]
+            assert_within(fl.coupling_inverse(y, fl.inverse_net(layer)),
+                          inverse_by_separate_nets(y, layer), 1e-12)
 
 
 @pytest.mark.parametrize("hidden", [1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 16, 33])
 def test_inverse_keeps_its_bits_at_every_net_width(hidden):
-    # a joined first-layer product of a width the BLAS kernels do not
-    # block evenly can round apart from the two separate products, so
-    # those widths keep them apart; either way the bits are the nets'
+    # the first layers are joined at every width, whether or not the BLAS
+    # kernels block it evenly, and the oracle joins them as well
     rng = np.random.default_rng(15)
     for dim in (3, 4, 7):
         stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=hidden), rng, 0.4)
         for layer, net in zip(stack.layers, reversed(fl.inverse_nets(stack))):
-            assert (net[4] is None) == (hidden % 4 == 0)
             for rows in (1, 2, 7):
                 y = rng.normal(size=(rows, dim))
                 assert_same_bytes(fl.coupling_inverse(y, net),
                                   inverse_by_index_arrays(y, layer))
+                assert_within(fl.coupling_inverse(y, net),
+                              inverse_by_separate_nets(y, layer), 1e-12)
 
 
 def test_inverse_nets_copy_the_first_layers():

@@ -20,11 +20,8 @@ def test_golden_run_matches_the_manifest(tmp_path, monkeypatch):
     want = json.loads(golden.MANIFEST.read_text())
     where = (f"manifest recorded with numpy {want['numpy']}, {want['blas']}; "
              f"this run has numpy {got['numpy']}, {got['blas']}")
-    moved = [" ".join(c["argv"][:3]) for c, w in
-             zip(got["commands"], want["commands"]) if c != w]
-    assert got["commands"] == want["commands"], f"{where}; moved: {moved}"
-    moved = sorted(name for name in got["files"].keys() | want["files"].keys()
-                   if got["files"].get(name) != want["files"].get(name))
-    assert not moved, f"{where}; moved: {moved}"
+    commands, files = golden.moved(got, want)
+    assert not (commands or files), (f"{where}; moved commands: {commands}; "
+                                     f"moved files: {files}")
     # a 1 + 1 epoch resume writes the 2-epoch run's checkpoint
     assert got["files"]["resume_2.frmd"] == got["files"]["diagonal.frmd"]

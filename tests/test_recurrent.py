@@ -304,8 +304,8 @@ def _lstm_reference(x, w, b, h0, c0, gh, rows=False):
     (x_t @ w_x + b) + h_{t-1} @ w_h from (q, H) products with that block's
     columns of w.  The backward runs the recurrent product per gate block
     against a contiguous copy of that block of w_h transposed and sums the
-    four products in i, f, g, o order, and takes each block's weight and
-    bias gradients from its own products and sums over all rows.  With
+    four products in work order, i, f, o, g, and takes each block's weight
+    and bias gradients from its own products and sums over all rows.  With
     `rows`, the backward instead uses the earlier row layout: one product
     of the (q, 4H) gate gradient rows with a contiguous copy of w_h.T, and
     weight products and sums over the (T*q, 4H) rows.  Returns the hidden
@@ -347,7 +347,7 @@ def _lstm_reference(x, w, b, h0, c0, gh, rows=False):
             else:
                 r = [da_k @ np.ascontiguousarray(w_h[:, sl].T)
                      for da_k, sl in zip(da[t], blocks)]
-                dh = r[0] + r[1] + r[2] + r[3]
+                dh = r[0] + r[1] + r[3] + r[2]
             dh = dh + gh[t - 1]
     h_rows = np.concatenate(hs[:steps])
     if rows:
