@@ -30,8 +30,10 @@ class CliError(Exception):
 
 
 def _check_outputs(args, *names):
-    """Reject an output flag whose path could not be written, before any
-    work: its directory must exist and it must not name a directory."""
+    """Reject an output flag whose path could not be written, or two that
+    name one file, before any work: its directory must exist and it must
+    not name a directory."""
+    seen = {}
     for name in names:
         path = getattr(args, name)
         if path is None:
@@ -41,6 +43,10 @@ def _check_outputs(args, *names):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise CliError(f"--{name} {path!r}: no directory {folder}")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise CliError(f"--{seen[real]} and --{name} name one file, {real}")
+        seen[real] = name
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +240,11 @@ def cmd_sample(args):
     model, _, _ = md.load_checkpoint(args.ckpt)
     rng = np.random.default_rng(args.seed)
     cfg = model.config
-    obs = []
-    acts = []
-    for _ in range(args.n):
-        if cfg.action_dim:
-            action_fn = lambda t: rng.uniform(-1.0, 1.0, cfg.action_dim)
-        else:
-            action_fn = None
-        out = md.rollout(model, np.zeros(cfg.dim), action_fn, args.steps,
-                         rng=rng)
-        obs.append(out.observations[0])
-        if out.actions is not None:
-            acts.append(out.actions[0])
-    batch = SequenceBatch(np.stack(obs), np.stack(acts) if acts else None)
+    outs = [md.rollout(model, np.zeros(cfg.dim),
+                       lambda t: rng.uniform(-1.0, 1.0, cfg.action_dim),
+                       args.steps, rng=rng) for _ in range(args.n)]
+    batch = SequenceBatch(np.concatenate([out.observations for out in outs]),
+                          np.concatenate([out.actions for out in outs]))
     ds.export_csv(batch, args.out)
     print(f"wrote {args.out}: {args.n} rollouts of {args.steps} steps")
     return 0

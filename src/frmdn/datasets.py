@@ -23,17 +23,19 @@ FSEQ_VERSION = 1
 
 @dataclass
 class SequenceBatch:
-    """Q sequences of T observation vectors, plus optional action vectors."""
+    """Q sequences of T observation and T action vectors; data without
+    actions has d_action = 0, the width `actions=None` builds."""
 
     observations: np.ndarray           # (Q, T, d)
     actions: np.ndarray | None = None  # (Q, T, d_action)
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=np.float64)
-        if self.actions is not None:
-            self.actions = np.asarray(self.actions, dtype=np.float64)
-            if self.actions.shape[:2] != self.observations.shape[:2]:
-                raise ValueError("actions must align with observations")
+        if self.actions is None:
+            self.actions = np.empty(self.observations.shape[:2] + (0,))
+        self.actions = np.asarray(self.actions, dtype=np.float64)
+        if self.actions.shape[:2] != self.observations.shape[:2]:
+            raise ValueError("actions must align with observations")
 
     @property
     def q(self):
@@ -49,7 +51,7 @@ class SequenceBatch:
 
     @property
     def action_dim(self):
-        return 0 if self.actions is None else self.actions.shape[2]
+        return self.actions.shape[2]
 
 
 def equicorrelation(d, corr):
@@ -290,15 +292,13 @@ def atomic_write(path, mode="w"):
 
 def save_fseq(path, batch):
     """FSEQ: magic, u32 version, u32 Q, T, d, d_action, then raw
-    little-endian float64 observations and actions."""
-    da = batch.action_dim
+    little-endian float64 observations and actions (0 bytes at d_action 0)."""
     with atomic_write(path, "wb") as fh:
         fh.write(FSEQ_MAGIC)
         fh.write(struct.pack("<IIIII", FSEQ_VERSION, batch.q, batch.t,
-                             batch.dim, da))
+                             batch.dim, batch.action_dim))
         fh.write(batch.observations.astype("<f8").tobytes())
-        if da:
-            fh.write(batch.actions.astype("<f8").tobytes())
+        fh.write(batch.actions.astype("<f8").tobytes())
 
 
 def load_fseq(path):
@@ -311,7 +311,7 @@ def load_fseq(path):
         if version != FSEQ_VERSION:
             raise ValueError(f"unsupported FSEQ version {version}")
         obs = read_float64(fh, (q, t, d), what, "observations")
-        actions = read_float64(fh, (q, t, da), what, "actions") if da else None
+        actions = read_float64(fh, (q, t, da), what, "actions")
         check_end(fh, what)
     return SequenceBatch(obs, actions)
 
@@ -323,31 +323,24 @@ def export_csv(batch, path):
         cols += [f"y_{i}" for i in range(batch.dim)]
         cols += [f"a_{i}" for i in range(batch.action_dim)]
         fh.write(",".join(cols) + "\n")
+        values = np.concatenate([batch.observations, batch.actions], axis=2)
         for s in range(batch.q):
             for step in range(batch.t):
                 row = [str(s), str(step)]
-                row += [repr(float(v)) for v in batch.observations[s, step]]
-                if batch.actions is not None:
-                    row += [repr(float(v)) for v in batch.actions[s, step]]
+                row += [repr(float(v)) for v in values[s, step]]
                 fh.write(",".join(row) + "\n")
 
 
 def slice_windows(batch, window):
     """Non-overlapping fixed-length windows; a trailing partial window is
-    dropped.  Returns (obs  (n, window, d), actions or None)."""
+    dropped.  Returns (obs (n, window, d), actions (n, window, d_action)),
+    both cut by one rule."""
     if window < 2:
         raise ValueError("window must be at least 2")
     n_per_seq = batch.t // window
     if n_per_seq == 0:
         raise ValueError(f"sequences of length {batch.t} are shorter than "
                          f"the window {window}")
-    usable = n_per_seq * window
-    obs = batch.observations[:, :usable].reshape(
-        batch.q * n_per_seq, window, batch.dim
-    )
-    acts = None
-    if batch.actions is not None:
-        acts = batch.actions[:, :usable].reshape(
-            batch.q * n_per_seq, window, batch.action_dim
-        )
-    return obs, acts
+    usable, n = n_per_seq * window, batch.q * n_per_seq
+    return (batch.observations[:, :usable].reshape(n, window, batch.dim),
+            batch.actions[:, :usable].reshape(n, window, batch.action_dim))

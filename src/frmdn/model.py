@@ -142,24 +142,23 @@ def build_model(config, seed=0):
 # ---------------------------------------------------------------------------
 
 def _loss_inputs(model, obs, actions):
-    """Check a batch of equal-length windows against the model and return
-    (x, targets): the LSTM input rows (T - 1, q, input_dim), observations
-    joined with actions and t-major, and the next observations as t-major
-    (n, d) rows, n = (T - 1) * q.  Both loss paths read their inputs here,
-    so they accept and reject the same batches."""
+    """Check a batch of equal-length windows, observations (q, T, d) and
+    actions (q, T, d_action) with d_action 0 for a model without actions,
+    against the model and return (x, targets): the LSTM input rows
+    (T - 1, q, input_dim), observations joined with actions and t-major,
+    and the next observations as t-major (n, d) rows, n = (T - 1) * q.
+    Both loss paths read their inputs here, so they accept and reject the
+    same batches."""
     cfg = model.config
     _, t, d = obs.shape
     if t < 2:
         raise ValueError(f"sequence_nll needs T >= 2, got T={t}")
     if d != cfg.dim:
         raise ValueError(f"observation dim {d} does not match model dim {cfg.dim}")
-    action_dim = 0 if actions is None else actions.shape[2]
-    if action_dim != cfg.action_dim:
-        raise ValueError(f"the batch has {action_dim} action values per step, "
-                         f"but the model takes {cfg.action_dim}")
-    x = obs[:, :-1, :]
-    if cfg.action_dim:
-        x = np.concatenate([x, actions[:, :-1, :]], axis=2)
+    if actions.shape[2] != cfg.action_dim:
+        raise ValueError(f"the batch has {actions.shape[2]} action values per "
+                         f"step, but the model takes {cfg.action_dim}")
+    x = np.concatenate([obs[:, :-1, :], actions[:, :-1, :]], axis=2)
     targets = obs[:, 1:, :].transpose(1, 0, 2).reshape(-1, d)    # align t-major
     return x.transpose(1, 0, 2), targets
 
@@ -278,8 +277,7 @@ def evaluate(model, batch, window=None):
     total = mixture = logdet = 0.0
     for b in range(blocks):
         lo, hi = b * n // blocks, (b + 1) * n // blocks
-        rec = _forward_nll(model, obs[lo:hi],
-                           None if acts is None else acts[lo:hi], chunk_rows)
+        rec = _forward_nll(model, obs[lo:hi], acts[lo:hi], chunk_rows)
         q = hi - lo
         total += rec.total * q
         mixture += rec.mixture * q
@@ -508,7 +506,7 @@ def train_model(model, train_batch, settings, test_batch=None,
         order = np.random.default_rng([settings.seed, epoch]).permutation(n_windows)
         for lo in range(0, n_windows, settings.batch_size):
             pick = order[lo : lo + settings.batch_size]
-            window = SequenceBatch(obs[pick], None if acts is None else acts[pick])
+            window = SequenceBatch(obs[pick], acts[pick])
             train_step(model, window, optimizer, settings.clip_norm)
         log_eval(epoch)
     return rows, optimizer
@@ -559,9 +557,9 @@ def rollout(model, y_0, action_fn, steps, rng):
     """Free-running generation: each sample feeds the next step, with every
     draw taken from the generator `rng`.
 
-    Returns one sequence of steps+1 observations (y_0 first).  When the
-    model takes actions, action_fn(t) supplies the action applied at step t;
-    the final action row is zero padding.
+    Returns one sequence of steps+1 observations (y_0 first) and steps+1
+    actions, of width 0 when the model takes none; otherwise action_fn(t)
+    supplies the action applied at step t, and the final row is zero padding.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -573,17 +571,13 @@ def rollout(model, y_0, action_fn, steps, rng):
     state = rc.initial_state(1, cfg.hidden)
     obs = np.empty((steps + 1, cfg.dim))
     obs[0] = y
-    acts = np.zeros((steps + 1, cfg.action_dim)) if cfg.action_dim else None
+    acts = np.zeros((steps + 1, cfg.action_dim))
     for t in range(steps):
         if cfg.action_dim:
-            a = np.asarray(action_fn(t), dtype=np.float64).ravel()
-            acts[t] = a
-            x = np.concatenate([y, a])
-        else:
-            x = y
-        y, state = generate_step(gen, x, state, rng)
+            acts[t] = np.ravel(action_fn(t))
+        y, state = generate_step(gen, np.concatenate([y, acts[t]]), state, rng)
         obs[t + 1] = y
-    return SequenceBatch(obs[None], None if acts is None else acts[None])
+    return SequenceBatch(obs[None], acts[None])
 
 
 # ---------------------------------------------------------------------------

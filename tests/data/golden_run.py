@@ -43,7 +43,7 @@ SCRIPT = (
     ["gen", "--kind", "modes", *GEN, "--seed", "1", "--out", "modes.fseq",
      "--csv", "modes.csv"],
     ["gen", "--kind", "control", *GEN, "--seed", "1", "--out", "control.fseq",
-     "--csv", "control.csv"],
+     "--csv", "control_data.csv"],
     # each head, the flow on and off, RMSProp and Adam, an action model
     # and the acceptance config's hidden size, 128
     ["train", *AR, *TRAIN, "--epochs", "2", "--out", "diagonal.frmd",
@@ -92,16 +92,24 @@ def versions():
 def record():
     """Run SCRIPT in the current directory, which should be empty, and
     return the manifest: versions, per command its argv, exit code and
-    stdout lines, and per written file its SHA-256."""
+    stdout lines, and per written file its SHA-256.  A command that
+    rewrites a file an earlier command wrote raises RuntimeError, since
+    the manifest would only see the last version."""
     from frmdn.cli import main
 
-    commands = []
+    commands, written = [], {}
     for argv in SCRIPT:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(list(argv))
         commands.append({"argv": argv, "exit": code,
                          "stdout": out.getvalue().splitlines()})
+        for path in Path.cwd().iterdir():
+            stat = path.stat()
+            mark = (stat.st_ino, stat.st_mtime_ns)
+            if written.setdefault(path.name, mark) != mark:
+                raise RuntimeError(f"`{' '.join(argv)}` rewrites {path.name}, "
+                                   "which an earlier command wrote")
     files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(Path.cwd().iterdir())}
     return dict(versions(), commands=commands, files=files)

@@ -384,6 +384,28 @@ def test_bad_output_flag_exits_2_before_any_work(tmp_path, capsys, command,
         assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command, first, second", [
+    ("gen", "--out", "--csv"), ("train", "--out", "--log"),
+])
+@pytest.mark.parametrize("spelling", ["same.x", "./same.x"])
+def test_two_outputs_naming_one_file_exit_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, first, second, spelling):
+    # otherwise the later write replaces the earlier one and the command
+    # exits 0 with one of its outputs lost
+    data = gen_small(tmp_path)
+    capsys.readouterr()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    inputs = {"gen": ["--kind", "ar"], "train": ["--data", str(data)]}[command]
+    code, stdout, err = run([command, *inputs, first, "same.x",
+                             second, spelling], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {first} and {second} name one file")
+    assert err.count("\n") == 1
+    assert stdout == "" and not list(work.iterdir())
+
+
 class FullDisk:
     """A file open for writing whose writes after the first raise, as on
     a disk that fills up after the first record."""

@@ -62,8 +62,7 @@ def test_every_generator_is_bit_reproducible():
     for gen in pairs:
         a, b = gen(9), gen(9)
         np.testing.assert_array_equal(a.observations, b.observations)
-        if a.actions is not None:
-            np.testing.assert_array_equal(a.actions, b.actions)
+        np.testing.assert_array_equal(a.actions, b.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +176,10 @@ def test_fseq_no_actions(tmp_path):
     path = tmp_path / "obs.fseq"
     ds.save_fseq(path, batch)
     loaded = ds.load_fseq(path)
-    assert loaded.actions is None
+    assert loaded.actions.shape == (2, 12, 0)
     np.testing.assert_array_equal(loaded.observations, batch.observations)
+    # the v1 layout: a 24-byte header, the observations, no action bytes
+    assert path.stat().st_size == 24 + 8 * 2 * 12 * 3
 
 
 def test_csv_export(tmp_path):

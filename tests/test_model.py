@@ -225,7 +225,7 @@ def test_plain_forward_equals_the_graph_bit_for_bit(structure, flow,
             node.value = node.value + 0.3 * rng.normal(size=node.value.shape)
         for q, t in ((1, 2), (2, 5), (66, 32)):
             obs = rng.normal(size=(q, t, 3))
-            acts = rng.normal(size=(q, t, action_dim)) if action_dim else None
+            acts = rng.normal(size=(q, t, action_dim))    # (q, t, 0) draws none
             graph = [float(node.value)
                      for node in md._nll_graph(model, obs, acts)]
             rec = md.sequence_nll(model, ds.SequenceBatch(obs, acts))
@@ -337,7 +337,7 @@ def test_tail_row_floats_match_what_the_tail_allocates(structure, flow):
         for chunk in (250, 500):
             tracemalloc.start()
             try:
-                md._forward_nll(model, obs, None, chunk)
+                md._forward_nll(model, obs, np.empty((40, 26, 0)), chunk)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -470,7 +470,7 @@ def test_full_model_gradient_check(structure):
     batch = ds.SequenceBatch(obs)
     named, vec0 = flatten_params(model)
 
-    root, _, _ = md._nll_graph(model, obs, None)
+    root, _, _ = md._nll_graph(model, obs, batch.actions)
     grads = dc.backward(root, params=[node for _, node in named])
     analytic = np.concatenate([grads[node].ravel() for _, node in named])
 
@@ -501,7 +501,8 @@ def test_grad_check_against_model_nll():
     model = md.build_model(tiny_config(dim=3, hidden=4, flow_hidden=4), seed=11)
     randomize_model_flow(model, rng)
     obs = rng.normal(size=(2, 4, 3))
-    err = dc.grad_check(lambda: md._nll_graph(model, obs, None)[0],
+    acts = np.empty((2, 4, 0))
+    err = dc.grad_check(lambda: md._nll_graph(model, obs, acts)[0],
                         [model.lstm.b])
     assert err < 1e-4
 
@@ -664,6 +665,7 @@ def test_rollout_single_step_and_reproducibility():
     one = md.rollout(model, np.zeros(2), None, steps=1,
                      rng=np.random.default_rng(3))
     assert one.observations.shape == (1, 2, 2)
+    assert one.actions.shape == (1, 2, 0)       # a model without actions
     again = md.rollout(model, np.zeros(2), None, steps=1,
                        rng=np.random.default_rng(3))
     np.testing.assert_array_equal(one.observations, again.observations)
