@@ -64,6 +64,8 @@ SCRIPT = (
      "--out", "resume_2.frmd", "--log", "resume_2.csv"],
     ["eval", "--ckpt", "diagonal.frmd", "--data", "ar_test.fseq",
      "--window", "8"],
+    ["eval", "--ckpt", "diagonal_noflow.frmd", "--data", "ar_test.fseq",
+     "--window", "8"],
     ["eval", "--ckpt", "tied.frmd", "--data", "ar_test.fseq", "--window", "8"],
     ["eval", "--ckpt", "control.frmd", "--data", "control.fseq",
      "--window", "12"],
