@@ -29,11 +29,13 @@ class CliError(Exception):
     """Validation failure surfaced as exit code 2."""
 
 
-def _check_outputs(args, *names):
-    """Reject an output flag whose path could not be written, or two that
-    name one file, before any work: its directory must exist and it must
-    not name a directory."""
-    seen = {}
+def _check_outputs(args, *names, inputs=(), in_place=None):
+    """Reject an output flag whose path could not be written, or that
+    names one file with another output flag or an `inputs` flag, before
+    any work: its directory must exist and it must not name a directory.
+    `in_place` is the (input, output) pair that may name one file."""
+    seen = {os.path.realpath(getattr(args, name)): name.replace("_", "-")
+            for name in inputs if getattr(args, name) is not None}
     for name in names:
         path = getattr(args, name)
         if path is None:
@@ -44,7 +46,7 @@ def _check_outputs(args, *names):
         if not os.path.isdir(folder):
             raise CliError(f"--{name} {path!r}: no directory {folder}")
         real = os.path.realpath(path)
-        if real in seen:
+        if real in seen and (seen[real], name) != in_place:
             raise CliError(f"--{seen[real]} and --{name} name one file, {real}")
         seen[real] = name
 
@@ -183,7 +185,9 @@ def _write_log(path, args, columns, rows):
 
 
 def cmd_train(args):
-    _check_outputs(args, "out", "log")
+    _check_outputs(args, "out", "log",
+                   inputs=("data", "test_data", "config", "resume"),
+                   in_place=("resume", "out"))
     train = ds.load_fseq(args.data)
     test = ds.load_fseq(args.test_data) if args.test_data else None
     model, extra, opt_arrays = (md.load_checkpoint(args.resume)
@@ -236,7 +240,7 @@ def cmd_eval(args):
 def cmd_sample(args):
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
-    _check_outputs(args, "out")
+    _check_outputs(args, "out", inputs=("ckpt",))
     model, _, _ = md.load_checkpoint(args.ckpt)
     rng = np.random.default_rng(args.seed)
     cfg = model.config

@@ -12,9 +12,10 @@ graph search is needed (a Wengert list swept in reverse).
 This module is the generic tape alone.  The model's work is done by
 fused ops that each layer's own module builds with hand-written
 backwards: the LSTM unroll in `recurrent`, the coupling layer in `flow`
-and the mixture rows in `mixtures`.  A fused op with several outputs
-returns them as `output_view`s of one core node, so gradients reaching
-any of them meet in a single backward call.  The generic ops are only
+and the mixture rows in `mixtures`.  A node whose value holds several
+outputs, such as the flow's [z | log-det] rows, is read through
+`output_view`s, so gradients reaching any of them meet in a single
+backward call.  The generic ops are only
 the glue the loss needs around them: `add` (equal shapes, or a row-wise
 bias (n, m) + (m,)), `matmul`, `neg` and the whole-array `reduce_mean`.
 `grad_check(loss, leaves)` compares `backward` with central differences

@@ -8,10 +8,14 @@ bounded by s_clamp * tanh; a stack alternates parities 0 and 1.  The
 log-determinant of the Jacobian is the sum of s_hat over transformed
 coordinates, and layers compose with log-determinants adding.
 
-The forward nets are evaluated in one place, `coupling_nets`, and a
-layer's forward arithmetic in one, `coupling_rows`.  The forward layer is
-one tape op with a hand-written backward built on it, and `flow_rows` runs
-it on plain arrays for evaluation.  The numeric inverse reads arrays that
+The forward runs on rows [x | log-det so far] of shape (n, d + 1): a
+layer maps them to [y | log-det so far + its own], so a stack is one
+chain from the start rows [y | 0] and needs no glue to sum its layers'
+log-determinants, and an empty stack is the empty chain.  The forward
+nets are evaluated in one place, `coupling_nets`, and a layer's forward
+arithmetic in one, `coupling_rows`.  The forward layer is one tape op with
+a hand-written backward built on it, and `flow_rows` runs the chain on
+plain arrays for evaluation.  The numeric inverse reads arrays that
 `inverse_nets` prepares once per stack, with the s and t nets' first
 layers joined into one product (Appleyard et al. 2016's rule: constant
 work moves into weights built once), so a generated row costs one
@@ -149,30 +153,30 @@ def coupling_nets(layer, x_pass):
 
 
 def coupling_rows(xv, layer):
-    """The forward arithmetic of one coupling layer on a float64 array
-    (n, d), shared by the op `coupling_forward` and the tape-free
-    `flow_rows`.
+    """The forward arithmetic of one coupling layer on float64 rows
+    [x | log-det so far] of shape (n, d + 1), shared by the op
+    `coupling_forward` and the tape-free `flow_rows`.
 
-    Returns (out, rule): out holds [y | per-row log-determinant] as
-    (n, d + 1), and rule(g, x_grad) maps out's gradient to those of x
-    (None unless x_grad) and of the layer's eight parameters.  A caller
-    that needs only values drops the rule.  The pass-through and
-    transformed blocks, and the rule's transformed block of g, are
-    C-ordered copies of the parity slices: as strided views they would
-    send some products, such as xp.T @ g_as at d = 2, through numpy's
-    loop instead of BLAS.
+    Returns (out, rule): out holds [y | log-det so far + this layer's] as
+    (n, d + 1), and rule(g, x_grad) maps out's gradient to those of the
+    input rows (None unless x_grad; column d passes g's column d through)
+    and of the layer's eight parameters.  A caller that needs only values
+    drops the rule.  The pass-through and transformed blocks, and the
+    rule's transformed block of g, are C-ordered copies of the parity
+    slices: as strided views they would send some products, such as
+    xp.T @ g_as at d = 2, through numpy's loop instead of BLAS.
     """
-    if xv.ndim != 2 or xv.shape[1] != layer.dim:
-        raise dc.ShapeMismatchError("coupling", xv.shape, (layer.dim,))
-    n, d = xv.shape
+    d = layer.dim
+    if xv.ndim != 2 or xv.shape[1] != d + 1:
+        raise dc.ShapeMismatchError("coupling", xv.shape, (d + 1,))
     pas, trans = layer.pass_idx, layer.trans_idx
     xp, xt = np.ascontiguousarray(xv[:, pas]), np.ascontiguousarray(xv[:, trans])
     s_hat, t, (hs, ts, ht) = coupling_nets(layer, xp)
     scale = np.exp(s_hat)
-    out = np.empty((n, d + 1))
+    out = np.empty_like(xv)
     out[:, pas] = xp
     out[:, trans] = xt * scale + t
-    out[:, d] = s_hat.sum(axis=1)
+    out[:, d] = xv[:, d] + s_hat.sum(axis=1)
     w1s, w2s, w1t, w2t = (layer.w1s.value, layer.w2s.value, layer.w1t.value,
                           layer.w2t.value)
 
@@ -187,6 +191,7 @@ def coupling_rows(xv, layer):
             g_x = np.empty_like(xv)
             g_x[:, pas] = g[:, pas] + g_as @ w1s.T + g_at @ w1t.T
             g_x[:, trans] = g_t * scale
+            g_x[:, d] = g[:, d]
         return (g_x, xp.T @ g_as, g_as.sum(axis=0), hs.T @ g_bs,
                 g_bs.sum(axis=0), xp.T @ g_at, g_at.sum(axis=0), ht.T @ g_t,
                 g_t.sum(axis=0))
@@ -195,20 +200,14 @@ def coupling_rows(xv, layer):
 
 
 def coupling_forward(x, layer):
-    """One coupling layer on a batch node (n, d), as one tape op with
-    parents x and the layer's eight parameters.
-
-    Returns (y node, per-row log-determinant node of shape (n,)); both are
-    views of one core node holding [y | log-det] as (n, d + 1).
-    """
-    x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
+    """One coupling layer on a node of [x | log-det so far] rows (n, d + 1),
+    as one tape op, "coupling", with parents x and the layer's eight
+    parameters.  Returns the node of [y | log-det so far + this layer's]
+    rows (n, d + 1)."""
     out, rule = coupling_rows(x.value, layer)
-    n, d = x.value.shape
     params = [node for _, node in layer.parameters()]
-    core = dc.DiffNode(out, [x] + params, "coupling",
+    return dc.DiffNode(out, [x] + params, "coupling",
                        lambda g: rule(g, x.requires_grad))
-    return (dc.output_view(core, np.s_[:, :d], (n, d)),
-            dc.output_view(core, np.s_[:, d], (n,)))
 
 
 def inverse_net(layer):
@@ -256,31 +255,30 @@ def coupling_inverse(y, net):
 
 
 def flow_forward(y, stack):
-    """Compose all layers; total log-determinant is the sum over layers."""
-    z = y if isinstance(y, dc.DiffNode) else dc.constant(y)
-    total = None
+    """The stack on a float64 array y (n, d) as one chain of coupling ops
+    from the constant rows [y | 0].  Returns (z node (n, d), per-row
+    log-determinant node (n,)), the two views of the chain's last node; an
+    empty stack's are y and zeros."""
+    node = dc.constant(np.column_stack([y, np.zeros(len(y))]))
     for layer in stack.layers:
-        z, ld = coupling_forward(z, layer)
-        total = ld if total is None else dc.add(total, ld)
-    if total is None:
-        total = dc.constant(np.zeros(z.value.shape[0]))
-    return z, total
+        node = coupling_forward(node, layer)
+    n, d = y.shape
+    return (dc.output_view(node, np.s_[:, :d], (n, d)),
+            dc.output_view(node, np.s_[:, d], (n,)))
 
 
 def flow_rows(y, stack):
     """`flow_forward` on a float64 array (n, d) for a caller that needs no
-    gradient: (z, per-row log-determinant (n,)), equal to the op's values
-    bit for bit and building no graph nodes."""
-    z, total = y, None
+    gradient: the same chain from [y | 0], each layer's rule dropped at
+    once, so the next layer runs without this one's hidden activations.
+    Returns (z (n, d), per-row log-determinant (n,)), views of the last
+    rows, equal to the op's values bit for bit and building no graph
+    nodes; an empty stack's are y and zeros."""
+    rows = np.column_stack([y, np.zeros(len(y))])
     for layer in stack.layers:
-        # the rule is dropped at once, so the next layer runs without
-        # this one's hidden activations
-        out = coupling_rows(z, layer)[0]
-        z, ld = out[:, :layer.dim], out[:, layer.dim]
-        total = ld if total is None else total + ld
-    if total is None:
-        total = np.zeros(z.shape[0])
-    return z, total
+        rows = coupling_rows(rows, layer)[0]
+    d = y.shape[1]
+    return rows[:, :d], rows[:, d]
 
 
 def row_floats(stack):

@@ -6,9 +6,11 @@ transformed point, and subtracts the flow's log-determinant:
 
     loss_t = -log p_mix(f(y_{t+1})) - log |det df/dy|
 
-With the flow disabled (or zero-initialized) the log-determinant term
-vanishes and the objective is the plain recurrent mixture density NLL.
-Training is teacher-forced: ground-truth observations feed every step.
+A model with the flow disabled, or of depth 0, has the empty stack: its
+chain maps the targets to themselves with a zero log-determinant, so the
+objective is the plain recurrent mixture density NLL, through the same
+code as a model with a flow.  Training is teacher-forced: ground-truth
+observations feed every step.
 
 The loss has two forward paths over the same arithmetic.  `_nll_graph`
 builds the tape for a caller that needs gradients (`train_step` and the
@@ -79,12 +81,17 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.flow_hidden < 1:
             raise ValueError(f"flow_hidden must be at least 1, got {self.flow_hidden}")
-        if self.flow_enabled and self.flow_depth > 0 and self.dim < 2:
+        if self.flow_pairs and self.dim < 2:
             raise ValueError("coupling layers need dim >= 2")
 
     @property
     def input_dim(self):
         return self.dim + self.action_dim
+
+    @property
+    def flow_pairs(self):
+        """The model's number of coupling pairs: 0 with the flow off."""
+        return self.flow_depth if self.flow_enabled else 0
 
 
 @dataclass
@@ -117,10 +124,9 @@ def parameter_shapes(config):
     yield from named("lstm", rc.lstm_shapes(config.input_dim, config.hidden))
     yield from named("head", rc.head_shapes(config.hidden, config.components,
                                             config.dim, config.head_structure))
-    if config.flow_enabled:
-        layers = fl.flow_shapes(config.dim, config.flow_depth, config.flow_hidden)
-        for i, shapes in enumerate(layers):
-            yield from named(f"flow.{i}", shapes)
+    layers = fl.flow_shapes(config.dim, config.flow_pairs, config.flow_hidden)
+    for i, shapes in enumerate(layers):
+        yield from named(f"flow.{i}", shapes)
 
 
 def build_model(config, seed=0):
@@ -129,11 +135,8 @@ def build_model(config, seed=0):
     lstm = rc.init_lstm(config.input_dim, config.hidden, rng)
     head = rc.init_head(config.hidden, config.components, config.dim,
                         config.head_structure, rng)
-    if config.flow_enabled and config.flow_depth > 0:
-        stack = fl.make_flow(config.dim, config.flow_depth, rng,
-                             hidden=config.flow_hidden, s_clamp=config.s_clamp)
-    else:
-        stack = fl.FlowStack([])
+    stack = fl.make_flow(config.dim, config.flow_pairs, rng,
+                         hidden=config.flow_hidden, s_clamp=config.s_clamp)
     return FrmdnModel(lstm, head, stack, config)
 
 
@@ -167,36 +170,31 @@ def _nll_graph(model, obs, actions):
     """Loss graph over a batch of equal-length windows, for a caller that
     needs gradients.
 
-    Returns (root, mixture_term, logdet_term) scalar nodes with
-    root = mixture_term + logdet_term.
+    The flow is one chain of coupling ops from the constant rows
+    [targets | 0], the empty chain without a flow.  Returns (root,
+    mixture_term, logdet_term) scalar nodes, root = mixture + logdet.
     """
     cfg = model.config
     x, targets = _loss_inputs(model, obs, actions)
     start = rc.initial_state(x.shape[1], cfg.hidden)
-    h_all = rc.lstm_step(dc.constant(x), start, model.lstm)
-    z = dc.constant(targets)
-    if model.flow.depth > 0:
-        z, logdet_rows = fl.flow_forward(z, model.flow)
-        logdet_term = dc.neg(dc.reduce_mean(logdet_rows))
-    else:
-        logdet_term = dc.constant(np.zeros(()))
-
+    h_all = rc.lstm_step(x, start, model.lstm)
+    z, logdet_rows = fl.flow_forward(targets, model.flow)
     rows = mx.mixture_log_rows(z, rc.head_logits(h_all, model.head),
                                model.head, cfg.c_width)
     mixture_term = dc.neg(dc.reduce_mean(rows))
+    logdet_term = dc.neg(dc.reduce_mean(logdet_rows))
     root = dc.add(mixture_term, logdet_term)
     return root, mixture_term, logdet_term
 
 
 def _tail_row_floats(model):
     """float64 values per target row that the loss tail holds at its peak:
-    the flow's widest layer, or the mixture with its head rows and, when
-    the flow runs, the flow's output rows and log-determinants."""
+    the flow's widest layer, or the mixture with its head rows, the flow's
+    output rows [z | log-det] (d + 1, the start rows for an empty stack)
+    and the row's log-determinant."""
     cfg = model.config
     mixture = mx.row_floats(cfg.components, cfg.dim, cfg.head_structure)
-    if model.flow.depth > 0:
-        mixture += cfg.dim + 2
-    return max(mixture, fl.row_floats(model.flow))
+    return max(mixture + cfg.dim + 2, fl.row_floats(model.flow))
 
 
 def _tail_rows(model, h, targets):
@@ -234,7 +232,7 @@ def _forward_nll(model, obs, actions, chunk_rows=None):
         part = slice(lo, lo + step)
         rows[part], logdet_rows[part] = _tail_rows(model, h[part], targets[part])
     mixture = -rows.mean()
-    logdet = -logdet_rows.mean() if model.flow.depth > 0 else 0.0
+    logdet = -logdet_rows.mean()
     total = float(mixture + logdet)
     if not np.isfinite(total):
         raise NumericsError("sequence_nll produced a non-finite loss")
@@ -548,9 +546,7 @@ def generate_step(gen, x_t, state, rng):
     u = None if head.u is None else head.u.value
     y = mx.mixture_sample(*rc.head_project(state[0][0], head), head.structure,
                           rng, u=u, c_width=model.config.c_width)
-    if model.flow.depth > 0:
-        y = fl.flow_inverse(y[None], model.flow, gen.inverse)[0]
-    return y, state
+    return fl.flow_inverse(y[None], model.flow, gen.inverse)[0], state
 
 
 def rollout(model, y_0, action_fn, steps, rng):

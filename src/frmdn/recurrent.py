@@ -27,8 +27,9 @@ preparation.  Halving is exact, barring subnormal values, so every value
 keeps its bits.  `lstm_cell` has one activation path for every shape:
 tanh over the whole array, then +1 and *0.5 over a[:3].  The BPTT rule
 keeps the gate gradients in work order in one (4, T, q, H) array and
-runs its products per gate; it sums the four recurrent and input products
-in work order and writes dw and db back in parameter order.
+runs its products per gate; it sums the four recurrent products in work
+order and writes dw and db back in parameter order.  The input rows are
+data: the rule returns the gradients of lstm.w and lstm.b alone.
 
 The head output of width K + K*d + K*d holds coefficient logits, raw
 means and scale logits in the layout `mixtures.split_head` reads; softmax
@@ -133,8 +134,8 @@ def _check_step_inputs(who, x, ndim, state, params):
 
 
 def lstm_step(x, state, params):
-    """Unroll the cell over a (T, q, input_dim) batch node from the (h, c)
-    pair `state`, in one fused op with a hand-written BPTT backward.
+    """Unroll the cell over a (T, q, input_dim) float64 array from the
+    (h, c) pair `state`, in one fused op with a hand-written BPTT backward.
 
     params.w is (input_dim + H, 4H) with gate columns ordered (input,
     forget, cell, output) and params.b is (4H,).  Each step computes
@@ -142,17 +143,16 @@ def lstm_step(x, state, params):
                      x_t @ w[:input_dim] + b + h_{t-1} @ w[input_dim:]
         c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t).
 
-    Returns one node, op "lstm": the t-major rows (T*q, H) of h_1..h_T.
-    The start state gets no gradient.
+    Returns one node, op "lstm", with parents lstm.w and lstm.b: the
+    t-major rows (T*q, H) of h_1..h_T.  The input and the start state are
+    data and get no gradient.
     """
-    x = x if isinstance(x, dc.DiffNode) else dc.constant(x)
-    xv = x.value
-    _check_step_inputs("lstm_step", xv, 3, state, params)
-    steps, q, n_in = xv.shape
+    _check_step_inputs("lstm_step", x, 3, state, params)
+    steps, q, n_in = x.shape
     if steps < 1:
-        raise dc.ShapeMismatchError("lstm_step", xv.shape)
+        raise dc.ShapeMismatchError("lstm_step", x.shape)
     hid, wv = params.hidden, params.w.value
-    hs, cs, gates, tanh_c = _lstm_loop(xv, state, params, keep=True)
+    hs, cs, gates, tanh_c = _lstm_loop(x, state, params, keep=True)
 
     def rule(gh):
         gh = gh.reshape(steps, q, hid)   # at h_1..h_T
@@ -160,8 +160,7 @@ def lstm_step(x, state, params):
         # contiguous (q, H) block per gate; the recurrent product runs per
         # gate against one contiguous (4, H, H) work-order copy of w_h's
         # gate blocks transposed
-        wg = _gate_major(wv)
-        w_h_t = wg[:, n_in:].transpose(0, 2, 1).take(_WORK, axis=0)
+        w_h_t = _gate_major(wv)[:, n_in:].transpose(0, 2, 1).take(_WORK, axis=0)
         da = np.empty((4, steps, q, hid))
         dgate, slope, rec = np.empty((3, 4, q, hid))
         di, df, do, dg = dgate
@@ -193,23 +192,20 @@ def lstm_step(x, state, params):
                 np.matmul(da_t, w_h_t, out=rec)
                 dh = np.add.reduce(rec, axis=0, out=dh_next)
                 dh += gh[t - 1]
-        # per-gate products over all T*q rows: dw's written into its
-        # parameter-order blocks, dx's summed over the gates
+        # per-gate products over all T*q rows, written into dw's
+        # parameter-order blocks
         da = da.reshape(4, steps * q, hid)
         dw = np.empty_like(wv)
         dw4 = _gate_major(dw)
-        x_rows = xv.reshape(steps * q, n_in)
+        x_rows = x.reshape(steps * q, n_in)
         h_rows = hs[:steps].reshape(steps * q, hid)
         for da_k, block in zip(da, _WORK):
             np.matmul(x_rows.T, da_k, out=dw4[block, :n_in])
             np.matmul(h_rows.T, da_k, out=dw4[block, n_in:])
-        dx = (np.add.reduce(np.matmul(
-                  da, wg[:, :n_in].take(_WORK, axis=0).transpose(0, 2, 1)),
-                  axis=0).reshape(xv.shape) if x.requires_grad else None)
-        return dx, dw, da.sum(axis=1).take(_WORK, axis=0).reshape(4 * hid)
+        return dw, da.sum(axis=1).take(_WORK, axis=0).reshape(4 * hid)
 
     return dc.DiffNode(hs[1:].reshape(steps * q, hid),
-                       (x, params.w, params.b), "lstm", rule)
+                       (params.w, params.b), "lstm", rule)
 
 
 def _lstm_loop(x, state, params, keep):

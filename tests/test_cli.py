@@ -406,6 +406,49 @@ def test_two_outputs_naming_one_file_exit_2_before_any_work(
     assert stdout == "" and not list(work.iterdir())
 
 
+@pytest.fixture
+def small_run(tmp_path):
+    """A directory holding a data file, a test data file, a config file
+    and a checkpoint trained on the data for one epoch."""
+    data = gen_small(tmp_path)
+    gen_small(tmp_path, "test.fseq", seed=2)
+    (tmp_path / "train.cfg").write_text("epochs=1\n")
+    assert main(train_args(data, tmp_path / "m.frmd", epochs=1)) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["train", "--data", "data.fseq", "--out", "x.frmd", "--log", "data.fseq"],
+     "--data", "--log"),
+    (["train", "--data", "data.fseq", "--test-data", "test.fseq",
+      "--out", "test.fseq"], "--test-data", "--out"),
+    (["train", "--data", "data.fseq", "--config", "train.cfg",
+      "--out", "x.frmd", "--log", "./train.cfg"], "--config", "--log"),
+    (["sample", "--ckpt", "m.frmd", "--out", "m.frmd"], "--ckpt", "--out"),
+])
+def test_an_output_naming_an_input_exits_2_and_leaves_it(
+        small_run, capsys, monkeypatch, argv, first, second):
+    # otherwise the command reads the input, replaces it with its output
+    # and exits 0
+    monkeypatch.chdir(small_run)
+    before = {p.name: p.read_bytes() for p in small_run.iterdir()}
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {first} and {second} name one file")
+    assert err.count("\n") == 1
+    assert stdout == ""
+    assert {p.name: p.read_bytes() for p in small_run.iterdir()} == before
+
+
+def test_resume_in_place_is_not_an_output_naming_an_input(small_run, capsys):
+    ckpt = small_run / "m.frmd"
+    code, _, err = run(["train", "--data", str(small_run / "data.fseq"),
+                        "--resume", str(ckpt), "--epochs", "1",
+                        "--out", str(ckpt)], capsys)
+    assert code == 0, err
+    assert md.load_checkpoint(ckpt)[1]["epoch"] == "2"
+
+
 class FullDisk:
     """A file open for writing whose writes after the first raise, as on
     a disk that fills up after the first record."""

@@ -114,7 +114,7 @@ def test_composite_tanh_dot_grad_matches_finite_differences():
 
     point = np.zeros((1, 8))
     point[0, 0::2] = x
-    y, _ = fl.coupling_forward(dc.constant(point), layer)
+    y, _ = fl.flow_forward(point, fl.FlowStack([layer]))
     probe = np.zeros((8, 1))
     probe[1] = 1.0
     root = dc.reduce_mean(dc.matmul(y, dc.constant(probe)))

@@ -23,6 +23,16 @@ def forward_values(x, stack):
     return z.value, ld.value
 
 
+def one_layer(x, layer):
+    """(y, log-det) nodes of a single layer on rows x (n, d)."""
+    return fl.flow_forward(x, fl.FlowStack([layer]))
+
+
+def with_logdet(x, logdet=0.0):
+    """The rows [x | logdet] (n, d + 1) a coupling layer reads."""
+    return np.column_stack([x, np.broadcast_to(logdet, x.shape[:1])])
+
+
 def numerical_jacobian_logdet(fn, x0, step=1e-6):
     """log |det J| of fn: R^d -> R^d by central differences at x0."""
     d = x0.size
@@ -52,7 +62,7 @@ def test_zero_initialized_layer_is_identity():
         rng = np.random.default_rng(0)
         layer = fl.make_coupling_layer(dim, parity, rng)
         x = rng.normal(size=(5, dim))
-        y, ld = fl.coupling_forward(dc.constant(x), layer)
+        y, ld = one_layer(x, layer)
         np.testing.assert_array_equal(y.value, x)
         np.testing.assert_array_equal(ld.value, np.zeros(5))
 
@@ -69,7 +79,7 @@ def test_constant_affine_layer_analytic():
         layer.b2s.value[:] = math.atanh(math.log(3.0) / layer.s_clamp)
         layer.b2t.value[:] = 1.0
         x = rng.normal(size=(10, dim))
-        y, ld = fl.coupling_forward(dc.constant(x), layer)
+        y, ld = one_layer(x, layer)
         np.testing.assert_allclose(y.value[:, pas], x[:, pas])
         np.testing.assert_allclose(y.value[:, trans], 3.0 * x[:, trans] + 1.0,
                                    atol=1e-12)
@@ -90,10 +100,10 @@ def test_layer_logdet_matches_numerical_jacobian():
         x0 = rng.normal(size=dim)
 
         def fmap(x):
-            y, _ = fl.coupling_forward(dc.constant(x.reshape(1, -1)), layer)
+            y, _ = one_layer(x.reshape(1, -1), layer)
             return y.value[0]
 
-        _, ld = fl.coupling_forward(dc.constant(x0.reshape(1, -1)), layer)
+        _, ld = one_layer(x0.reshape(1, -1), layer)
         assert float(ld.value[0]) == pytest.approx(
             numerical_jacobian_logdet(fmap, x0), abs=1e-5
         )
@@ -105,18 +115,38 @@ def test_round_trip_single_layer():
         layer = fl.make_coupling_layer(dim, parity, rng)
         randomize_flow(fl.FlowStack([layer]), rng)
         x = rng.normal(size=(1000, dim)) * 2.0
-        y, _ = fl.coupling_forward(dc.constant(x), layer)
+        y, _ = one_layer(x, layer)
         back = fl.coupling_inverse(y.value, fl.inverse_net(layer))
         assert np.abs(back - x).max() < 1e-9
 
 
 def test_empty_stack_is_identity():
+    # the empty chain, on the tape and on plain arrays: y and zero
+    # log-determinants
     stack = fl.FlowStack([])
     x = np.random.default_rng(4).normal(size=(7, 3))
-    z, ld = forward_values(x, stack)
-    np.testing.assert_array_equal(z, x)
-    np.testing.assert_array_equal(ld, np.zeros(7))
+    for z, ld in (forward_values(x, stack), fl.flow_rows(x, stack)):
+        assert_same_bytes(np.ascontiguousarray(z), x)
+        assert_same_bytes(np.ascontiguousarray(ld), np.zeros(7))
     np.testing.assert_array_equal(fl.flow_inverse(x, stack), x)
+
+
+def test_chain_adds_to_the_logdet_column_it_starts_from():
+    # a layer adds its log-determinant to the column it reads, and the
+    # column's gradient passes straight through to the input's
+    rng = np.random.default_rng(19)
+    stack = randomize_flow(fl.make_flow(5, 1, rng, hidden=8), rng)
+    x = rng.normal(size=(6, 5))
+    start = rng.normal(size=6)
+    z, ld = fl.flow_rows(x, stack)
+    rows = with_logdet(x, start)
+    for layer in stack.layers:
+        rows = fl.coupling_rows(rows, layer)[0]
+    assert_same_bytes(rows[:, :5], np.ascontiguousarray(z))
+    np.testing.assert_allclose(rows[:, 5], start + ld, rtol=0, atol=1e-14)
+    _, rule = fl.coupling_rows(with_logdet(x, start), stack.layers[0])
+    g = rng.normal(size=(6, 6))
+    np.testing.assert_array_equal(rule(g, True)[0][:, 5], g[:, 5])
 
 
 def test_fresh_stack_is_identity():
@@ -162,10 +192,11 @@ def test_logdet_additivity_by_instrumentation():
     x = rng.normal(size=(20, 4))
     _, total = fl.flow_forward(x, stack)
     # replay layer by layer at the true intermediate points
-    cur = dc.constant(x)
+    cur = x
     acc = np.zeros(20)
     for layer in stack.layers:
-        cur, ld = fl.coupling_forward(cur, layer)
+        cur, ld = one_layer(cur, layer)
+        cur = cur.value
         acc = acc + ld.value
     np.testing.assert_array_equal(total.value, acc)
 
@@ -195,7 +226,8 @@ def test_coupling_op_gradients_match_central_differences():
         rng = np.random.default_rng(13)
         layer = fl.make_coupling_layer(dim, parity, rng, hidden=6)
         randomize_flow(fl.FlowStack([layer]), rng, weight_scale=0.5)
-        x = rng.normal(size=(n, dim))
+        # input rows [x | log-det so far], the column nonzero
+        x = with_logdet(rng.normal(size=(n, dim)), rng.normal(size=n))
         # fixed probes on both outputs, different for every entry of y and ld
         left = rng.normal(size=(3, n))
         right = rng.normal(size=(dim, 2))
@@ -204,7 +236,9 @@ def test_coupling_op_gradients_match_central_differences():
                               for name, node in layer.parameters()]
 
         def loss(x_node):
-            y, ld = fl.coupling_forward(x_node, layer)
+            out = fl.coupling_forward(x_node, layer)
+            y = dc.output_view(out, np.s_[:, :dim], (n, dim))
+            ld = dc.output_view(out, np.s_[:, dim], (n,))
             probe = dc.matmul(dc.matmul(dc.constant(left), y),
                               dc.constant(right))
             return dc.add(dc.reduce_mean(probe), weighted_sum(ld, ld_weights))
@@ -342,10 +376,10 @@ def test_coupling_inverse_keeps_the_index_array_bits(dim):
 
 
 def rows_by_index_arrays(x, g, layer, gather=np.ascontiguousarray):
-    """`coupling_rows`' [y | log-det] rows and its rule's gradients for
-    out-gradient g, with every block gathered through index arrays of the
-    layer's coordinates and laid out by `gather`: C-ordered copies, as
-    `coupling_rows` makes them, by default."""
+    """`coupling_rows`' [y | log-det] rows on [x | log-det] rows x and its
+    rule's gradients for out-gradient g, with every block gathered through
+    index arrays of the layer's coordinates and laid out by `gather`:
+    C-ordered copies, as `coupling_rows` makes them, by default."""
     pas, trans = columns(layer, layer.pass_idx), columns(layer, layer.trans_idx)
     xp, xt, g_t = gather(x[:, pas]), gather(x[:, trans]), gather(g[:, trans])
     s_hat, t, (hs, ts, ht) = fl.coupling_nets(layer, xp)
@@ -353,13 +387,14 @@ def rows_by_index_arrays(x, g, layer, gather=np.ascontiguousarray):
     out = np.empty((x.shape[0], layer.dim + 1))
     out[:, pas] = xp
     out[:, trans] = xt * scale + t
-    out[:, -1] = s_hat.sum(axis=1)
+    out[:, -1] = x[:, -1] + s_hat.sum(axis=1)
     g_bs = (g_t * xt * scale + g[:, -1:]) * (layer.s_clamp * (1.0 - ts * ts))
     g_as = (g_bs @ layer.w2s.value.T) * (1.0 - hs * hs)
     g_at = (g_t @ layer.w2t.value.T) * (1.0 - ht * ht)
     g_x = np.empty_like(x)
     g_x[:, pas] = g[:, pas] + g_as @ layer.w1s.value.T + g_at @ layer.w1t.value.T
     g_x[:, trans] = g_t * scale
+    g_x[:, -1] = g[:, -1]
     return [out, g_x, xp.T @ g_as, g_as.sum(axis=0), hs.T @ g_bs,
             g_bs.sum(axis=0), xp.T @ g_at, g_at.sum(axis=0), ht.T @ g_t,
             g_t.sum(axis=0)]
@@ -367,13 +402,14 @@ def rows_by_index_arrays(x, g, layer, gather=np.ascontiguousarray):
 
 def coupling_rows_cases(dim, seed):
     """(layer, x, g) at net widths 1, 8 and 64, both parities and 1 to 496
-    rows, the evaluation chunk of the acceptance shape."""
+    rows, the evaluation chunk of the acceptance shape; x holds the start
+    rows [x | 0] of a chain."""
     rng = np.random.default_rng(seed)
     for hidden in (1, 8, 64):
         stack = randomize_flow(fl.make_flow(dim, 1, rng, hidden=hidden), rng, 0.4)
         for layer in stack.layers:
             for rows in (1, 2, 9, 64, 496):
-                yield (layer, rng.normal(size=(rows, dim)),
+                yield (layer, with_logdet(rng.normal(size=(rows, dim))),
                        rng.normal(size=(rows, dim + 1)))
 
 
@@ -401,7 +437,7 @@ def test_flow_bits_stay_within_1e_12_of_the_old_arithmetic(dim):
         for a, b in zip([out] + list(rule(g, True)), old):
             assert_within(a, b, 1e-12)
         for rows in (1, 7):
-            y = x[:rows]
+            y = np.ascontiguousarray(x[:rows, :dim])
             assert_within(fl.coupling_inverse(y, fl.inverse_net(layer)),
                           inverse_by_separate_nets(y, layer), 1e-12)
 

@@ -620,13 +620,12 @@ def test_generate_step_equals_graph_replay():
             y, (h, _) = md.generate_step(md.Generator(model), x, (h0, c0),
                                          np.random.default_rng(9))
 
-            h_node = rc.lstm_step(dc.constant(x.reshape(1, 1, -1)),
-                                  (h0, c0), model.lstm)
+            h_node = rc.lstm_step(x.reshape(1, 1, -1), (h0, c0), model.lstm)
             u = model.head.u.value if structure == "tied" else None
             want = mx.mixture_sample(*rc.head_project(h_node.value[0], model.head),
                                      structure, np.random.default_rng(9), u=u)
-            if flow:
-                want = fl.flow_inverse(want.reshape(1, -1), model.flow)[0]
+            # with the flow off, the empty stack's inverse returns the draw
+            want = fl.flow_inverse(want.reshape(1, -1), model.flow)[0]
             assert np.array_equal(y, want), case
             assert np.array_equal(h, h_node.value), case
 
@@ -761,21 +760,23 @@ def test_evaluation_builds_no_diffnodes(monkeypatch):
 
 def test_train_step_tape_shape(monkeypatch):
     # the nodes one train step builds, by op tag: the LSTM op reads the
-    # input leaf and its weights, with no state leaves and no output views;
-    # flow depth 1 is two coupling layers, each returning two views
+    # input rows as data and has its weights alone as parents; the flow is
+    # one chain of coupling ops (two per pair) from the start rows leaf
+    # [y | 0], read through two views, so its log-determinants need no
+    # add; with the flow off the chain is empty
     batch = make_training_batch(q=2, t=9)
     created = record_nodes(monkeypatch)
-    for flow, want in ((False, {"leaf": 3, "lstm": 1, "matmul": 1, "add": 2,
-                                "mixture_log_rows": 1, "mean": 1, "neg": 1}),
-                       (True, {"leaf": 2, "lstm": 1, "matmul": 1, "add": 3,
-                               "mixture_log_rows": 1, "mean": 2, "neg": 2,
-                               "coupling": 2, "view": 4})):
-        model = md.build_model(tiny_config(flow_enabled=flow), seed=3)
+    common = {"leaf": 1, "lstm": 1, "matmul": 1, "add": 2,
+              "mixture_log_rows": 1, "mean": 2, "neg": 2, "view": 2}
+    for flow, depth, couplings in ((False, 1, 0), (True, 1, 2), (True, 2, 4)):
+        model = md.build_model(tiny_config(flow_enabled=flow, flow_depth=depth),
+                               seed=3)
         created.clear()
         md.train_step(model, batch, md.make_optimizer("rmsprop", 1e-3))
-        assert Counter(node.op for node in created) == want, flow
+        want = Counter(common, coupling=couplings)
+        assert Counter(node.op for node in created) == +want, (flow, depth)
         lstm = next(node for node in created if node.op == "lstm")
-        assert lstm.parents[1:] == (model.lstm.w, model.lstm.b)
+        assert lstm.parents == (model.lstm.w, model.lstm.b)
 
 
 def test_rollout_with_actions_records_them():

@@ -22,7 +22,7 @@ def unroll(params, xs, state=None):
     steps, q, _ = xs.shape
     if state is None:
         state = rc.initial_state(q, params.hidden)
-    rows = rc.lstm_step(dc.constant(xs), state, params)
+    rows = rc.lstm_step(xs, state, params)
     return rows.value.reshape(steps, q, params.hidden)
 
 
@@ -30,7 +30,7 @@ def unroll_loss(params, xs):
     """A fixed linear probe of every hidden output of an unrolled
     sequence."""
     state = rc.initial_state(xs.shape[1], params.hidden)
-    return probe(rc.lstm_step(dc.constant(xs), state, params))
+    return probe(rc.lstm_step(xs, state, params))
 
 
 def test_zero_weights_give_zero_hidden():
@@ -101,10 +101,9 @@ def test_lstm_rejects_mismatched_dims():
     state = rc.initial_state(2, 4)
     for x in (np.ones((1, 2, 5)), np.ones((1, 3, 3)), np.ones((2, 3))):
         with pytest.raises(ValueError, match="lstm_step"):
-            rc.lstm_step(dc.constant(x), state, params)
+            rc.lstm_step(x, state, params)
     with pytest.raises(ValueError, match="lstm_step"):
-        rc.lstm_step(dc.constant(np.ones((1, 2, 3))),
-                     (state[0], np.zeros((2, 5))), params)
+        rc.lstm_step(np.ones((1, 2, 3)), (state[0], np.zeros((2, 5))), params)
     weights = rc.halved_weights(params)
     with pytest.raises(ValueError, match="cell_step"):
         rc.cell_step(np.ones((3, 3)), state, params, weights)
@@ -195,7 +194,7 @@ def test_sequence_call_matches_chained_single_steps():
     acts = rng.normal(size=(steps, q, act_dim))
     xs = np.concatenate([obs, acts], axis=2)
 
-    h_rows = rc.lstm_step(dc.constant(xs), rc.initial_state(q, hidden), params)
+    h_rows = rc.lstm_step(xs, rc.initial_state(q, hidden), params)
     assert h_rows.value.shape == (steps * q, hidden)
     state = rc.initial_state(q, hidden)
     weights = rc.halved_weights(params)
@@ -237,13 +236,13 @@ def test_fused_op_gradients_match_central_differences():
     h0 = rng.normal(size=(q, hidden)) * 0.5
     c0 = rng.normal(size=(q, hidden))
     # a fixed probe weighting every output row differently, so every
-    # gradient path is probed
+    # gradient path is probed; the input rows are data
     left = rng.normal(size=(2, steps * q))
-    arrays = [x, w, b]
+    arrays = [w, b]
 
     def loss(nodes):
-        x_node, w_node, b_node = nodes
-        out = rc.lstm_step(x_node, (h0, c0),
+        w_node, b_node = nodes
+        out = rc.lstm_step(x, (h0, c0),
                            rc.LstmParams(w_node, b_node, n_in, hidden))
         return probe(dc.matmul(dc.constant(left), out))
 
@@ -262,7 +261,7 @@ def test_fused_op_gradients_match_central_differences():
             numeric = (hi - lo) / (2 * step)
             analytic = grads[leaf].ravel()[i]
             rel = abs(analytic - numeric) / max(1.0, abs(analytic))
-            assert rel < 1e-6, f"input {k} coordinate {i}: {rel:.3e}"
+            assert rel < 1e-6, f"parameter {k} coordinate {i}: {rel:.3e}"
 
 
 def test_single_step_matches_cell_formula():
@@ -275,7 +274,7 @@ def test_single_step_matches_cell_formula():
     c_prev = rng.normal(size=(q, hidden))
     h, c = rc.cell_step(x, (h_prev, c_prev), params,
                          rc.halved_weights(params))
-    rows = rc.lstm_step(dc.constant(x[None]), (h_prev, c_prev), params)
+    rows = rc.lstm_step(x[None], (h_prev, c_prev), params)
 
     pre = np.concatenate([x, h_prev], axis=1) @ params.w.value + params.b.value
     H = hidden
@@ -396,7 +395,8 @@ def _op_gradients(x, w, b, h0, c0, gh):
     n_in, hidden = x.shape[2], h0.shape[1]
     params = rc.LstmParams(dc.parameter(w), dc.parameter(b), n_in, hidden)
     out = rc.lstm_step(x, (h0, c0), params)
-    _, dw, db = out._rule(gh)
+    assert out.parents == (params.w, params.b)
+    dw, db = out._rule(gh)
     return out.value, dw, db
 
 
@@ -422,21 +422,21 @@ def test_fused_op_gradients_only_reorder_the_row_layout_sums(q, hidden):
 
 
 def test_fused_op_directional_derivatives_at_the_acceptance_shape():
-    # central differences along one random unit direction per input, at
-    # the acceptance train step (T = 31, q = 16, H = 128, 8 inputs); x
-    # needs a gradient here, so the per-gate dx products run too
+    # central differences along one random unit direction per parameter,
+    # at the acceptance train step (T = 31, q = 16, H = 128, 8 inputs)
     rng = np.random.default_rng(26)
     steps, q, hidden, n_in = 31, 16, 128, 8
     params = rc.init_lstm(n_in, hidden, rng)
     params.b.value = rng.normal(size=4 * hidden) * 0.5
-    arrays = [rng.normal(size=(steps, q, n_in)), params.w.value, params.b.value]
+    x = rng.normal(size=(steps, q, n_in))
+    arrays = [params.w.value, params.b.value]
     h0 = rng.normal(size=(q, hidden)) * 0.5
     c0 = rng.normal(size=(q, hidden))
     left = rng.normal(size=(2, steps * q))
 
     def loss(nodes):
-        out = rc.lstm_step(nodes[0], (h0, c0),
-                           rc.LstmParams(nodes[1], nodes[2], n_in, hidden))
+        out = rc.lstm_step(x, (h0, c0),
+                           rc.LstmParams(nodes[0], nodes[1], n_in, hidden))
         return probe(dc.matmul(dc.constant(left), out))
 
     leaves = [dc.parameter(a) for a in arrays]
