@@ -48,6 +48,9 @@ FRMD_VERSION = 1
 # product, flow and mixture) over chunks of rows whose work arrays fit it,
 # so a wide mixture's arrays stay near the cache (cache blocking, Lam,
 # Rothberg & Wolf 1991).  Memory is then set by the budget, not the split.
+# Where `rc.lstm_unroll` cuts a block across threads, its parts fill rows
+# of the block's one hidden-row array, so the budget still holds; each part
+# brings its own step scratch, about 1 MB at the acceptance block (H = 128).
 EVAL_BYTES = 4 * 1024 * 1024
 
 

@@ -9,6 +9,11 @@ for generation.  `lstm_step` and `lstm_unroll` run one step loop,
 `_lstm_loop`, which keeps each step's gates, c and tanh(c) only when the
 BPTT rule needs them; every step of either path, and `cell_step`, runs
 the one step body `lstm_cell`.  Each entry point checks its shapes once.
+`lstm_unroll` alone may run on several threads: it cuts a large batch's
+windows into parts, each at least two windows and a 32k-float step array,
+one per usable CPU, which fill their rows of one hidden-state array in
+place with the serial loop's bits (minibatch parallelism, as in Appleyard
+et al. 2016 below).  Training and generation run on the calling thread.
 
 `lstm.w` keeps the (input_dim + H, 4H) layout that checkpoints store,
 its gate columns, like `lstm.b`, in parameter order (i, f, g, o).  The
@@ -39,6 +44,7 @@ ranges for any hidden state.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,19 +214,21 @@ def lstm_step(x, state, params):
                        (params.w, params.b), "lstm", rule)
 
 
-def _lstm_loop(x, state, params, keep):
+def _lstm_loop(x, state, params, keep, weights=None, hs=None):
     """The one step loop of `lstm_step` and `lstm_unroll`: the steps of a
     (T, q, input_dim) array from the (h, c) pair `state`, each through
-    `lstm_cell` with `halved_weights`.  Returns (hs, cs, gates, tanh_c),
-    hs holding h_0..h_T.  With `keep`, for the BPTT rule, gates[t],
-    cs[t + 1] and tanh_c[t] hold step t's work-order gates, c_t and
-    tanh(c_t), and the input products of all steps are formed before the
-    loop; without it one gate block, two cell blocks and one tanh(c) block
-    are reused, and each step forms its input product and adds a
-    same-shape bias block.  Both give the same bits."""
+    `lstm_cell` with `weights`, `halved_weights(params)` when None.
+    Returns (hs, cs, gates, tanh_c), hs holding h_0..h_T: the given
+    (T + 1, q, H) array, which may be a view of a wider one, or else a new
+    one.  With `keep`, for the BPTT rule, gates[t], cs[t + 1] and
+    tanh_c[t] hold step t's work-order gates, c_t and tanh(c_t), and the
+    input products of all steps are formed before the loop; without it one
+    gate block, two cell blocks and one tanh(c) block are reused, and each
+    step forms its input product and adds a same-shape bias block.  Both
+    give the same bits."""
     steps, q, n_in = x.shape
     hid = params.hidden
-    w_x4, w_h4, b4 = halved_weights(params)
+    w_x4, w_h4, b4 = weights or halved_weights(params)
     kept = steps if keep else 1          # steps whose gates stay in `gates`
     if keep:
         gates = np.matmul(x[:, None], w_x4)
@@ -228,7 +236,9 @@ def _lstm_loop(x, state, params, keep):
     else:
         gates = np.empty((1, 4, q, hid))
         bias = np.broadcast_to(b4, (4, q, hid)).copy()
-    hs, cs = np.empty((steps + 1, q, hid)), np.empty((kept + 1, q, hid))
+    if hs is None:
+        hs = np.empty((steps + 1, q, hid))
+    cs = np.empty((kept + 1, q, hid))
     hs[0], cs[0] = state
     tanh_c = np.empty((kept, q, hid))
     rec = np.empty((4, q, hid))
@@ -312,15 +322,65 @@ def cell_step(x, state, params, weights):
     return lstm_cell(a, state[1])
 
 
+# the usable CPUs, read once (all of them where the OS gives no affinity
+# mask); and the fewest floats in a part's (4, q, H) gate-major step array
+# for a thread to pay for its handoffs of the interpreter lock between
+# numpy calls (the measured crossover on a 2-core host)
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_PART_FLOATS = 32768
+
+
+def _unroll_parts(q, hidden):
+    """How many parts `lstm_unroll` splits q windows of width `hidden`
+    into: as many as there are usable CPUs while every part keeps two
+    windows or more (a one-window part takes numpy's matrix-vector path,
+    whose bits differ) and a (4, q, H) step array of _PART_FLOATS floats
+    or more; at least 1."""
+    fewest = max(2, -(-_PART_FLOATS // (4 * hidden)))   # windows a part takes
+    return max(1, min(_CPUS, q // fewest))
+
+
 def lstm_unroll(x, state, params):
     """`lstm_step` on plain arrays for a caller that needs no gradient:
     the steps of a (T, q, input_dim) batch from the (h, c) pair `state`,
     keeping no step's gates or cell state.  Returns the t-major rows
-    (T*q, H) of h_1..h_T, equal to the op's bit for bit."""
+    (T*q, H) of h_1..h_T, equal to the op's bit for bit.
+
+    The windows are independent rows of one recurrence, so a large batch
+    is cut at k*q // parts into `_unroll_parts` parts, each run by
+    `_lstm_loop` on its own thread (numpy releases the interpreter lock
+    inside its products and ufuncs).  The parts share one read-only
+    `halved_weights` and fill their windows' rows hs[:, lo:hi] of one
+    hidden array in place.  The products form each row of a part of two
+    rows or more as they do in the whole batch (checked with OpenBLAS over
+    five widths and q up to 512), so every split gives the serial loop's
+    bits.  With one part no thread is made; otherwise the pool lives for
+    this call alone, is joined before it returns, and a part's exception
+    reaches the caller."""
     _check_step_inputs("lstm_unroll", x, 3, state, params)
     steps, q, _ = x.shape
-    hs = _lstm_loop(x, state, params, keep=False)[0]
-    return hs[1:].reshape(steps * q, params.hidden)
+    hid = params.hidden
+    weights = halved_weights(params)
+    hs = np.empty((steps + 1, q, hid))
+    h0, c0 = state
+
+    def run(lo, hi):
+        _lstm_loop(x[:, lo:hi], (h0[lo:hi], c0[lo:hi]), params, False,
+                   weights, hs[:, lo:hi])
+
+    parts = _unroll_parts(q, hid)
+    if parts == 1:
+        run(0, q)
+    else:
+        # imported here, so the paths that never split do not carry the
+        # module's resident size
+        from concurrent.futures import ThreadPoolExecutor
+
+        cuts = [k * q // parts for k in range(parts + 1)]
+        with ThreadPoolExecutor(parts) as pool:
+            list(pool.map(run, cuts[:-1], cuts[1:]))   # re-raises a part's error
+    return hs[1:].reshape(steps * q, hid)
 
 
 def head_logits(h, head):

@@ -2,6 +2,7 @@ import ctypes
 import importlib
 import math
 import platform
+import struct
 from collections import Counter
 from dataclasses import fields
 
@@ -392,20 +393,50 @@ def test_evaluate_rejects_an_empty_batch():
         md.evaluate(model, ds.SequenceBatch(np.zeros((0, 8, 2))))
 
 
-@pytest.mark.skipif(platform.system() != "Linux"
-                    or platform.libc_ver()[0] != "glibc",
-                    reason="the allocator policy is set through glibc's mallopt")
-def test_evaluate_again_reuses_freed_memory():
-    import resource
+def _split_test_model():
+    """An H = 128 model and 264 windows of 32 steps: two evaluate blocks
+    of 132 windows, each of which the LSTM splits on two CPUs."""
+    cfg = md.ModelConfig(dim=4, components=3, hidden=128, flow_depth=1)
+    batch = ds.SequenceBatch(np.random.default_rng(41).normal(size=(264, 32, 4)))
+    return md.build_model(cfg, seed=40), batch
 
-    # under glibc's dynamic thresholds each block's freed arrays went back
-    # to the kernel and the next evaluate faulted them in again
+
+def test_evaluate_gives_the_same_bytes_on_one_and_two_cpus(monkeypatch):
+    model, batch = _split_test_model()
+    records = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(md.rc, "_CPUS", cpus)
+        assert md.rc._unroll_parts(132, 128) == cpus
+        records.append(md.evaluate(model, batch))
+    one, two = (struct.pack("3d", *(getattr(r, f.name) for f in fields(r)))
+                for r in records)
+    assert one == two
+
+
+def _wide_head_test_model():
+    """A train-wide-head model and enough windows for four tail chunks."""
     cfg = md.ModelConfig(dim=16, components=16, hidden=16, flow_depth=2,
                          head_structure="logistic")
     model = md.build_model(cfg, seed=34)
-    # four tail chunks
     n = -(-4 * md.EVAL_BYTES // (8 * md._tail_row_floats(model) * 31))
-    batch = ds.SequenceBatch(np.random.default_rng(35).normal(size=(n, 32, 16)))
+    return model, ds.SequenceBatch(
+        np.random.default_rng(35).normal(size=(n, 32, 16)))
+
+
+@pytest.mark.skipif(platform.system() != "Linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set through glibc's mallopt")
+@pytest.mark.parametrize("case,cpus", [(_wide_head_test_model, 1),
+                                       (_split_test_model, 2)],
+                         ids=["wide-head", "split-lstm"])
+def test_evaluate_again_reuses_freed_memory(monkeypatch, case, cpus):
+    import resource
+
+    # under glibc's dynamic thresholds each block's freed arrays went back
+    # to the kernel and the next evaluate faulted them in again; with one
+    # arena, the LSTM's worker threads reuse them too
+    monkeypatch.setattr(md.rc, "_CPUS", cpus)
+    model, batch = case()
     md.evaluate(model, batch)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     md.evaluate(model, batch)
@@ -414,18 +445,23 @@ def test_evaluate_again_reuses_freed_memory():
 
 
 class _FakeLibc:
-    """A glibc whose `mallopt` refuses every setting."""
+    """A glibc whose `mallopt` accepts or refuses every setting."""
 
     gnu_get_libc_version = None
 
-    def __init__(self):
+    def __init__(self, accepts):
         self.calls = []
-        self.mallopt = lambda param, value: self.calls.append(param) or 0
+        self.mallopt = lambda param, value: self.calls.append(param) or accepts
 
 
-@pytest.mark.parametrize("libc", [None, object(), _FakeLibc()],
-                         ids=["no-libc", "no-mallopt", "mallopt-refuses"])
-def test_import_without_glibc_mallopt_does_nothing(monkeypatch, libc):
+@pytest.mark.parametrize("libc,calls", [
+    (None, None), (object(), None),
+    # a refused mmap threshold is not followed by the other settings
+    (_FakeLibc(0), [frmdn._M_MMAP_THRESHOLD]),
+    (_FakeLibc(1), [frmdn._M_MMAP_THRESHOLD, frmdn._M_TRIM_THRESHOLD,
+                    frmdn._M_ARENA_MAX]),
+], ids=["no-libc", "no-mallopt", "mallopt-refuses", "mallopt-accepts"])
+def test_import_without_glibc_mallopt_does_nothing(monkeypatch, libc, calls):
     def cdll(name):
         if libc is None:
             raise OSError("no C library")
@@ -434,9 +470,8 @@ def test_import_without_glibc_mallopt_does_nothing(monkeypatch, libc):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     importlib.reload(frmdn)
     assert frmdn.__version__
-    if isinstance(libc, _FakeLibc):
-        # a refused mmap threshold is not followed by the trim setting
-        assert libc.calls == [frmdn._M_MMAP_THRESHOLD]
+    if calls is not None:
+        assert libc.calls == calls
 
 
 # ---------------------------------------------------------------------------

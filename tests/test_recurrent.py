@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -507,3 +509,80 @@ def test_both_activation_paths_equal_the_op(q):
     _assert_same_bits(rc.lstm_unroll(x, state, params), rows)
     h, _ = rc.cell_step(x[0], state, params, rc.halved_weights(params))
     _assert_same_bits(h, rows[:q])
+
+
+# ---------------------------------------------------------------------------
+# the evaluation unroll on several threads
+# ---------------------------------------------------------------------------
+
+def _split_case(q, hidden=128, n_in=8, steps=31, seed=40):
+    rng = np.random.default_rng(seed)
+    params = rc.init_lstm(n_in, hidden, rng)
+    params.b.value = rng.normal(size=4 * hidden)
+    x = rng.normal(size=(steps, q, n_in))
+    state = (rng.normal(size=(q, hidden)) * 0.5, rng.normal(size=(q, hidden)))
+    return x, state, params
+
+
+@pytest.mark.parametrize("q,parts", [(128, (1, 2, 2)), (131, (1, 2, 2)),
+                                     (192, (1, 2, 3))],
+                         ids=["acceptance-block", "uneven", "three-parts"])
+def test_split_unroll_gives_the_serial_bytes(monkeypatch, q, parts):
+    # the acceptance evaluate block (q = 128, H = 128, T = 31), an uneven
+    # q, and a q that three CPUs cut in three, more parts than a 2-core
+    # host has cores; every split gives the serial loop's bytes, also with
+    # the interpreter lock handed over as often as it can be, and no
+    # worker thread outlives the call
+    x, state, params = _split_case(q)
+    threads = threading.active_count()
+    rows = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus, want in zip((1, 2, 3), parts):
+            monkeypatch.setattr(rc, "_CPUS", cpus)
+            assert rc._unroll_parts(q, params.hidden) == want
+            rows.append(rc.lstm_unroll(x, state, params))
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    for got in rows[1:]:
+        assert got.tobytes() == rows[0].tobytes()
+    _assert_same_bits(rows[0], rc.lstm_step(x, state, params).value)
+
+
+def test_unroll_parts_keep_two_windows_and_a_full_step_array(monkeypatch):
+    for cpus in (1, 2, 3, 4, 13, 64):
+        monkeypatch.setattr(rc, "_CPUS", cpus)
+        for hidden in (1, 4, 16, 100, 128, 300, 4096, 20000):
+            for q in range(1, 1100):
+                parts = rc._unroll_parts(q, hidden)
+                assert 1 <= parts <= cpus
+                if parts == 1:
+                    continue
+                cuts = [k * q // parts for k in range(parts + 1)]
+                fewest = min(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+                assert fewest >= 2, (cpus, hidden, q)
+                assert 4 * hidden * fewest >= rc._PART_FLOATS, (cpus, hidden, q)
+    # the benchmark shapes: evaluate blocks of 128 windows at H = 128 split
+    # on two CPUs; 512 windows at H = 16 and training's 16 do not
+    monkeypatch.setattr(rc, "_CPUS", 2)
+    assert rc._unroll_parts(128, 128) == 2
+    assert rc._unroll_parts(512, 16) == rc._unroll_parts(16, 128) == 1
+
+
+def test_an_error_in_one_part_reaches_the_caller(monkeypatch):
+    x, state, params = _split_case(131)
+    monkeypatch.setattr(rc, "_CPUS", 2)
+    loop = rc._lstm_loop
+
+    def failing(x, *args):
+        if x.shape[1] == 66:             # the second of the cuts 0, 65, 131
+            raise FloatingPointError("part failed")
+        return loop(x, *args)
+
+    monkeypatch.setattr(rc, "_lstm_loop", failing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="part failed"):
+        rc.lstm_unroll(x, state, params)
+    assert threading.active_count() == threads
